@@ -7,7 +7,9 @@ C = 1 - cos(prompt rows, visual rows) and a transport problem whose
 source marginal is uniform over the prompts and whose target marginal
 is the token weights. The class score is the weighted sum of the two
 transported costs <W*, C>; classification is a softmax over (1 - d)/tau
-across classes.
+across classes. forward() computes these distances for every
+(sample, class, path) at once; score() is its one-sample, one-class
+view.
 
 The reported distance is deliberately the transported-cost component,
 not the full regularized objective: it stays inside [0, 2] * mass, so
@@ -15,8 +17,9 @@ not the full regularized objective: it stays inside [0, 2] * mass, so
 meaning. Entropy and KL penalty terms still shape W* through the
 solve, they just do not enter the score.
 
-Solver failures never produce silent NaN scores: score() re-raises
-them tagged with the class and path that was being solved.
+Solver failures never produce silent NaN scores: forward() raises
+NumericalBlowupError naming the sample, class and path of the failed
+solve.
 """
 
 from __future__ import annotations
@@ -29,26 +32,29 @@ import numpy as np
 
 from .features import FeatureSet
 from .numerics import as_matrix, as_vector, cosine_matrix, logsumexp
-from .prompts import FrozenEncoder, PromptBank, build_class_embeddings
-from .transport import (
+from .prompts import ClassEncoding, FrozenEncoder, PromptBank, encode_class
+# solve_uot is unused here; bench/test_bench.py checks it stays bound
+from .transport import (  # noqa: F401
     INF,
     NumericalBlowupError,
     SolverConfig,
     TransportPlan,
     TransportProblem,
     solve_uot,
+    solve_uot_batch,
 )
 
 __all__ = [
     "ClassifierConfig",
     "AlignmentScore",
+    "Forward",
     "cost_matrix",
     "cost_matrix_backward",
     "prompt_marginal",
+    "forward",
     "score",
     "likelihood",
     "ce_loss",
-    "zero_shot_likelihood",
 ]
 
 _UNIT_TOL = 1e-6
@@ -159,52 +165,103 @@ def prompt_marginal(num_prompts: int) -> np.ndarray:
     return np.full(num_prompts, 1.0 / num_prompts)
 
 
-def _solve_path(G, F, w, cfg: ClassifierConfig, solver, class_id, tag):
-    C = cost_matrix(F, G)
+@dataclass
+class Forward:
+    """Distances of samples to classes, plus what the backward pass needs.
+
+    d[s, k] is the weighted distance of sample s to requested class k,
+    d_path[tag][s, k] the unweighted transported cost of one path, and
+    encodings[k] the class's prompt encodings. Plans are keyed
+    (s, k, tag) and cover only the sample's nonzero-weight columns,
+    whose features are feats[s]. Only paths with a positive weight
+    appear in `paths`, `d_path` and `plans`.
+    """
+
+    d: np.ndarray
+    d_path: dict[str, np.ndarray]
+    paths: tuple[tuple[str, float], ...]
+    encodings: list[ClassEncoding]
+    feats: list[np.ndarray]
+    plans: dict[tuple[int, int, str], TransportPlan]
+
+
+def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
+            cfg: ClassifierConfig, solver: SolverConfig | None = None,
+            classes: list[str] | None = None) -> Forward:
+    """Score every sample against every class along both prompt paths.
+
+    Each class is encoded once. Tokens whose weight is exactly zero
+    (dropout leftovers) carry no mass and would break the
+    positive-marginal requirement, so each problem keeps only the
+    sample's surviving columns. Problems are grouped by shape and each
+    group goes through one solve_uot_batch call, whose results equal
+    one-at-a-time solves bitwise. `classes` defaults to the whole bank.
+    """
+    classes = list(bank.classes) if classes is None else list(classes)
+    encodings = [encode_class(bank, c, encoder) for c in classes]
+    paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
+                                                   ("ds", cfg.gamma_ds))
+                  if gamma > 0)
     rho1, rho2 = (cfg.rho1, cfg.rho2) if cfg.use_uot else (INF, INF)
-    problem = TransportProblem(cost=C, row_marginal=prompt_marginal(G.shape[0]),
-                               col_marginal=w, lam=cfg.lam, rho1=rho1, rho2=rho2)
-    try:
-        plan = solve_uot(problem, solver)
-    except (NumericalBlowupError, ValueError) as e:
-        raise type(e)(f"class {class_id!r}, {tag} path: {e}") from e
-    return float(np.sum(plan.coupling * C)), plan
+
+    feats, groups = [], {}
+    for s, fs in enumerate(samples):
+        active = fs.weights > 0
+        feats.append(fs.features[active])
+        w = fs.weights[active]
+        for k, enc in enumerate(encodings):
+            for tag, _ in paths:
+                G = enc.g_cs if tag == "cs" else enc.g_ds
+                problem = TransportProblem(
+                    cost=cost_matrix(feats[s], G),
+                    row_marginal=prompt_marginal(G.shape[0]),
+                    col_marginal=w, lam=cfg.lam, rho1=rho1, rho2=rho2)
+                groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
+
+    B, K = len(samples), len(classes)
+    d_path = {tag: np.zeros((B, K)) for tag, _ in paths}
+    plans = {}
+    for entries in groups.values():
+        solved = solve_uot_batch([problem for _, problem in entries], solver)
+        for (key, problem), plan in zip(entries, solved):
+            s, k, tag = key
+            if plan.error is not None:
+                raise NumericalBlowupError(
+                    f"solver failed for sample {samples[s].sample_id!r}, class "
+                    f"{classes[k]!r}, {tag} path: {plan.error}")
+            plans[key] = plan
+            d_path[tag][s, k] = float(np.sum(plan.coupling * problem.cost))
+    d = np.zeros((B, K))
+    for tag, gamma in paths:
+        d += gamma * d_path[tag]
+    return Forward(d=d, d_path=d_path, paths=paths, encodings=encodings,
+                   feats=feats, plans=plans)
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
           encoder: FrozenEncoder, cfg: ClassifierConfig,
           solver: SolverConfig | None = None) -> AlignmentScore:
-    """Alignment of one sample against one class, both prompt paths.
+    """Alignment of one sample against one class: forward() at B = K = 1.
 
-    Tokens whose weight is exactly zero (dropout leftovers) carry no
-    mass and would break the positive-marginal requirement, so the
-    solve runs on the surviving columns and the plan is re-embedded at
-    full width afterwards; zero columns get zero coupling and a -inf
-    column potential, which is their exact log-domain limit.
+    Plans are re-embedded at full token width: columns of zero-weight
+    tokens get zero coupling and a -inf column potential, which is their
+    exact log-domain limit.
     """
-    g_ds, g_cs = build_class_embeddings(bank, class_id, encoder)
+    fw = forward([fs], bank, encoder, cfg, solver, classes=[class_id])
     active = fs.weights > 0
-    F = fs.features[active]
-    w = fs.weights[active]
-
-    out = {}
-    for tag, G, gamma in (("cs", g_cs, cfg.gamma_cs), ("ds", g_ds, cfg.gamma_ds)):
-        if gamma == 0.0:
-            out[tag] = (0.0, None)
-            continue
-        d, plan = _solve_path(G, F, w, cfg, solver, class_id, tag)
+    out = {"cs": (0.0, None), "ds": (0.0, None)}
+    for tag, _ in fw.paths:
+        plan = fw.plans[(0, 0, tag)]
         if not active.all():
-            W = np.zeros((G.shape[0], fs.num_tokens))
+            W = np.zeros((plan.coupling.shape[0], fs.num_tokens))
             W[:, active] = plan.coupling
             v = np.full(fs.num_tokens, -np.inf)
             v[active] = plan.v
             plan = replace(plan, coupling=W, v=v)
-        out[tag] = (d, plan)
+        out[tag] = (float(fw.d_path[tag][0, 0]), plan)
 
-    d_cs, plan_cs = out["cs"]
-    d_ds, plan_ds = out["ds"]
-    return AlignmentScore(d_cs=d_cs, d_ds=d_ds,
-                          d_total=cfg.gamma_cs * d_cs + cfg.gamma_ds * d_ds,
+    (d_cs, plan_cs), (d_ds, plan_ds) = out["cs"], out["ds"]
+    return AlignmentScore(d_cs=d_cs, d_ds=d_ds, d_total=float(fw.d[0, 0]),
                           plan_cs=plan_cs, plan_ds=plan_ds)
 
 
@@ -242,21 +299,3 @@ def ce_loss(probs, labels) -> float:
         warnings.warn("ce_loss: true-class probability clamped at 1e-300")
         p_true = np.maximum(p_true, 1e-300)
     return float(-np.mean(np.log(p_true)))
-
-
-def zero_shot_likelihood(f_global, class_embeddings, tau: float) -> np.ndarray:
-    """Cosine-similarity softmax baseline over a single global feature.
-
-    The no-transport counterpart of likelihood(): one embedding per
-    class, one pooled feature per sample, P(c) = softmax(cos / tau).
-    """
-    f = as_vector(f_global, "f_global")
-    E = as_matrix(class_embeddings, "class_embeddings")
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
-    if abs(float(np.linalg.norm(f)) - 1.0) > _UNIT_TOL or np.any(
-            np.abs(np.linalg.norm(E, axis=1) - 1.0) > _UNIT_TOL):
-        warnings.warn("zero_shot_likelihood: inputs are not unit-norm")
-    sims = cosine_matrix(E, f[None, :])[:, 0]
-    z = sims / tau
-    return np.exp(z - logsumexp(z))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -428,8 +427,6 @@ def _add_common(p, *, seed_default=None):
     p.add_argument("--config", default=None, help="strict JSON config file")
     p.add_argument("--seed", type=int, default=seed_default,
                    help="seed override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread hint (exported to the environment)")
     p.add_argument("--verbose", "-v", action="count", default=0)
 
 
@@ -525,14 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_ERROR
-        # hint only: BLAS reads these at load time, children inherit them
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except Exception as e:  # noqa: BLE001 - diagnostics, not tracebacks

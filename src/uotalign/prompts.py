@@ -36,14 +36,11 @@ __all__ = [
     "tokenize",
     "attention_forward",
     "attention_backward",
-    "encode_prompt",
-    "encode_prompt_backward",
+    "ClassEncoding",
     "build_prompt_bank",
-    "build_class_embeddings",
-    "count_trainable",
+    "encode_class",
     "render_description_prompt",
     "synth_description_texts",
-    "synth_descriptions",
     "DESCRIPTION_SYSTEM_PROMPT",
 ]
 
@@ -254,15 +251,6 @@ class FrozenEncoder:
         return np.tile(dmean / T.shape[0], (T.shape[0], 1))
 
 
-def encode_prompt(tokens: np.ndarray, encoder: FrozenEncoder) -> np.ndarray:
-    return encoder.encode(tokens)
-
-
-def encode_prompt_backward(tokens: np.ndarray, encoder: FrozenEncoder,
-                           upstream: np.ndarray) -> np.ndarray:
-    return encoder.encode_backward(tokens, upstream)
-
-
 @dataclass
 class PromptBank:
     """All prompt parameters for a class list.
@@ -370,42 +358,43 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
                       trainable=tuple(trainable))
 
 
-def build_class_embeddings(bank: PromptBank, class_id: str,
-                           encoder: FrozenEncoder):
+@dataclass
+class ClassEncoding:
+    """Both prompt paths of one class, with what the backward pass needs.
+
+    g_ds and g_cs hold unit-norm rows, one per shared and per class
+    prompt. toks_ds are the shared path's encoder inputs; toks_in are the
+    class path's tokens before the attention adapter and toks_out the
+    encoder inputs after it (the same matrices when the adapter is off).
+    Every token matrix ends in the class-word row.
+    """
+
+    g_ds: np.ndarray
+    g_cs: np.ndarray
+    toks_ds: list[np.ndarray]
+    toks_in: list[np.ndarray]
+    toks_out: list[np.ndarray]
+
+
+def encode_class(bank: PromptBank, class_id: str,
+                 encoder: FrozenEncoder) -> ClassEncoding:
     """Encode both prompt paths for one class.
 
-    Returns (G_ds, G_cs): unit-norm rows, one per prompt. The shared
-    path appends the class word and encodes directly; the class path
-    appends the class word, passes through attention (when enabled),
-    then encodes.
+    The shared path appends the class word and encodes directly; the
+    class path appends the class word, passes through attention (when
+    enabled), then encodes.
     """
     ci = bank.class_index(class_id)
     c_vec = bank.class_words[ci]
-
-    g_ds = []
-    for p in range(bank.num_shared_prompts):
-        toks = np.vstack([bank.shared_tokens[p], c_vec])
-        g_ds.append(encoder.encode(toks))
-
-    g_cs = []
-    for p in range(bank.num_class_prompts):
-        toks = np.vstack([bank.class_tokens[ci, p], c_vec])
-        if bank.use_attention:
-            toks = attention_forward(toks, bank.attention)
-        g_cs.append(encoder.encode(toks))
-    return np.array(g_ds), np.array(g_cs)
-
-
-def count_trainable(bank: PromptBank) -> int:
-    total = 0
-    if "shared_tokens" in bank.trainable:
-        total += bank.shared_tokens.size
-    if "attention" in bank.trainable:
-        total += bank.attention.w_query.size + bank.attention.w_key.size \
-            + bank.attention.w_value.size
-    if "class_tokens" in bank.trainable:
-        total += bank.class_tokens.size
-    return total
+    toks_ds = [np.vstack([bank.shared_tokens[p], c_vec])
+               for p in range(bank.num_shared_prompts)]
+    toks_in = [np.vstack([bank.class_tokens[ci, p], c_vec])
+               for p in range(bank.num_class_prompts)]
+    toks_out = ([attention_forward(T, bank.attention) for T in toks_in]
+                if bank.use_attention else toks_in)
+    return ClassEncoding(g_ds=np.array([encoder.encode(T) for T in toks_ds]),
+                         g_cs=np.array([encoder.encode(T) for T in toks_out]),
+                         toks_ds=toks_ds, toks_in=toks_in, toks_out=toks_out)
 
 
 _ADJECTIVES = ["fluffy", "sleek", "striped", "spotted", "glossy", "stocky",
@@ -418,7 +407,7 @@ _SETTINGS = ["in soft light", "against a plain wall", "on open ground",
 
 
 def synth_description_texts(classes, seed: int = 0, count: int = 4) -> dict:
-    """Deterministic stand-in descriptions, no files touched."""
+    """Deterministic stand-in descriptions for classes without files."""
     result = {}
     for ci, cls in enumerate(sorted(classes)):
         texts = []
@@ -429,24 +418,4 @@ def synth_description_texts(classes, seed: int = 0, count: int = 4) -> dict:
             setting = _SETTINGS[int(r.integers(len(_SETTINGS)))]
             texts.append(f"a {adj} {feat} of the {cls} {setting}")
         result[cls] = DescriptionFile(class_name=cls, descriptions=texts)
-    return result
-
-
-def synth_descriptions(classes, out_dir, seed: int = 0, count: int = 4) -> dict:
-    """Write deterministic stand-in description files for `classes`.
-
-    Returns {class: DescriptionFile}; also writes one JSON file per
-    class plus a descriptions.json manifest mapping class to file.
-    """
-    out_dir = Path(out_dir)
-    (out_dir / "descriptions").mkdir(parents=True, exist_ok=True)
-    result = synth_description_texts(classes, seed=seed, count=count)
-    manifest = {}
-    for cls in sorted(result):
-        doc = {"class_name": cls, "description": result[cls].descriptions}
-        rel = f"descriptions/{cls}.json"
-        (out_dir / rel).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        manifest[cls] = rel
-    (out_dir / "descriptions.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return result

@@ -33,11 +33,9 @@ import numpy as np
 from .classifier import (
     ClassifierConfig,
     ce_loss,
-    cost_matrix,
     cost_matrix_backward,
+    forward,
     likelihood,
-    prompt_marginal,
-    score,
 )
 from .features import DatasetManifest, FeatureSet, augment, load_split
 from .prompts import (
@@ -45,11 +43,11 @@ from .prompts import (
     FrozenEncoder,
     PromptBank,
     attention_backward,
-    attention_forward,
     build_prompt_bank,
     synth_description_texts,
 )
-from .transport import INF, NumericalBlowupError, SolverConfig, TransportProblem, solve_uot_batch
+# solve_uot_batch is unused here; bench/test_bench.py checks it stays bound
+from .transport import SolverConfig, solve_uot_batch  # noqa: F401
 
 __all__ = [
     "VARIANTS",
@@ -75,6 +73,10 @@ CKP1_MAGIC = b"CKP1"
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+
+# samples per forward() call in evaluate: bounds the arrays of one
+# batched solve while still encoding each class once per chunk
+_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -190,59 +192,6 @@ def adam_update(params: dict, grads: dict, m: dict, v: dict,
         params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
-def _class_forward(bank: PromptBank, ci: int, encoder: FrozenEncoder) -> dict:
-    """Both prompt paths for one class, keeping the token matrices.
-
-    Mirrors prompts.build_class_embeddings but retains every
-    intermediate needed by the analytic backward pass.
-    """
-    c_vec = bank.class_words[ci]
-    toks_ds, g_ds = [], []
-    for p in range(bank.num_shared_prompts):
-        T = np.vstack([bank.shared_tokens[p], c_vec])
-        toks_ds.append(T)
-        g_ds.append(encoder.encode(T))
-    toks_in, toks_out, g_cs = [], [], []
-    for p in range(bank.num_class_prompts):
-        T = np.vstack([bank.class_tokens[ci, p], c_vec])
-        toks_in.append(T)
-        T2 = attention_forward(T, bank.attention) if bank.use_attention else T
-        toks_out.append(T2)
-        g_cs.append(encoder.encode(T2))
-    return {"toks_ds": toks_ds, "g_ds": np.array(g_ds),
-            "toks_in": toks_in, "toks_out": toks_out, "g_cs": np.array(g_cs)}
-
-
-def _solve_all(costs: dict, weights: dict, ccfg: ClassifierConfig,
-               solver: SolverConfig | None, context: dict) -> dict:
-    """Batched solve of every (sample, class, path) problem.
-
-    Problems are grouped by shape (dropout can shrink the column count
-    per sample) and each group goes through solve_uot_batch, so results
-    are bitwise identical to one-at-a-time solves. A failed instance
-    aborts with its sample/class/path named.
-    """
-    rho1, rho2 = (ccfg.rho1, ccfg.rho2) if ccfg.use_uot else (INF, INF)
-    groups: dict[tuple, list] = {}
-    for key, C in costs.items():
-        s, i, path = key
-        problem = TransportProblem(cost=C, row_marginal=prompt_marginal(C.shape[0]),
-                                   col_marginal=weights[s], lam=ccfg.lam,
-                                   rho1=rho1, rho2=rho2)
-        groups.setdefault(C.shape, []).append((key, problem))
-    plans = {}
-    for shape, entries in groups.items():
-        solved = solve_uot_batch([p for _, p in entries], solver)
-        for (key, _), plan in zip(entries, solved):
-            if plan.error is not None:
-                s, i, path = key
-                raise NumericalBlowupError(
-                    f"solver failed for sample {context[s]!r}, class "
-                    f"{context[(s, i)]!r}, {path} path: {plan.error}")
-            plans[key] = plan
-    return plans
-
-
 def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
                          ccfg: ClassifierConfig, encoder: FrozenEncoder,
                          solver: SolverConfig | None = None):
@@ -263,39 +212,8 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
                              f"has label {fs.label!r}")
         labels.append(bank.classes.index(fs.label))
 
-    fwd = [_class_forward(bank, ci, encoder) for ci in range(K)]
-    paths = []
-    if ccfg.gamma_cs > 0:
-        paths.append(("cs", ccfg.gamma_cs))
-    if ccfg.gamma_ds > 0:
-        paths.append(("ds", ccfg.gamma_ds))
-
-    actives, feats, weights, context = [], [], {}, {}
-    for s, fs in enumerate(batch):
-        act = fs.weights > 0
-        actives.append(act)
-        feats.append(fs.features[act])
-        weights[s] = fs.weights[act]
-        context[s] = fs.sample_id
-        for i in range(K):
-            context[(s, i)] = bank.classes[i]
-
-    costs = {}
-    for s in range(B):
-        for i in range(K):
-            for path, _ in paths:
-                G = fwd[i]["g_cs"] if path == "cs" else fwd[i]["g_ds"]
-                costs[(s, i, path)] = cost_matrix(feats[s], G)
-    plans = _solve_all(costs, weights, ccfg, solver, context)
-
-    d = np.zeros((B, K))
-    for s in range(B):
-        for i in range(K):
-            for path, gamma in paths:
-                key = (s, i, path)
-                d[s, i] += gamma * float(np.sum(plans[key].coupling * costs[key]))
-
-    probs = np.vstack([likelihood(d[s], ccfg.tau) for s in range(B)])
+    fw = forward(batch, bank, encoder, ccfg, solver)
+    probs = np.vstack([likelihood(row, ccfg.tau) for row in fw.d])
     Y = np.zeros((B, K))
     Y[np.arange(B), labels] = 1.0
     loss = ce_loss(probs, Y)
@@ -311,28 +229,29 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     L_ds = bank.shared_tokens.shape[1]
     L_cs = bank.class_tokens.shape[2]
 
-    for i in range(K):
-        for path, gamma in paths:
+    # forward() ran over all bank classes, so i indexes bank.classes
+    for i, enc in enumerate(fw.encodings):
+        for path, gamma in fw.paths:
             if path == "ds" and not want_shared:
                 continue
             if path == "cs" and not (want_attn or want_class):
                 continue
-            G = fwd[i]["g_cs"] if path == "cs" else fwd[i]["g_ds"]
+            G = enc.g_cs if path == "cs" else enc.g_ds
             grad_G = np.zeros_like(G)
             for s in range(B):
                 key = (s, i, path)
-                upstream = coeff[s, i] * gamma * plans[key].coupling
-                grad_G += cost_matrix_backward(feats[s], G, upstream)
+                upstream = coeff[s, i] * gamma * fw.plans[key].coupling
+                grad_G += cost_matrix_backward(fw.feats[s], G, upstream)
             if path == "ds":
                 for p in range(bank.num_shared_prompts):
-                    rows = encoder.encode_backward(fwd[i]["toks_ds"][p], grad_G[p])
+                    rows = encoder.encode_backward(enc.toks_ds[p], grad_G[p])
                     grads["shared_tokens"][p] += rows[:L_ds]
             else:
                 for p in range(bank.num_class_prompts):
-                    rows = encoder.encode_backward(fwd[i]["toks_out"][p], grad_G[p])
+                    rows = encoder.encode_backward(enc.toks_out[p], grad_G[p])
                     if bank.use_attention:
                         g_tok, gq, gk, gv = attention_backward(
-                            fwd[i]["toks_in"][p], bank.attention, rows)
+                            enc.toks_in[p], bank.attention, rows)
                         if want_attn:
                             grads["attention.w_query"] += gq
                             grads["attention.w_key"] += gk
@@ -440,13 +359,15 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
             raise ValueError(f"unknown class: sample {fs.sample_id!r} "
                              f"has label {fs.label!r}")
     probs = np.zeros((len(samples), len(classes)))
+    for lo in range(0, len(samples), _EVAL_CHUNK):
+        d = forward(samples[lo:lo + _EVAL_CHUNK], state.bank, state.encoder,
+                    ccfg, solver, classes).d
+        for s, row in enumerate(d, start=lo):
+            probs[s] = likelihood(row, ccfg.tau)
     Y = np.zeros_like(probs)
     hits_total: dict[str, list[int]] = {c: [0, 0] for c in classes}
     correct = 0
     for s, fs in enumerate(samples):
-        d = np.array([score(fs, c, state.bank, state.encoder, ccfg, solver).d_total
-                      for c in classes])
-        probs[s] = likelihood(d, ccfg.tau)
         true_idx = classes.index(fs.label)
         Y[s, true_idx] = 1.0
         hit = int(np.argmax(probs[s])) == true_idx

@@ -19,7 +19,7 @@ import pytest
 
 from uotalign.classifier import ClassifierConfig
 from uotalign.features import FeatureSet
-from uotalign.prompts import DescriptionFile, FrozenEncoder, build_prompt_bank
+from uotalign.prompts import DescriptionFile, FrozenEncoder, build_prompt_bank, encode_class
 from uotalign.transport import SolverConfig
 
 GRADCHECK_SEED = 14
@@ -35,8 +35,6 @@ def build_gradcheck_instance():
     true-class costs are small and every cost row has a clear winner.
     Returns (bank, encoder, batch, classifier config, solver config).
     """
-    from uotalign.trainer import _class_forward
-
     seed = GRADCHECK_SEED
     classes = ["a", "b"]
     descs = {c: DescriptionFile(c, [f"{c} alpha tone", f"{c} broad shape"])
@@ -47,8 +45,8 @@ def build_gradcheck_instance():
     rng = np.random.default_rng(seed + 500)
     batch = []
     for ci, c in enumerate(classes):
-        fwd = _class_forward(bank, ci, encoder)
-        targets = np.vstack([fwd["g_cs"], fwd["g_ds"]])
+        enc = encode_class(bank, c, encoder)
+        targets = np.vstack([enc.g_cs, enc.g_ds])
         F = targets + 0.4 * rng.standard_normal((4, 8))
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),
@@ -57,6 +55,13 @@ def build_gradcheck_instance():
                             rho2=GRADCHECK_RHO2)
     solver = SolverConfig(max_iterations=60000, dual_tolerance=1e-13)
     return bank, encoder, batch, ccfg, solver
+
+
+def count_trainable(bank) -> int:
+    """Number of scalars the optimizer updates for this bank."""
+    from uotalign.trainer import _trainable_arrays
+
+    return sum(a.size for a in _trainable_arrays(bank).values())
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from uotalign.classifier import (
     likelihood,
     prompt_marginal,
     score,
-    zero_shot_likelihood,
 )
 from uotalign.features import FeatureSet, load_split, synth_dataset
 from uotalign.oracle import finite_diff_grad
@@ -23,10 +22,10 @@ from uotalign.prompts import (
     DescriptionFile,
     FrozenEncoder,
     PromptBank,
-    build_class_embeddings,
     build_prompt_bank,
+    encode_class,
 )
-from uotalign.transport import INF, NumericalBlowupError, solve_entropic_ot
+from uotalign.transport import INF, NumericalBlowupError, TransportPlan, solve_entropic_ot
 
 
 def unit_rows(rng, shape):
@@ -220,7 +219,7 @@ class TestScore:
         cfg = ClassifierConfig(use_uot=False, lam=0.05)
         s = score(fs, "cat", bank, enc, cfg)
 
-        _, g_cs = build_class_embeddings(bank, "cat", enc)
+        g_cs = encode_class(bank, "cat", enc).g_cs
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
         assert np.array_equal(s.plan_cs.coupling, direct.coupling)
@@ -255,10 +254,15 @@ class TestScore:
         bank = make_bank(["cat"])
         enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
 
-        def boom(problem, config=None):
-            raise NumericalBlowupError("numerical blowup: coupling overflow")
+        def boom(problems, config=None):
+            # the batch solver marks a failed instance instead of raising
+            return [TransportPlan(coupling=np.full(p.shape, np.nan),
+                                  u=np.zeros(p.shape[0]), v=np.zeros(p.shape[1]),
+                                  iterations=1, converged=False, primal_value=math.nan,
+                                  error="numerical blowup: coupling overflow")
+                    for p in problems]
 
-        monkeypatch.setattr("uotalign.classifier.solve_uot", boom)
+        monkeypatch.setattr("uotalign.classifier.solve_uot_batch", boom)
         with pytest.raises(NumericalBlowupError, match="class 'cat', cs path"):
             score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
 
@@ -388,33 +392,3 @@ class TestCELoss:
             ce_loss(np.array([[0.9, 0.3]]), labels)
         with pytest.raises(ValueError, match="sum to 1"):
             ce_loss(np.array([[1.2, -0.2]]), labels)
-
-
-class TestZeroShot:
-    def test_single_class(self):
-        p = zero_shot_likelihood(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), 0.01)
-        assert p.tolist() == [1.0]
-
-    def test_matching_class_dominates(self):
-        E = np.eye(3)
-        p = zero_shot_likelihood(E[1], E, tau=0.01)
-        assert p[1] == pytest.approx(1.0, abs=1e-12)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert p[0] == pytest.approx(math.exp(-100.0), rel=1e-9)
-
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(15)
-        E = unit_rows(rng, (4, 6))
-        f = unit_rows(rng, (1, 6))[0]
-        perm = [2, 0, 3, 1]
-        p = zero_shot_likelihood(f, E, 0.1)
-        assert np.allclose(zero_shot_likelihood(f, E[perm], 0.1), p[perm],
-                           atol=1e-15)
-
-    def test_non_unit_warns(self):
-        with pytest.warns(UserWarning, match="unit-norm"):
-            zero_shot_likelihood(np.array([2.0, 0.0]), np.eye(2), 0.1)
-
-    def test_invalid_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            zero_shot_likelihood(np.array([1.0, 0.0]), np.eye(2), -1.0)

@@ -375,8 +375,3 @@ class TestEntryPoint:
                               capture_output=True)
         assert proc.returncode == 0
         assert b"gen-descriptions" in proc.stdout
-
-    def test_bad_threads_value(self, capsys):
-        code = main(["compare", "--threads", "0", "--out", "/tmp/never-used"])
-        assert code == EXIT_ERROR
-        assert "--threads" in capsys.readouterr().err

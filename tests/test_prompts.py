@@ -3,19 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_trainable
 from uotalign.prompts import (
     AttentionParams,
     FrozenEncoder,
     attention_backward,
     attention_forward,
-    build_class_embeddings,
     build_prompt_bank,
-    count_trainable,
-    encode_prompt,
+    encode_class,
     load_description_manifest,
     parse_descriptions,
     render_description_prompt,
-    synth_descriptions,
+    synth_description_texts,
     tokenize,
 )
 
@@ -185,8 +184,8 @@ class TestFrozenEncoder:
         rng = np.random.default_rng(57)
         enc = FrozenEncoder.seeded(8, 6, seed=0)
         T = rng.standard_normal((4, 8))
-        a = encode_prompt(T, enc)
-        b = encode_prompt(T.copy(), enc)
+        a = enc.encode(T)
+        b = enc.encode(T.copy())
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
@@ -247,7 +246,8 @@ class TestPromptBank:
     def test_embedding_shapes(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        g_ds, g_cs = build_class_embeddings(bank, "cat", enc)
+        e = encode_class(bank, "cat", enc)
+        g_ds, g_cs = e.g_ds, e.g_cs
         assert g_ds.shape == (2, 16)
         assert g_cs.shape == (4, 16)
         np.testing.assert_allclose(np.linalg.norm(g_ds, axis=1), 1.0, atol=1e-12)
@@ -257,27 +257,27 @@ class TestPromptBank:
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
         with pytest.raises(ValueError, match="unknown class"):
-            build_class_embeddings(bank, "bird", enc)
+            encode_class(bank, "bird", enc)
 
     def test_shared_path_differs_only_by_class_word(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        g_cat, _ = build_class_embeddings(bank, "cat", enc)
-        g_dog, _ = build_class_embeddings(bank, "dog", enc)
+        g_cat = encode_class(bank, "cat", enc).g_ds
+        g_dog = encode_class(bank, "dog", enc).g_ds
         assert np.abs(g_cat - g_dog).max() > 1e-6
         # same class word would give identical embeddings
         bank.class_words[1] = bank.class_words[0]
-        g_dog2, _ = build_class_embeddings(bank, "dog", enc)
+        g_dog2 = encode_class(bank, "dog", enc).g_ds
         np.testing.assert_array_equal(g_cat, g_dog2)
 
     def test_attention_touches_only_class_path(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        ds1, cs1 = build_class_embeddings(bank, "cat", enc)
+        e1 = encode_class(bank, "cat", enc)
         bank.attention.w_query += 0.5
-        ds2, cs2 = build_class_embeddings(bank, "cat", enc)
-        np.testing.assert_array_equal(ds1, ds2)
-        assert np.abs(cs1 - cs2).max() > 1e-9
+        e2 = encode_class(bank, "cat", enc)
+        np.testing.assert_array_equal(e1.g_ds, e2.g_ds)
+        assert np.abs(e1.g_cs - e2.g_cs).max() > 1e-9
 
     def test_random_init_same_shape(self):
         a = make_bank()
@@ -307,19 +307,25 @@ class TestPromptBank:
 class TestSynthDescriptions:
     def test_files_parse_and_match_manifest(self, tmp_path):
         classes = ["class_0", "class_1", "class_2"]
-        result = synth_descriptions(classes, tmp_path, seed=4)
+        result = synth_description_texts(classes, seed=4)
+        manifest = {}
+        for c in classes:
+            doc = {"class_name": c, "description": result[c].descriptions}
+            (tmp_path / f"{c}.json").write_text(json.dumps(doc))
+            manifest[c] = f"{c}.json"
+        (tmp_path / "descriptions.json").write_text(json.dumps(manifest))
         loaded = load_description_manifest(tmp_path / "descriptions.json")
         assert set(loaded) == set(classes)
         for c in classes:
             assert loaded[c].descriptions == result[c].descriptions
             assert len(loaded[c].descriptions) == 4
 
-    def test_deterministic(self, tmp_path):
-        a = synth_descriptions(["x", "y"], tmp_path / "a", seed=9)
-        b = synth_descriptions(["x", "y"], tmp_path / "b", seed=9)
+    def test_deterministic(self):
+        a = synth_description_texts(["x", "y"], seed=9)
+        b = synth_description_texts(["y", "x"], seed=9)
         assert a["x"].descriptions == b["x"].descriptions
-        assert (tmp_path / "a" / "descriptions/x.json").read_text() == \
-            (tmp_path / "b" / "descriptions/x.json").read_text()
+        c = synth_description_texts(["x", "y"], seed=8)
+        assert a["x"].descriptions != c["x"].descriptions
 
     def test_rendered_prompt_contains_task_line(self):
         text = render_description_prompt("tabby cat")

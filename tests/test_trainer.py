@@ -7,13 +7,26 @@ import numpy as np
 import pytest
 
 import uotalign.trainer as trainer_mod
-from uotalign.classifier import ClassifierConfig, ce_loss, likelihood, score
-from uotalign.features import DatasetManifest, SampleRecord, load_split, synth_dataset
+from conftest import count_trainable
+from uotalign.classifier import (
+    ClassifierConfig,
+    ce_loss,
+    cost_matrix,
+    likelihood,
+    prompt_marginal,
+)
+from uotalign.features import (
+    DatasetManifest,
+    SampleRecord,
+    augment,
+    load_split,
+    synth_dataset,
+)
 from uotalign.oracle import finite_diff_grad
 from uotalign.prompts import (
     FrozenEncoder,
+    attention_forward,
     build_prompt_bank,
-    count_trainable,
     synth_description_texts,
 )
 from uotalign.transport import (
@@ -21,6 +34,8 @@ from uotalign.transport import (
     NumericalBlowupError,
     SolverConfig,
     TransportPlan,
+    TransportProblem,
+    solve_uot,
 )
 from uotalign.trainer import (
     CKP1_MAGIC,
@@ -64,6 +79,48 @@ def fresh_bank(manifest, variant, seed=1):
     return build_prompt_bank(manifest.classes, descs, num_shared_prompts=2,
                              num_class_prompts=2, context_length=4,
                              token_dim=16, seed=seed, **bank_kw)
+
+
+def reference_probs(samples, bank, encoder, ccfg, classes, solver=None):
+    """Likelihood rows built one transport problem at a time.
+
+    Encodes the prompts and solves each (sample, class, path) problem
+    alone with solve_uot, independently of the batched forward pass.
+    """
+    rho1, rho2 = (ccfg.rho1, ccfg.rho2) if ccfg.use_uot else (INF, INF)
+    rows = []
+    for fs in samples:
+        keep = fs.weights > 0
+        F, w = fs.features[keep], fs.weights[keep]
+        d = []
+        for c in classes:
+            ci = bank.classes.index(c)
+            word = bank.class_words[ci]
+            g_ds = np.array([encoder.encode(np.vstack([t, word]))
+                             for t in bank.shared_tokens])
+            cls_toks = [np.vstack([t, word]) for t in bank.class_tokens[ci]]
+            if bank.use_attention:
+                cls_toks = [attention_forward(t, bank.attention) for t in cls_toks]
+            g_cs = np.array([encoder.encode(t) for t in cls_toks])
+            total = 0.0
+            for G, gamma in ((g_cs, ccfg.gamma_cs), (g_ds, ccfg.gamma_ds)):
+                if gamma == 0:
+                    continue
+                C = cost_matrix(F, G)
+                plan = solve_uot(TransportProblem(
+                    cost=C, row_marginal=prompt_marginal(len(G)), col_marginal=w,
+                    lam=ccfg.lam, rho1=rho1, rho2=rho2), solver)
+                total += gamma * float(np.sum(plan.coupling * C))
+            d.append(total)
+        rows.append(likelihood(np.array(d), ccfg.tau))
+    return np.vstack(rows)
+
+
+def one_hot(samples, classes):
+    Y = np.zeros((len(samples), len(classes)))
+    for s, fs in enumerate(samples):
+        Y[s, classes.index(fs.label)] = 1.0
+    return Y
 
 
 class TestTrainConfig:
@@ -202,18 +259,13 @@ class TestBatchLossAndGrads:
         with pytest.raises(ValueError, match="unknown class"):
             batch_loss_and_grads([bad], bank, ccfg, encoder)
 
-    def test_agrees_with_scorer(self, gradcheck_instance):
-        """Batched training forward equals the per-sample scorer."""
+    def test_matches_per_problem_reference(self, gradcheck_instance):
+        """The batched forward equals one-at-a-time solves bitwise."""
         bank, encoder, batch, ccfg, solver = gradcheck_instance
         loss, _, probs = batch_loss_and_grads(batch, bank, ccfg, encoder, solver)
-        d = np.array([[score(fs, c, bank, encoder, ccfg, solver).d_total
-                       for c in bank.classes] for fs in batch])
-        expected = np.vstack([likelihood(row, ccfg.tau) for row in d])
-        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-15)
-        Y = np.zeros_like(probs)
-        for s, fs in enumerate(batch):
-            Y[s, bank.classes.index(fs.label)] = 1.0
-        assert loss == pytest.approx(ce_loss(expected, Y), rel=1e-12)
+        expected = reference_probs(batch, bank, encoder, ccfg, bank.classes, solver)
+        np.testing.assert_array_equal(probs, expected)
+        assert loss == ce_loss(expected, one_hot(batch, bank.classes))
 
     def test_gradients_match_finite_differences(self, gradcheck_instance):
         """Frozen-coupling analytic gradients vs re-solving FD, all groups."""
@@ -310,7 +362,7 @@ class TestTrainStep:
                                   error="numerical blowup: dual overflow")
                     for p in problems]
 
-        monkeypatch.setattr(trainer_mod, "solve_uot_batch", broken_batch)
+        monkeypatch.setattr("uotalign.classifier.solve_uot_batch", broken_batch)
         with pytest.raises(NumericalBlowupError) as err:
             train_step(batch, state, TrainConfig(), ccfg, solver)
         msg = str(err.value)
@@ -412,6 +464,30 @@ class TestEvaluate:
         assert set(metrics["per_class"]) == set(manifest.classes)
         assert 0 <= metrics["accuracy"] <= 1
         assert math.isfinite(metrics["mean_loss"])
+
+    def test_matches_per_problem_reference(self, manifest, trained):
+        # more samples than one evaluation chunk, a candidate subset, and
+        # dropped tokens so that the problems come in several shapes
+        classes = ["class_0", "class_2"]
+        samples = [augment(fs, 0.0, 0.3, [5, s]) for s, fs in enumerate(
+            fs for split in ("train", "val", "test")
+            for fs in load_split(manifest, split) if fs.label in classes)]
+        assert len(samples) > trainer_mod._EVAL_CHUNK
+        assert len({int((fs.weights > 0).sum()) for fs in samples}) > 1
+        ccfg = ClassifierConfig()
+        got = evaluate(samples, trained, ccfg, classes=classes)
+
+        probs = reference_probs(samples, trained.bank, trained.encoder, ccfg, classes)
+        Y = one_hot(samples, classes)
+        hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
+        labels = np.array([fs.label for fs in samples])
+        assert got == {
+            "accuracy": int(hits.sum()) / len(samples),
+            "per_class": {c: int(hits[labels == c].sum()) / int((labels == c).sum())
+                          for c in classes},
+            "mean_loss": ce_loss(probs, Y),
+            "count": len(samples),
+        }
 
     def test_candidate_subset_restricts_scoring(self, manifest, trained):
         subset = [fs for fs in load_split(manifest, "test")

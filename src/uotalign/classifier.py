@@ -171,7 +171,7 @@ class Forward:
 
     d[s, k] is the weighted distance of sample s to requested class k,
     d_path[tag][s, k] the unweighted transported cost of one path, and
-    encodings[k] the class's prompt encodings. Plans are keyed
+    encodings[k] the class's encodings of those paths. Plans are keyed
     (s, k, tag) and cover only the sample's nonzero-weight columns,
     whose features are feats[s]. Only paths with a positive weight
     appear in `paths`, `d_path` and `plans`.
@@ -190,18 +190,20 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
             classes: list[str] | None = None) -> Forward:
     """Score every sample against every class along both prompt paths.
 
-    Each class is encoded once. Tokens whose weight is exactly zero
-    (dropout leftovers) carry no mass and would break the
-    positive-marginal requirement, so each problem keeps only the
-    sample's surviving columns. Problems are grouped by shape and each
-    group goes through one solve_uot_batch call, whose results equal
-    one-at-a-time solves bitwise. `classes` defaults to the whole bank.
+    Each class is encoded once, along the paths with a positive weight
+    only. Tokens whose weight is exactly zero (dropout leftovers) carry
+    no mass and would break the positive-marginal requirement, so each
+    problem keeps only the sample's surviving columns. Problems are
+    grouped by shape and each group goes through one solve_uot_batch
+    call, whose results equal one-at-a-time solves bitwise. `classes`
+    defaults to the whole bank.
     """
     classes = list(bank.classes) if classes is None else list(classes)
-    encodings = [encode_class(bank, c, encoder) for c in classes]
     paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
+    encodings = [encode_class(bank, c, encoder, tuple(tag for tag, _ in paths))
+                 for c in classes]
     rho1, rho2 = (cfg.rho1, cfg.rho2) if cfg.use_uot else (INF, INF)
 
     feats, groups = [], {}

@@ -64,10 +64,16 @@ def logsumexp_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """Row/column-wise stable logsumexp for already-validated arrays.
 
     Internal fast path used by the solver inner loop; does not
-    re-validate. Keeps the max-shift in float64 throughout.
+    re-validate. Keeps the max-shift in float64 throughout. The shifted
+    copy a - m is the only full-size temporary: exp runs in place on it,
+    and log and the shift-back run in place on the reduced sum.
     """
     m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    t = a - m
+    np.exp(t, out=t)
+    out = np.sum(t, axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += m
     return np.squeeze(out, axis=axis)
 
 

@@ -360,25 +360,26 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
 
 @dataclass
 class ClassEncoding:
-    """Both prompt paths of one class, with what the backward pass needs.
+    """The prompt paths of one class, with what the backward pass needs.
 
     g_ds and g_cs hold unit-norm rows, one per shared and per class
     prompt. toks_ds are the shared path's encoder inputs; toks_in are the
     class path's tokens before the attention adapter and toks_out the
     encoder inputs after it (the same matrices when the adapter is off).
-    Every token matrix ends in the class-word row.
+    Every token matrix ends in the class-word row. The fields of a path
+    that was not requested are None.
     """
 
-    g_ds: np.ndarray
-    g_cs: np.ndarray
-    toks_ds: list[np.ndarray]
-    toks_in: list[np.ndarray]
-    toks_out: list[np.ndarray]
+    g_ds: np.ndarray | None
+    g_cs: np.ndarray | None
+    toks_ds: list[np.ndarray] | None
+    toks_in: list[np.ndarray] | None
+    toks_out: list[np.ndarray] | None
 
 
-def encode_class(bank: PromptBank, class_id: str,
-                 encoder: FrozenEncoder) -> ClassEncoding:
-    """Encode both prompt paths for one class.
+def encode_class(bank: PromptBank, class_id: str, encoder: FrozenEncoder,
+                 paths: tuple[str, ...] = ("cs", "ds")) -> ClassEncoding:
+    """Encode the requested prompt paths ("cs", "ds") for one class.
 
     The shared path appends the class word and encodes directly; the
     class path appends the class word, passes through attention (when
@@ -386,15 +387,19 @@ def encode_class(bank: PromptBank, class_id: str,
     """
     ci = bank.class_index(class_id)
     c_vec = bank.class_words[ci]
-    toks_ds = [np.vstack([bank.shared_tokens[p], c_vec])
-               for p in range(bank.num_shared_prompts)]
-    toks_in = [np.vstack([bank.class_tokens[ci, p], c_vec])
-               for p in range(bank.num_class_prompts)]
-    toks_out = ([attention_forward(T, bank.attention) for T in toks_in]
-                if bank.use_attention else toks_in)
-    return ClassEncoding(g_ds=np.array([encoder.encode(T) for T in toks_ds]),
-                         g_cs=np.array([encoder.encode(T) for T in toks_out]),
-                         toks_ds=toks_ds, toks_in=toks_in, toks_out=toks_out)
+    g_ds = toks_ds = g_cs = toks_in = toks_out = None
+    if "ds" in paths:
+        toks_ds = [np.vstack([bank.shared_tokens[p], c_vec])
+                   for p in range(bank.num_shared_prompts)]
+        g_ds = np.array([encoder.encode(T) for T in toks_ds])
+    if "cs" in paths:
+        toks_in = [np.vstack([bank.class_tokens[ci, p], c_vec])
+                   for p in range(bank.num_class_prompts)]
+        toks_out = ([attention_forward(T, bank.attention) for T in toks_in]
+                    if bank.use_attention else toks_in)
+        g_cs = np.array([encoder.encode(T) for T in toks_out])
+    return ClassEncoding(g_ds=g_ds, g_cs=g_cs, toks_ds=toks_ds,
+                         toks_in=toks_in, toks_out=toks_out)
 
 
 _ADJECTIVES = ["fluffy", "sleek", "striped", "spotted", "glossy", "stocky",

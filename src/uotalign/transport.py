@@ -71,7 +71,6 @@ class NumericalBlowupError(RuntimeError):
 class SolverConfig:
     max_iterations: int = 2000
     dual_tolerance: float = 1e-9
-    track_dual_trajectory: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -133,7 +132,6 @@ class TransportPlan:
     primal_value: float
     clamped: bool = False
     error: str | None = None
-    dual_trajectory: np.ndarray | None = None
 
 
 def _factor(lam: float, rho: float) -> float:
@@ -234,18 +232,14 @@ def _primal_from_coupling(W: np.ndarray, problem: TransportProblem) -> float:
     return val
 
 
-def _batch_dual_values(S, U, V, N, M, lam, rho1, rho2):
-    with np.errstate(over="ignore"):
-        vals = lam * np.sum(np.exp(S), axis=(1, 2))
-        if math.isinf(rho1):
-            vals -= np.sum(U * N, axis=1)
-        else:
-            vals += rho1 * np.sum(np.exp(-U / rho1) * N, axis=1)
-        if math.isinf(rho2):
-            vals -= np.sum(V * M, axis=1)
-        else:
-            vals += rho2 * np.sum(np.exp(-V / rho2) * M, axis=1)
-    return vals
+def _log_kernel(U: np.ndarray, V: np.ndarray, C: np.ndarray, lam: float,
+                out: np.ndarray) -> np.ndarray:
+    # (u_i + v_j - C_ij) / lam for every instance, written into `out` in
+    # the same operation order as the expression, so no bit changes
+    np.add(U[:, :, None], V[:, None, :], out=out)
+    out -= C
+    out /= lam
+    return out
 
 
 def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | None = None) -> list[TransportPlan]:
@@ -253,10 +247,12 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
 
     All instances must share (n_rows, n_cols, lam, rho1, rho2); costs
     and marginals may differ. The iteration is vectorised over the
-    batch with converged instances frozen in place, so each result is
-    identical to an independent single solve. An instance that blows up
-    is marked via its plan's `error` field instead of aborting the
-    batch.
+    instances still running: one that converges or blows up leaves the
+    loop, its potentials are written back and the arrays shrink to the
+    rest. Per-instance arithmetic does not depend on the batch, so each
+    result is identical to an independent single solve. An instance
+    that blows up is marked via its plan's `error` field instead of
+    aborting the batch.
     """
     if config is None:
         config = SolverConfig()
@@ -268,106 +264,99 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             raise ValueError("batch instances must share shape, lam, rho1 and rho2")
     B = len(problems)
     n_rows, n_cols = p0.shape
-    lam, rho1, rho2 = p0.lam, p0.rho1, p0.rho2
-    fac1 = _factor(lam, rho1)
-    fac2 = _factor(lam, rho2)
+    lam = p0.lam
+    fac1 = _factor(lam, p0.rho1)
+    fac2 = _factor(lam, p0.rho2)
+    tol = config.dual_tolerance
 
-    C = np.stack([p.cost for p in problems])
-    N = np.stack([p.row_marginal for p in problems])
-    M = np.stack([p.col_marginal for p in problems])
-    log_n = np.log(N)
-    log_m = np.log(M)
-
-    U = np.zeros((B, n_rows))
-    V = np.zeros((B, n_cols))
-    active = np.ones(B, dtype=bool)
+    # per-instance results, indexed by position in `problems`
+    U_out = np.zeros((B, n_rows))
+    V_out = np.zeros((B, n_cols))
     converged = np.zeros(B, dtype=bool)
     clamped = np.zeros(B, dtype=bool)
     failed: list[str | None] = [None] * B
     iterations = np.full(B, config.max_iterations, dtype=int)
 
-    S = (U[:, :, None] + V[:, None, :] - C) / lam
-    trajectory = None
-    if config.track_dual_trajectory:
-        trajectory = [_batch_dual_values(S, U, V, N, M, lam, rho1, rho2)]
+    # working arrays over the live instances only; live[i] is the batch
+    # position of working row i
+    live = np.arange(B)
+    C = np.stack([p.cost for p in problems])
+    log_n = np.log(np.stack([p.row_marginal for p in problems]))
+    log_m = np.log(np.stack([p.col_marginal for p in problems]))
+    U = np.zeros((B, n_rows))
+    V = np.zeros((B, n_cols))
+    S = _log_kernel(U, V, C, lam, np.empty_like(C))
+    S2 = np.empty_like(C)
 
     for k in range(config.max_iterations):
         log_nk = logsumexp_axis(S, axis=2)
         low = log_nk < _LOG_CLAMP
         if low.any():
-            clamped |= low.any(axis=1)
+            clamped[live] |= low.any(axis=1)
             log_nk = np.maximum(log_nk, _LOG_CLAMP)
         U_new = (U / lam + log_n - log_nk) * fac1
 
-        S2 = (U_new[:, :, None] + V[:, None, :] - C) / lam
-        log_mk = logsumexp_axis(S2, axis=1)
+        log_mk = logsumexp_axis(_log_kernel(U_new, V, C, lam, S2), axis=1)
         low = log_mk < _LOG_CLAMP
         if low.any():
-            clamped |= low.any(axis=1)
+            clamped[live] |= low.any(axis=1)
             log_mk = np.maximum(log_mk, _LOG_CLAMP)
         V_new = (V / lam + log_m - log_mk) * fac2
 
         du = np.max(np.abs(U_new - U), axis=1)
         dv = np.max(np.abs(V_new - V), axis=1)
-        U[active] = U_new[active]
-        V[active] = V_new[active]
-        S = (U[:, :, None] + V[:, None, :] - C) / lam
+        U, V = U_new, V_new
+        _log_kernel(U, V, C, lam, S)
 
         # an instance whose coupling would leave float range is dead even
         # though the log-domain iteration itself stays finite
-        max_log = np.max(S, axis=(1, 2))
-        bad = active & (
-            (max_log > _LOG_HUGE)
+        bad = (
+            (np.max(S, axis=(1, 2)) > _LOG_HUGE)
             | ~np.all(np.isfinite(U), axis=1)
             | ~np.all(np.isfinite(V), axis=1)
         )
-        for b in np.nonzero(bad)[0]:
+        done = ~bad & (du < tol) & (dv < tol)
+        finished = bad | done
+        if not finished.any():
+            continue
+        ended = live[finished]
+        U_out[ended] = U[finished]
+        V_out[ended] = V[finished]
+        iterations[ended] = k + 1
+        converged[live[done]] = True
+        for b in live[bad]:
             failed[b] = f"numerical blowup at iteration {k + 1}"
-            iterations[b] = k + 1
-        active &= ~bad
-
-        done = active & (du < config.dual_tolerance) & (dv < config.dual_tolerance)
-        converged |= done
-        iterations[done] = k + 1
-        active &= ~done
-
-        if trajectory is not None:
-            trajectory.append(_batch_dual_values(S, U, V, N, M, lam, rho1, rho2))
-        if not active.any():
+        keep = ~finished
+        live = live[keep]
+        if live.size == 0:
             break
-
-    traj_arr = np.stack(trajectory, axis=1) if trajectory is not None else None
+        C, log_n, log_m = C[keep], log_n[keep], log_m[keep]
+        U, V, S = U[keep], V[keep], S[keep]
+        S2 = S2[:live.size]
+    else:
+        U_out[live] = U
+        V_out[live] = V
 
     plans = []
     for b, p in enumerate(problems):
-        if failed[b] is not None:
+        u, v = U_out[b].copy(), V_out[b].copy()
+        error = failed[b]
+        if error is None:
+            try:
+                W = recover_coupling(u, v, p.cost, lam)
+            except NumericalBlowupError as e:
+                error = str(e)
+        if error is not None:
             plans.append(TransportPlan(
-                coupling=np.full(p.shape, np.nan),
-                u=U[b].copy(), v=V[b].copy(),
+                coupling=np.full(p.shape, np.nan), u=u, v=v,
                 iterations=int(iterations[b]), converged=False,
-                primal_value=math.nan, clamped=bool(clamped[b]),
-                error=failed[b],
-                dual_trajectory=traj_arr[b].copy() if traj_arr is not None else None,
-            ))
-            continue
-        try:
-            W = recover_coupling(U[b], V[b], p.cost, lam)
-        except NumericalBlowupError as e:
-            plans.append(TransportPlan(
-                coupling=np.full(p.shape, np.nan),
-                u=U[b].copy(), v=V[b].copy(),
-                iterations=int(iterations[b]), converged=False,
-                primal_value=math.nan, clamped=bool(clamped[b]),
-                error=str(e),
-                dual_trajectory=traj_arr[b].copy() if traj_arr is not None else None,
+                primal_value=math.nan, clamped=bool(clamped[b]), error=error,
             ))
             continue
         plans.append(TransportPlan(
-            coupling=W,
-            u=U[b].copy(), v=V[b].copy(),
+            coupling=W, u=u, v=v,
             iterations=int(iterations[b]), converged=bool(converged[b]),
             primal_value=_primal_from_coupling(W, p), clamped=bool(clamped[b]),
-            dual_trajectory=traj_arr[b].copy() if traj_arr is not None else None,
         ))
     return plans
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import TransportProblem, FEASIBILITY_TOL
+from uotalign.transport import TransportProblem, FEASIBILITY_TOL
 
 __all__ = ["GridSpec", "grid_minimize", "finite_diff_grad"]
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import build_gradcheck_instance, record_scorecard
+from oracle import GridSpec, finite_diff_grad, grid_minimize
 from uotalign.classifier import ClassifierConfig, cost_matrix, cost_matrix_backward, likelihood
 from uotalign.cli import build_outlier_instance, main, outlier_mass, read_csv_matrix
 from uotalign.features import (
@@ -22,7 +23,6 @@ from uotalign.features import (
     load_split,
     write_embedding_file,
 )
-from uotalign.oracle import GridSpec, finite_diff_grad, grid_minimize
 from uotalign.prompts import AttentionParams, FrozenEncoder, attention_backward, attention_forward
 from uotalign.trainer import (
     TrainConfig,

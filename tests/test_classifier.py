@@ -6,17 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import finite_diff_grad
 from uotalign.classifier import (
     ClassifierConfig,
     ce_loss,
     cost_matrix,
     cost_matrix_backward,
+    forward,
     likelihood,
     prompt_marginal,
     score,
 )
 from uotalign.features import FeatureSet, load_split, synth_dataset
-from uotalign.oracle import finite_diff_grad
 from uotalign.prompts import (
     AttentionParams,
     DescriptionFile,
@@ -265,6 +266,48 @@ class TestScore:
         monkeypatch.setattr("uotalign.classifier.solve_uot_batch", boom)
         with pytest.raises(NumericalBlowupError, match="class 'cat', cs path"):
             score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
+
+
+class TestForward:
+    @pytest.mark.parametrize("gamma_cs, gamma_ds", [(0.0, 1.0), (1.0, 0.0)])
+    def test_encodes_only_paths_that_score(self, monkeypatch, gamma_cs, gamma_ds):
+        import uotalign.prompts as prompts_mod
+
+        rng = np.random.default_rng(13)
+        bank = make_bank(["cat", "dog", "owl"])
+        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        samples = [make_sample(rng), make_sample(rng, M=3)]
+        both = forward(samples, bank, enc, ClassifierConfig())
+
+        calls = {"attention": 0, "encode": 0}
+        attention_forward = prompts_mod.attention_forward
+        encode = FrozenEncoder.encode
+
+        def counted_attention(*args, **kwargs):
+            calls["attention"] += 1
+            return attention_forward(*args, **kwargs)
+
+        def counted_encode(self, *args, **kwargs):
+            calls["encode"] += 1
+            return encode(self, *args, **kwargs)
+
+        monkeypatch.setattr(prompts_mod, "attention_forward", counted_attention)
+        monkeypatch.setattr(FrozenEncoder, "encode", counted_encode)
+        cfg = ClassifierConfig(gamma_cs=gamma_cs, gamma_ds=gamma_ds)
+        fw = forward(samples, bank, enc, cfg)
+
+        K = len(bank.classes)
+        tag = "cs" if gamma_cs > 0 else "ds"
+        if tag == "ds":
+            assert calls == {"attention": 0, "encode": K * bank.num_shared_prompts}
+            assert all(e.g_cs is None and e.toks_in is None and e.toks_out is None
+                       for e in fw.encodings)
+        else:
+            assert calls == {"attention": K * bank.num_class_prompts,
+                             "encode": K * bank.num_class_prompts}
+            assert all(e.g_ds is None and e.toks_ds is None for e in fw.encodings)
+        # the path that is kept scores exactly as it does next to the other
+        np.testing.assert_array_equal(fw.d_path[tag], both.d_path[tag])
 
 
 class TestSeparableScoring:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uotalign.oracle import GridSpec, finite_diff_grad, grid_minimize
+from oracle import GridSpec, finite_diff_grad, grid_minimize
 from uotalign.transport import (
     INF,
     SolverConfig,

@@ -8,6 +8,7 @@ import pytest
 
 import uotalign.trainer as trainer_mod
 from conftest import count_trainable
+from oracle import finite_diff_grad
 from uotalign.classifier import (
     ClassifierConfig,
     ce_loss,
@@ -22,7 +23,6 @@ from uotalign.features import (
     load_split,
     synth_dataset,
 )
-from uotalign.oracle import finite_diff_grad
 from uotalign.prompts import (
     FrozenEncoder,
     attention_forward,

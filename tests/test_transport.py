@@ -145,14 +145,17 @@ class TestDualValue:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decrease_along_iterations(self):
+        # the potentials after k iterations are those of a solve cut off
+        # at max_iterations = k, so the trajectory is read off those
         rng = np.random.default_rng(9)
         for trial in range(5):
             p = random_problem(rng, (3, 4), lam=0.1, rho1=0.5, rho2=0.5)
-            cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-12,
-                               track_dual_trajectory=True)
-            plan = solve_uot(p, cfg)
-            traj = plan.dual_trajectory
-            assert traj is not None and len(traj) > 2
+            full = solve_uot(p, SolverConfig(max_iterations=300, dual_tolerance=1e-12))
+            assert full.iterations > 2
+            traj = [dual_value(np.zeros(3), np.zeros(4), p)]
+            for k in range(1, full.iterations + 1):
+                plan = solve_uot(p, SolverConfig(max_iterations=k, dual_tolerance=1e-12))
+                traj.append(dual_value(plan.u, plan.v, p))
             assert np.all(np.diff(traj) <= 1e-9)
 
     def test_primal_dual_relation_at_convergence(self):
@@ -202,8 +205,8 @@ class TestBatch:
         batch = solve_uot_batch(probs, cfg)
         for p, pl in zip(probs, batch):
             ref = solve_uot(p, cfg)
-            assert np.abs(ref.u - pl.u).max() < 1e-12
-            assert np.abs(ref.v - pl.v).max() < 1e-12
+            np.testing.assert_array_equal(ref.u, pl.u)
+            np.testing.assert_array_equal(ref.v, pl.v)
             assert ref.iterations == pl.iterations
 
     def test_mixed_convergence_freezing(self):
@@ -216,9 +219,78 @@ class TestBatch:
                                 lam=0.02, rho1=0.9, rho2=0.9)
         cfg = SolverConfig(max_iterations=3000, dual_tolerance=1e-11)
         plans = solve_uot_batch([easy, slow], cfg)
-        ref = solve_uot(easy, cfg)
-        np.testing.assert_array_equal(plans[0].u, ref.u)
+        for problem, plan in zip((easy, slow), plans):
+            ref = solve_uot(problem, cfg)
+            for name in ("u", "v", "coupling"):
+                np.testing.assert_array_equal(getattr(plan, name), getattr(ref, name))
+            assert (plan.iterations, plan.converged, plan.clamped) == \
+                (ref.iterations, ref.converged, ref.clamped)
         assert plans[0].iterations < plans[1].iterations
+
+    @staticmethod
+    def _assert_each_as_if_alone(problems, cfg):
+        plans = solve_uot_batch(problems, cfg)
+        for problem, plan in zip(problems, plans):
+            ref = solve_uot_batch([problem], cfg)[0]
+            for name in ("coupling", "u", "v"):
+                assert getattr(plan, name).tobytes() == getattr(ref, name).tobytes()
+            assert (plan.iterations, plan.converged, plan.clamped, plan.error) == \
+                (ref.iterations, ref.converged, ref.clamped, ref.error)
+            assert np.float64(plan.primal_value).tobytes() == \
+                np.float64(ref.primal_value).tobytes()
+        return plans
+
+    @staticmethod
+    def _at_optimum(lam, rho, shape):
+        # exp(-C/lam) already has the marginals n and m, so zero
+        # potentials are optimal and the solve stops after one iteration
+        n, m = np.full(shape[0], 1 / shape[0]), np.full(shape[1], 1 / shape[1])
+        return TransportProblem(-lam * np.log(np.outer(n, m)), n, m,
+                                lam=lam, rho1=rho, rho2=rho)
+
+    def test_every_way_of_finishing_matches_single(self):
+        # instances leave the batch at different iterations and for
+        # different reasons; each must come out as if solved alone
+        rng = np.random.default_rng(22)
+        cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
+        problems = [self._at_optimum(0.02, INF, (3, 5))]
+        problems += [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
+                     for _ in range(6)]
+        # a log-coupling past float range at the first iteration
+        huge = 8.5e307
+        problems.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [huge, 1, 1],
+                                         [huge, 1, 1, 1, 1], lam=0.02))
+        # shifted costs: the first marginal sums fall below the clamp
+        first = problems[1]
+        problems.append(TransportProblem(first.cost + 14.3, first.row_marginal,
+                                         first.col_marginal, lam=0.02))
+        plans = self._assert_each_as_if_alone(problems, cfg)
+        assert plans[0].iterations == 1 and plans[0].converged
+        converged_at = {plan.iterations for plan in plans[1:7] if plan.converged}
+        assert len(converged_at) > 2
+        assert any(plan.iterations == cfg.max_iterations and not plan.converged
+                   for plan in plans[1:7])
+        assert plans[7].error == "numerical blowup at iteration 1"
+        assert plans[8].clamped and plans[8].converged
+
+    def test_failure_and_clamping_after_others_left(self):
+        # the first instance leaves after one iteration, so the later
+        # blowup and clamps happen at working rows shifted by one
+        lam, rho = 5e-4, 3e-3
+        rng = np.random.default_rng(23)
+        problems = [self._at_optimum(lam, rho, (3, 5)),
+                    TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
+                                     lam=lam, rho1=rho, rho2=rho),
+                    TransportProblem(2.0 + rng.uniform(0, 0.01, (3, 5)),
+                                     np.full(3, 1 / 3), np.full(5, 1 / 5),
+                                     lam=lam, rho1=rho, rho2=rho)]
+        problems += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho)
+                     for _ in range(3)]
+        cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
+        plans = self._assert_each_as_if_alone(problems, cfg)
+        assert plans[0].iterations == 1 and plans[0].converged
+        assert plans[1].error == "numerical blowup at iteration 9"
+        assert plans[2].clamped and not plans[1].clamped
 
     def test_shape_mismatch_rejected(self):
         a = TransportProblem([[1.0]], [1.0], [1.0], lam=0.1)

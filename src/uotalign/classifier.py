@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import FeatureSet
-from .numerics import as_matrix, as_vector, cosine_matrix, logsumexp
+from .numerics import as_matrix, as_vector, logsumexp_axis
 from .prompts import ClassEncoding, FrozenEncoder, PromptBank, encode_class
 # solve_uot is unused here; bench/test_bench.py checks it stays bound
 from .transport import (  # noqa: F401
@@ -64,11 +64,10 @@ _UNIT_TOL = 1e-6
 class ClassifierConfig:
     """Temperature, path weights and solver parameters for scoring.
 
-    use_uot=False replaces the unbalanced solves by balanced entropic
-    transport (both marginals pinned), which is the "plain OT" ablation.
-    A path weight of exactly 0 disables that path entirely: no solve is
-    run and its plan slot stays None. At least one weight must be
-    positive.
+    rho1 = rho2 = INF pins both marginals, so the solves are balanced
+    entropic transport: the "plain OT" ablation. A path weight of
+    exactly 0 disables that path entirely: no solve is run and its plan
+    slot stays None. At least one weight must be positive.
     """
 
     tau: float = 0.01
@@ -77,7 +76,6 @@ class ClassifierConfig:
     lam: float = 0.01
     rho1: float = INF
     rho2: float = 0.04
-    use_uot: bool = True
 
     def __post_init__(self):
         if not (self.tau > 0):
@@ -118,18 +116,24 @@ def cost_matrix(features, prompts) -> np.ndarray:
 
     Rows of `prompts` index the source side (one row per prompt), rows
     of `features` the target side, so the result is (P, M). Entries lie
-    in [0, 2] up to roundoff. Inputs are expected unit-norm; anything
-    else gets a warning because the rest of the pipeline assumes the
-    cosine and the dot product agree.
+    in [0, 2] up to roundoff. Rows are normalised here, and a zero row
+    has no direction and is rejected. Inputs are expected unit-norm;
+    anything else gets a warning because the rest of the pipeline
+    assumes the cosine and the dot product agree.
     """
     F = as_matrix(features, "features")
     G = as_matrix(prompts, "prompts")
-    C = 1.0 - cosine_matrix(G, F)
-    for name, X in (("features", F), ("prompts", G)):
-        norms = np.linalg.norm(X, axis=1)
+    if F.shape[1] != G.shape[1]:
+        raise ValueError(f"dimension mismatch: prompts have {G.shape[1]} "
+                         f"columns, features have {F.shape[1]}")
+    nf = np.linalg.norm(F, axis=1)
+    ng = np.linalg.norm(G, axis=1)
+    if np.any(ng < 1e-300) or np.any(nf < 1e-300):
+        raise ValueError("degenerate embedding: zero-norm row")
+    for name, norms in (("features", nf), ("prompts", ng)):
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             warnings.warn(f"cost_matrix: {name} rows are not unit-norm")
-    return C
+    return 1.0 - (G / ng[:, None]) @ (F / nf[:, None]).T
 
 
 def cost_matrix_backward(features, prompts, upstream) -> np.ndarray:
@@ -204,7 +208,6 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                   if gamma > 0)
     encodings = [encode_class(bank, c, encoder, tuple(tag for tag, _ in paths))
                  for c in classes]
-    rho1, rho2 = (cfg.rho1, cfg.rho2) if cfg.use_uot else (INF, INF)
 
     feats, groups = [], {}
     for s, fs in enumerate(samples):
@@ -217,7 +220,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                 problem = TransportProblem(
                     cost=cost_matrix(feats[s], G),
                     row_marginal=prompt_marginal(G.shape[0]),
-                    col_marginal=w, lam=cfg.lam, rho1=rho1, rho2=rho2)
+                    col_marginal=w, lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
                 groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
 
     B, K = len(samples), len(classes)
@@ -268,16 +271,19 @@ def score(fs: FeatureSet, class_id: str, bank: PromptBank,
 
 
 def likelihood(scores, tau: float) -> np.ndarray:
-    """Class probabilities: softmax of (1 - d_i) / tau over classes.
+    """Class probabilities: softmax of (1 - d) / tau over the last axis.
 
-    Stable for any score magnitude via logsumexp, and invariant to a
-    common shift of all scores.
+    `scores` is one row of class distances or a (samples, classes)
+    matrix of them. Stable for any score magnitude via logsumexp, and
+    invariant to a common shift of a row's scores.
     """
-    d = as_vector(scores, "scores")
+    d = as_vector(scores, "scores") if np.ndim(scores) == 1 else as_matrix(scores, "scores")
     if not (tau > 0):
         raise ValueError("tau must be positive")
     z = (1.0 - d) / tau
-    return np.exp(z - logsumexp(z))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("likelihood logits are not finite: tau is too small")
+    return np.exp(z - logsumexp_axis(z, axis=-1)[..., None])
 
 
 def ce_loss(probs, labels) -> float:

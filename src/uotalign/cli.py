@@ -257,7 +257,7 @@ def cmd_compare(args) -> int:
 
 def _resolve_configs(args):
     cfg, ccfg, solver, bank_kw = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg, ccfg, solver, bank_kw
 
@@ -294,7 +294,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     state = load_checkpoint(args.checkpoint)
-    _, ccfg, solver, _ = _resolve_configs(args)
+    _, ccfg, solver, _ = load_config(args.config)
     samples = load_split(manifest, args.split)
     if not samples:
         raise ValueError(f"empty split: no {args.split!r} samples in manifest")
@@ -350,7 +350,7 @@ def cmd_heatmap(args) -> int:
         raise ValueError(f"sample {args.sample_id!r} not in manifest")
     fs = load_feature_set(Path(manifest.root) / record.path,
                           sample_id=record.sample_id, label=record.label)
-    _, ccfg, solver, _ = _resolve_configs(args)
+    _, ccfg, solver, _ = load_config(args.config)
     result = score(fs, args.class_id, state.bank, state.encoder, ccfg, solver)
 
     out = Path(args.out)
@@ -423,10 +423,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, *, seed_default=None):
-    p.add_argument("--config", default=None, help="strict JSON config file")
-    p.add_argument("--seed", type=int, default=seed_default,
-                   help="seed override")
+def _add_common(p, *, config=False, seed=False, seed_default=None):
+    # --config and --seed go only to the subcommands that read them
+    if config:
+        p.add_argument("--config", default=None, help="strict JSON config file")
+    if seed:
+        p.add_argument("--seed", type=int, default=seed_default,
+                       help="seed override")
     p.add_argument("--verbose", "-v", action="count", default=0)
 
 
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=20000)
     p.add_argument("--dual-tolerance", type=float, default=1e-9)
     p.add_argument("--out", required=True)
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True, seed_default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("train", help="few-shot training run")
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptions", default=None,
                    help="description manifest JSON (class -> file)")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, config=True, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -476,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and score every variant")
     p.add_argument("--manifest", required=True)
     p.add_argument("--descriptions", default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, config=True, seed=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("heatmap", help="per-prompt transport plans for one sample")
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-id", required=True)
     p.add_argument("--class-id", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("gen-descriptions",
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--shots", type=int, default=4)
     p.add_argument("--out", required=True)
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True, seed_default=0)
     p.set_defaults(func=cmd_synth)
 
     return parser

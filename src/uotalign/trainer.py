@@ -47,7 +47,7 @@ from .prompts import (
     synth_description_texts,
 )
 # solve_uot_batch is unused here; bench/test_bench.py checks it stays bound
-from .transport import SolverConfig, solve_uot_batch  # noqa: F401
+from .transport import INF, SolverConfig, solve_uot_batch  # noqa: F401
 
 __all__ = [
     "VARIANTS",
@@ -172,7 +172,7 @@ def apply_variant(variant: str, ccfg: ClassifierConfig):
     elif variant == "no_gpt_init":
         bank_kw["gpt_init"] = False
     elif variant == "no_uot":
-        ccfg = replace(ccfg, use_uot=False)
+        ccfg = replace(ccfg, rho1=INF, rho2=INF)
     elif variant == "no_self_attention":
         bank_kw["use_attention"] = False
         bank_kw["trainable"] = ("shared_tokens", "class_tokens")
@@ -213,7 +213,7 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
         labels.append(bank.classes.index(fs.label))
 
     fw = forward(batch, bank, encoder, ccfg, solver)
-    probs = np.vstack([likelihood(row, ccfg.tau) for row in fw.d])
+    probs = likelihood(fw.d, ccfg.tau)
     Y = np.zeros((B, K))
     Y[np.arange(B), labels] = 1.0
     loss = ce_loss(probs, Y)
@@ -362,8 +362,7 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
     for lo in range(0, len(samples), _EVAL_CHUNK):
         d = forward(samples[lo:lo + _EVAL_CHUNK], state.bank, state.encoder,
                     ccfg, solver, classes).d
-        for s, row in enumerate(d, start=lo):
-            probs[s] = likelihood(row, ccfg.tau)
+        probs[lo:lo + len(d)] = likelihood(d, ccfg.tau)
     Y = np.zeros_like(probs)
     hits_total: dict[str, list[int]] = {c: [0, 0] for c in classes}
     correct = 0

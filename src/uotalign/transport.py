@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, entropy, generalized_kl, logsumexp_axis
+from .numerics import as_matrix, as_vector, generalized_kl, logsumexp_axis
 
 __all__ = [
     "INF",
@@ -44,7 +44,6 @@ __all__ = [
     "solve_uot",
     "solve_uot_batch",
     "solve_entropic_ot",
-    "recover_coupling",
     "uot_primal_value",
     "dual_value",
     "gradient_wrt_cost",
@@ -64,7 +63,7 @@ _LOG_HUGE = 709.0
 
 
 class NumericalBlowupError(RuntimeError):
-    """Raised when potentials or the recovered coupling leave float range."""
+    """Raised when the potentials or the coupling leave float range."""
 
 
 @dataclass(frozen=True)
@@ -141,15 +140,6 @@ def _factor(lam: float, rho: float) -> float:
     return lam * rho / (lam + rho)
 
 
-def recover_coupling(u: np.ndarray, v: np.ndarray, cost: np.ndarray, lam: float) -> np.ndarray:
-    """Coupling W_ij = exp((u_i + v_j - C_ij) / lam) from dual potentials."""
-    with np.errstate(over="ignore"):
-        W = np.exp((u[:, None] + v[None, :] - cost) / lam)
-    if not np.all(np.isfinite(W)):
-        raise NumericalBlowupError("numerical blowup: coupling overflow for this lam")
-    return W
-
-
 def uot_primal_value(W, problem: TransportProblem) -> float:
     """Objective value of a candidate coupling for `problem`.
 
@@ -166,23 +156,13 @@ def uot_primal_value(W, problem: TransportProblem) -> float:
         raise ValueError(f"coupling shape {W.shape} does not match cost {problem.shape}")
     if np.any(W < 0):
         raise ValueError("negative mass")
-    row_sums = W.sum(axis=1)
-    col_sums = W.sum(axis=0)
-    val = float(np.sum(W * problem.cost)) - problem.lam * entropy(W)
-    both_pinned = math.isinf(problem.rho1) and math.isinf(problem.rho2)
-    if not both_pinned:
-        val -= problem.lam * float(W.sum())
     if math.isinf(problem.rho1):
-        if float(np.abs(row_sums - problem.row_marginal).sum()) > FEASIBILITY_TOL:
+        if float(np.abs(W.sum(axis=1) - problem.row_marginal).sum()) > FEASIBILITY_TOL:
             raise ValueError("marginal constraint violated: rows")
-    else:
-        val += problem.rho1 * generalized_kl(row_sums, problem.row_marginal)
     if math.isinf(problem.rho2):
-        if float(np.abs(col_sums - problem.col_marginal).sum()) > FEASIBILITY_TOL:
+        if float(np.abs(W.sum(axis=0) - problem.col_marginal).sum()) > FEASIBILITY_TOL:
             raise ValueError("marginal constraint violated: columns")
-    else:
-        val += problem.rho2 * generalized_kl(col_sums, problem.col_marginal)
-    return val
+    return _primal_from_coupling(W, problem)
 
 
 def dual_value(u, v, problem: TransportProblem) -> float:
@@ -217,8 +197,8 @@ def dual_value(u, v, problem: TransportProblem) -> float:
 
 
 def _primal_from_coupling(W: np.ndarray, problem: TransportProblem) -> float:
-    # same expression as uot_primal_value but without feasibility raises,
-    # so non-converged plans still report a value
+    # the objective itself, without uot_primal_value's checks, so that
+    # non-converged plans still report a value
     pos = W > 0
     wlogw = float(np.sum(W[pos] * np.log(W[pos])))
     val = float(np.sum(W * problem.cost)) + problem.lam * wlogw
@@ -248,11 +228,12 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     All instances must share (n_rows, n_cols, lam, rho1, rho2); costs
     and marginals may differ. The iteration is vectorised over the
     instances still running: one that converges or blows up leaves the
-    loop, its potentials are written back and the arrays shrink to the
-    rest. Per-instance arithmetic does not depend on the batch, so each
-    result is identical to an independent single solve. An instance
-    that blows up is marked via its plan's `error` field instead of
-    aborting the batch.
+    loop, its potentials and its coupling (exp of its last log kernel)
+    are written back and the arrays shrink to the rest. Per-instance
+    arithmetic does not depend on the batch, so each result is
+    identical to an independent single solve. An instance that blows up
+    is marked via its plan's `error` field instead of aborting the
+    batch.
     """
     if config is None:
         config = SolverConfig()
@@ -276,6 +257,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     clamped = np.zeros(B, dtype=bool)
     failed: list[str | None] = [None] * B
     iterations = np.full(B, config.max_iterations, dtype=int)
+    coupling = np.empty((B, n_rows, n_cols))
 
     # working arrays over the live instances only; live[i] is the batch
     # position of working row i
@@ -324,6 +306,9 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
         V_out[ended] = V[finished]
         iterations[ended] = k + 1
         converged[live[done]] = True
+        # the check above keeps exp(S) finite for every instance not bad
+        coupling[live[done]] = np.exp(S[done])
+        coupling[live[bad]] = np.nan
         for b in live[bad]:
             failed[b] = f"numerical blowup at iteration {k + 1}"
         keep = ~finished
@@ -336,29 +321,14 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     else:
         U_out[live] = U
         V_out[live] = V
+        coupling[live] = np.exp(S, out=S)
 
-    plans = []
-    for b, p in enumerate(problems):
-        u, v = U_out[b].copy(), V_out[b].copy()
-        error = failed[b]
-        if error is None:
-            try:
-                W = recover_coupling(u, v, p.cost, lam)
-            except NumericalBlowupError as e:
-                error = str(e)
-        if error is not None:
-            plans.append(TransportPlan(
-                coupling=np.full(p.shape, np.nan), u=u, v=v,
-                iterations=int(iterations[b]), converged=False,
-                primal_value=math.nan, clamped=bool(clamped[b]), error=error,
-            ))
-            continue
-        plans.append(TransportPlan(
-            coupling=W, u=u, v=v,
-            iterations=int(iterations[b]), converged=bool(converged[b]),
-            primal_value=_primal_from_coupling(W, p), clamped=bool(clamped[b]),
-        ))
-    return plans
+    return [TransportPlan(
+        coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),
+        iterations=int(iterations[b]), converged=bool(converged[b]),
+        primal_value=(math.nan if failed[b] else _primal_from_coupling(coupling[b], p)),
+        clamped=bool(clamped[b]), error=failed[b],
+    ) for b, p in enumerate(problems)]
 
 
 def solve_uot(problem: TransportProblem, config: SolverConfig | None = None) -> TransportPlan:

@@ -10,6 +10,10 @@ search inside the feasible polytope instead of hoping penalties do it.
 
 Only tiny instances are supported; the point is trustworthiness, not
 speed.
+
+`recover_coupling` is the reference for the solver's couplings: the
+closed form W = exp((u + v - C) / lam) written out directly from the
+potentials.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uotalign.transport import TransportProblem, FEASIBILITY_TOL
+from uotalign.transport import FEASIBILITY_TOL, NumericalBlowupError, TransportProblem
 
-__all__ = ["GridSpec", "grid_minimize", "finite_diff_grad"]
+__all__ = ["GridSpec", "grid_minimize", "finite_diff_grad", "recover_coupling"]
 
 _MAX_CELLS = 6
 _NEG_SLACK = 1e-12
@@ -45,6 +49,17 @@ class GridSpec:
             raise ValueError("mass_upper_bound must be positive")
 
 
+def _sum_small(X, axis):
+    # sum over a short axis as a few whole-array adds, one slice at a
+    # time: numpy's reduction over a handful of elements per row costs
+    # several times more on the oracle's (N, rows, cols) stacks
+    parts = np.moveaxis(X, axis, 0)
+    out = parts[0].copy()
+    for part in parts[1:]:
+        out += part
+    return out
+
+
 def _objective_batch(W, problem):
     """Objective values for a (N, rows, cols) stack of couplings.
 
@@ -53,24 +68,25 @@ def _objective_batch(W, problem):
     caller).
     """
     lam = problem.lam
-    vals = np.sum(W * problem.cost[None, :, :], axis=(1, 2))
-    logW = np.log(np.where(W > 0, W, 1.0))
-    wlogw = np.sum(W * logW, axis=(1, 2))
+    flat = W.reshape(W.shape[0], -1)
+    vals = _sum_small(flat * problem.cost.ravel()[None, :], 1)
+    logW = np.log(np.where(flat > 0, flat, 1.0))
+    wlogw = _sum_small(flat * logW, 1)
     both_pinned = math.isinf(problem.rho1) and math.isinf(problem.rho2)
     if both_pinned:
         vals += lam * wlogw
     else:
-        vals += lam * (wlogw - np.sum(W, axis=(1, 2)))
+        vals += lam * (wlogw - _sum_small(flat, 1))
     if not math.isinf(problem.rho1):
-        a = np.sum(W, axis=2)
+        a = _sum_small(W, 2)
         n = problem.row_marginal[None, :]
-        cross = np.sum(np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / n), 0.0), axis=1)
-        vals += problem.rho1 * (cross - a.sum(axis=1) + problem.row_marginal.sum())
+        cross = _sum_small(np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / n), 0.0), 1)
+        vals += problem.rho1 * (cross - _sum_small(a, 1) + problem.row_marginal.sum())
     if not math.isinf(problem.rho2):
-        b = np.sum(W, axis=1)
+        b = _sum_small(W, 1)
         m = problem.col_marginal[None, :]
-        cross = np.sum(np.where(b > 0, b * np.log(np.where(b > 0, b, 1.0) / m), 0.0), axis=1)
-        vals += problem.rho2 * (cross - b.sum(axis=1) + problem.col_marginal.sum())
+        cross = _sum_small(np.where(b > 0, b * np.log(np.where(b > 0, b, 1.0) / m), 0.0), 1)
+        vals += problem.rho2 * (cross - _sum_small(b, 1) + problem.col_marginal.sum())
     return vals
 
 
@@ -246,3 +262,12 @@ def finite_diff_grad(f, x, step: float = 1e-6) -> np.ndarray:
             raise ValueError(f"non-finite function value near coordinate {i}")
         g[i] = (fp - fm) / (2.0 * step)
     return g.reshape(x.shape)
+
+
+def recover_coupling(u: np.ndarray, v: np.ndarray, cost: np.ndarray, lam: float) -> np.ndarray:
+    """Coupling W_ij = exp((u_i + v_j - C_ij) / lam) from dual potentials."""
+    with np.errstate(over="ignore"):
+        W = np.exp((u[:, None] + v[None, :] - cost) / lam)
+    if not np.all(np.isfinite(W)):
+        raise NumericalBlowupError("numerical blowup: coupling overflow for this lam")
+    return W

@@ -64,7 +64,6 @@ class TestClassifierConfig:
         assert cfg.lam == 0.01
         assert cfg.rho1 == INF
         assert cfg.rho2 == 0.04
-        assert cfg.use_uot
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
@@ -217,7 +216,7 @@ class TestScore:
         bank = make_bank(["cat"])
         enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
         fs = make_sample(rng)
-        cfg = ClassifierConfig(use_uot=False, lam=0.05)
+        cfg = ClassifierConfig(rho1=INF, rho2=INF, lam=0.05)
         s = score(fs, "cat", bank, enc, cfg)
 
         g_cs = encode_class(bank, "cat", enc).g_cs
@@ -388,6 +387,23 @@ class TestLikelihood:
 
     def test_single_class(self):
         assert likelihood(np.array([0.4]), 0.01).tolist() == [1.0]
+
+    def test_matrix_equals_row_by_row(self):
+        rng = np.random.default_rng(15)
+        d = rng.normal(0.0, 2.0, (9, 6))
+        d[3] = 0.31  # a tied row
+        p = likelihood(d, tau=0.03)
+        assert p.shape == d.shape
+        assert p.tobytes() == np.vstack([likelihood(row, 0.03) for row in d]).tobytes()
+        assert likelihood(d[:, :1], 0.03).tolist() == [[1.0]] * 9
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            likelihood(np.zeros((2, 2, 2)), 0.01)
+
+    def test_overflowing_logits_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            likelihood(np.array([0.1, 0.2]), 1e-310)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError, match="tau"):

@@ -13,6 +13,7 @@ from uotalign.cli import (
     EXIT_OK,
     EXIT_PARTIAL_FAILURE,
     build_outlier_instance,
+    build_parser,
     load_config,
     main,
     outlier_mass,
@@ -68,6 +69,13 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text('{"learning_rte": 0.1}')
         with pytest.raises(ValueError, match="unknown config key: 'learning_rte'"):
+            load_config(path)
+
+    def test_use_uot_is_an_unknown_key(self, tmp_path):
+        # the plain-OT ablation is rho1 = rho2 = inf, not a separate switch
+        path = tmp_path / "c.json"
+        path.write_text('{"use_uot": false}')
+        with pytest.raises(ValueError, match="unknown config key: 'use_uot'"):
             load_config(path)
 
     def test_rejects_invalid_json(self, tmp_path):
@@ -375,3 +383,27 @@ class TestEntryPoint:
                               capture_output=True)
         assert proc.returncode == 0
         assert b"gen-descriptions" in proc.stdout
+
+    _SOLVE = ["solve", "--cost", "c.csv", "--out", "o"]
+    _EVAL = ["eval", "--manifest", "m", "--checkpoint", "c", "--out", "o"]
+    _HEATMAP = ["heatmap", "--checkpoint", "c", "--manifest", "m", "--sample-id", "s",
+                "--class-id", "k", "--out", "o"]
+    _GEN = ["gen-descriptions", "--classes", "cat", "--out", "o"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (_SOLVE, "--seed"), (_SOLVE, "--config"), (_EVAL, "--seed"),
+        (_HEATMAP, "--seed"), (_GEN, "--seed"), (_GEN, "--config"),
+        (["compare", "--out", "o"], "--config"), (["synth", "--out", "o"], "--config"),
+    ], ids=lambda x: x if isinstance(x, str) else x[0])
+    def test_no_seed_or_config_where_unread(self, argv, flag):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + [flag, "1"])
+
+    def test_solve_rejects_seed(self, tmp_path, capsys):
+        write_csv(tmp_path / "c.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SystemExit):
+            main(["solve", "--cost", str(tmp_path / "c.csv"),
+                  "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

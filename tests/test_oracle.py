@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracle import GridSpec, finite_diff_grad, grid_minimize
+from oracle import GridSpec, finite_diff_grad, grid_minimize, recover_coupling
 from uotalign.transport import (
     INF,
     SolverConfig,
     TransportProblem,
-    recover_coupling,
     solve_uot,
 )
 

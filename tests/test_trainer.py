@@ -87,7 +87,6 @@ def reference_probs(samples, bank, encoder, ccfg, classes, solver=None):
     Encodes the prompts and solves each (sample, class, path) problem
     alone with solve_uot, independently of the batched forward pass.
     """
-    rho1, rho2 = (ccfg.rho1, ccfg.rho2) if ccfg.use_uot else (INF, INF)
     rows = []
     for fs in samples:
         keep = fs.weights > 0
@@ -109,7 +108,7 @@ def reference_probs(samples, bank, encoder, ccfg, classes, solver=None):
                 C = cost_matrix(F, G)
                 plan = solve_uot(TransportProblem(
                     cost=C, row_marginal=prompt_marginal(len(G)), col_marginal=w,
-                    lam=ccfg.lam, rho1=rho1, rho2=rho2), solver)
+                    lam=ccfg.lam, rho1=ccfg.rho1, rho2=ccfg.rho2), solver)
                 total += gamma * float(np.sum(plan.coupling * C))
             d.append(total)
         rows.append(likelihood(np.array(d), ccfg.tau))
@@ -178,7 +177,7 @@ class TestApplyVariant:
 
     def test_no_uot_pins_marginals(self):
         ccfg, kw = apply_variant("no_uot", ClassifierConfig())
-        assert ccfg.use_uot is False
+        assert ccfg == ClassifierConfig(rho1=INF, rho2=INF)
         assert kw == {"gpt_init": True, "use_attention": True,
                       "trainable": ("shared_tokens", "attention")}
 

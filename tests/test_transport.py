@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uotalign.numerics import entropy
+from oracle import recover_coupling
 from uotalign.transport import (
     INF,
     NumericalBlowupError,
@@ -12,7 +12,6 @@ from uotalign.transport import (
     TransportProblem,
     dual_value,
     gradient_wrt_cost,
-    recover_coupling,
     solve_entropic_ot,
     solve_uot,
     solve_uot_batch,
@@ -87,6 +86,8 @@ class TestSolveBasics:
 
 
 class TestRecoverCoupling:
+    # the reference coupling exp((u + v - C) / lam) that the batch
+    # solver's couplings are checked against in TestBatch
     def test_all_zero_duals_zero_cost(self):
         W = recover_coupling(np.zeros(2), np.zeros(3), np.zeros((2, 3)), 1.0)
         np.testing.assert_array_equal(W, np.ones((2, 3)))
@@ -122,6 +123,14 @@ class TestPrimalValue:
         p = TransportProblem([[1.0]], [1.0], [1.0], lam=0.5, rho1=INF, rho2=INF)
         with pytest.raises(ValueError, match="marginal constraint violated"):
             uot_primal_value([[0.5]], p)
+
+    def test_equals_solver_value_bitwise(self):
+        rng = np.random.default_rng(24)
+        for rho in (INF, 0.6):
+            p = random_problem(rng, (3, 4), lam=0.1, rho1=rho, rho2=rho, balanced=True)
+            plan = solve_uot(p, TIGHT)
+            assert np.float64(uot_primal_value(plan.coupling, p)).tobytes() == \
+                np.float64(plan.primal_value).tobytes()
 
     def test_solver_beats_random_feasible_perturbations(self):
         rng = np.random.default_rng(7)
@@ -265,6 +274,12 @@ class TestBatch:
         problems.append(TransportProblem(first.cost + 14.3, first.row_marginal,
                                          first.col_marginal, lam=0.02))
         plans = self._assert_each_as_if_alone(problems, cfg)
+        for problem, plan in zip(problems, plans):
+            if plan.error is None:
+                # the coupling is exp of the potentials' log kernel, bit for bit
+                assert plan.coupling.tobytes() == recover_coupling(
+                    plan.u, plan.v, problem.cost, problem.lam).tobytes()
+        assert np.all(np.isnan(plans[7].coupling))
         assert plans[0].iterations == 1 and plans[0].converged
         converged_at = {plan.iterations for plan in plans[1:7] if plan.converged}
         assert len(converged_at) > 2
@@ -339,7 +354,8 @@ class TestStructuralProperties:
             for lam in lams:
                 q = TransportProblem(p.cost, p.row_marginal, p.col_marginal,
                                      lam=lam, rho1=INF, rho2=INF)
-                ents.append(entropy(solve_uot(q, TIGHT).coupling))
+                W = solve_uot(q, TIGHT).coupling
+                ents.append(-float(np.sum(W[W > 0] * np.log(W[W > 0]))))
             assert np.all(np.diff(ents) >= -1e-9)
 
     def test_balanced_shift_invariance(self):

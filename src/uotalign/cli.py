@@ -52,6 +52,7 @@ from .transport import (
     SolverConfig,
     TransportProblem,
     dual_value,
+    primal_value,
     solve_entropic_ot,
     solve_uot,
 )
@@ -164,7 +165,7 @@ def cmd_solve(args) -> int:
     write_csv(out / "u.csv", plan.u.reshape(1, -1))
     write_csv(out / "v.csv", plan.v.reshape(1, -1))
     write_json(out / "summary.json", {
-        "primal_value": plan.primal_value,
+        "primal_value": primal_value(plan.coupling, problem),
         "dual_value": dual_value(plan.u, plan.v, problem),
         "iterations": plan.iterations,
         "converged": plan.converged,
@@ -515,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", type=int, default=8)
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--shots", type=int, default=4)
+    p.add_argument("--shots", type=int, default=4,
+                   help="shot count recorded in manifest.json only; train "
+                        "and ablate read `shots` from --config")
     p.add_argument("--out", required=True)
     _add_common(p, seed=True, seed_default=0)
     p.set_defaults(func=cmd_synth)

@@ -4,10 +4,12 @@ Each training step freezes the optimal couplings of every
 (sample, class, path) transport problem and backpropagates the
 cross-entropy loss through the cost matrices, the frozen encoder, the
 attention adapter and the prompt tokens analytically; the couplings are
-re-solved from scratch at the next step. Gradients treat the frozen
-coupling as a constant (the envelope approximation), which finite
-differences confirm on small instances because the coupling's own
-sensitivity is second order when the cost landscape is well separated.
+re-solved from zero potentials at the next step. The gradient is that
+of the frozen-coupling loss, with W* held fixed (a stop-gradient
+through the solve), and finite differences of that loss match it. It
+is not the gradient of the loss with W* re-solved: the coupling's own
+sensitivity is dropped, which is small only when the cost landscape is
+well separated.
 
 The six ablation variants differ only in which prompt path is active,
 how class tokens are initialized, whether marginals are relaxed, and
@@ -198,8 +200,9 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     """Forward and analytic backward for one batch at fixed couplings.
 
     Returns (loss, grads keyed like the trainable arrays, probs matrix).
-    Pure at the call site: nothing in bank is modified, so finite
-    differences of the returned loss are meaningful.
+    The grads are those of the frozen-coupling loss: each solved W* is
+    a constant (stop-gradient) and only the cost matrices carry the
+    parameters. Pure at the call site: nothing in bank is modified.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -299,7 +302,7 @@ def _subsample_shots(samples: list[FeatureSet], classes: list[str],
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
-          *, descriptions=None, encoder: FrozenEncoder | None = None,
+          *, descriptions=None,
           solver: SolverConfig | None = None, num_shared_prompts: int = 2,
           num_class_prompts: int = 4, context_length: int = 8,
           token_dim: int = 32) -> TrainState:
@@ -315,8 +318,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
         raise ValueError("empty split: no train samples in manifest")
     subset = _subsample_shots(train_samples, list(manifest.classes),
                               cfg.shots, cfg.seed)
-    if encoder is None:
-        encoder = FrozenEncoder.seeded(token_dim, subset[0].dim, cfg.seed)
+    encoder = FrozenEncoder.seeded(token_dim, subset[0].dim, cfg.seed)
     if bank_kw["gpt_init"] and descriptions is None:
         descriptions = synth_description_texts(manifest.classes, seed=cfg.seed,
                                                count=num_class_prompts)
@@ -383,8 +385,10 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
                  solver: SolverConfig | None = None, **bank_kwargs) -> list[dict]:
     """Train and evaluate every variant with the shared seed.
 
-    Returns one row per variant; a variant that fails contributes an
-    "error" row instead of aborting the rest.
+    Train accuracy and loss are the last epoch's history entry (NaN
+    after zero epochs); the test split is evaluated afterwards. Returns
+    one row per variant; a variant that fails contributes an "error"
+    row instead of aborting the rest.
     """
     rows = []
     for variant in VARIANTS:
@@ -393,21 +397,18 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
             state = train(manifest, cfg_v, ccfg, descriptions=descriptions,
                           solver=solver, **bank_kwargs)
             ccfg_v, _ = apply_variant(variant, ccfg)
-            train_metrics = evaluate(
-                _subsample_shots(load_split(manifest, "train"),
-                                 list(manifest.classes), cfg.shots, cfg.seed),
-                state, ccfg_v, solver=solver)
             test_samples = load_split(manifest, "test")
             test_metrics = (evaluate(test_samples, state, ccfg_v, solver=solver)
                             if test_samples else {"accuracy": math.nan,
                                                   "mean_loss": math.nan})
+            last = (state.history[-1] if state.history
+                    else {"accuracy": math.nan, "loss": math.nan})
             rows.append({
                 "variant": variant,
-                "train_accuracy": train_metrics["accuracy"],
+                "train_accuracy": last["accuracy"],
                 "test_accuracy": test_metrics["accuracy"],
                 "test_loss": test_metrics["mean_loss"],
-                "final_train_loss": state.history[-1]["loss"] if state.history
-                                    else math.nan,
+                "final_train_loss": last["loss"],
             })
         except Exception as e:  # noqa: BLE001 - isolation is the contract
             rows.append({"variant": variant, "error": str(e)})

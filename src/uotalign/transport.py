@@ -15,10 +15,11 @@ Each half-step is an exact block minimization of the dual
 
 so the dual value is nonincreasing along the iteration. With both
 rho = inf the update factor collapses to lam and the scheme is the
-classic balanced Sinkhorn in log domain; the stored objective value in
-that case is the conventional <W, C> - lam * H(W), which differs from
-the expression above only by lam * mass(W), a constant on the feasible
-set.
+classic balanced Sinkhorn in log domain; primal_value then reports the
+conventional <W, C> - lam * H(W), which differs from the expression
+above only by lam * mass(W), a constant on the feasible set. Plans
+carry no objective value: the classifier reads couplings only, and
+primal_value / dual_value evaluate a plan where a value is reported.
 
 All marginal sums are taken in log space (row/column logsumexp of
 (u + v - C) / lam), so small lam does not underflow: a sum below
@@ -28,7 +29,7 @@ All marginal sums are taken in log space (row/column logsumexp of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +45,8 @@ __all__ = [
     "solve_uot",
     "solve_uot_batch",
     "solve_entropic_ot",
-    "uot_primal_value",
+    "primal_value",
     "dual_value",
-    "gradient_wrt_cost",
 ]
 
 INF = math.inf
@@ -121,14 +121,19 @@ class TransportProblem:
 
 @dataclass
 class TransportPlan:
-    """Solver output: coupling, potentials and diagnostics."""
+    """Solver output: what the iteration produced and how it ended.
+
+    `coupling` is exp of the last log kernel of the potentials (u, v),
+    all NaN when `error` names a blowup. `converged` is False when the
+    iteration cap was hit first, `clamped` when a marginal sum fell
+    below the log-space floor at some iteration.
+    """
 
     coupling: np.ndarray
     u: np.ndarray
     v: np.ndarray
     iterations: int
     converged: bool
-    primal_value: float
     clamped: bool = False
     error: str | None = None
 
@@ -140,29 +145,33 @@ def _factor(lam: float, rho: float) -> float:
     return lam * rho / (lam + rho)
 
 
-def uot_primal_value(W, problem: TransportProblem) -> float:
-    """Objective value of a candidate coupling for `problem`.
+def primal_value(W, problem: TransportProblem) -> float:
+    """Objective value of a coupling for `problem`; the twin of dual_value.
 
     Finite-rho marginals contribute their generalized KL penalty; a
-    pinned (rho = INF) marginal contributes nothing but must hold to
-    within FEASIBILITY_TOL in L1, otherwise this raises. The entropy
-    term is <W, C> - lam*H(W) when both marginals are pinned and the
-    generalized form lam*sum(W log W - W) otherwise; the two agree up
-    to a feasible-set constant and each matches what the corresponding
-    solver mode actually minimises.
+    pinned (rho = INF) marginal contributes nothing and is not checked,
+    so the last iterate of a capped solve still reports a value. The
+    entropy term is <W, C> - lam*H(W) when both marginals are pinned
+    and the generalized form lam*sum(W log W - W) otherwise; the two
+    agree up to a feasible-set constant and each matches what the
+    corresponding solver mode actually minimises.
     """
     W = as_matrix(W, "coupling")
     if W.shape != problem.shape:
         raise ValueError(f"coupling shape {W.shape} does not match cost {problem.shape}")
     if np.any(W < 0):
         raise ValueError("negative mass")
-    if math.isinf(problem.rho1):
-        if float(np.abs(W.sum(axis=1) - problem.row_marginal).sum()) > FEASIBILITY_TOL:
-            raise ValueError("marginal constraint violated: rows")
-    if math.isinf(problem.rho2):
-        if float(np.abs(W.sum(axis=0) - problem.col_marginal).sum()) > FEASIBILITY_TOL:
-            raise ValueError("marginal constraint violated: columns")
-    return _primal_from_coupling(W, problem)
+    pos = W > 0
+    wlogw = float(np.sum(W[pos] * np.log(W[pos])))
+    val = float(np.sum(W * problem.cost)) + problem.lam * wlogw
+    both_pinned = math.isinf(problem.rho1) and math.isinf(problem.rho2)
+    if not both_pinned:
+        val -= problem.lam * float(W.sum())
+    if not math.isinf(problem.rho1):
+        val += problem.rho1 * generalized_kl(W.sum(axis=1), problem.row_marginal)
+    if not math.isinf(problem.rho2):
+        val += problem.rho2 * generalized_kl(W.sum(axis=0), problem.col_marginal)
+    return val
 
 
 def dual_value(u, v, problem: TransportProblem) -> float:
@@ -193,22 +202,6 @@ def dual_value(u, v, problem: TransportProblem) -> float:
             val += problem.rho2 * float(np.exp(-v / problem.rho2) @ m)
     if not math.isfinite(val):
         raise NumericalBlowupError("numerical blowup: dual value overflow")
-    return val
-
-
-def _primal_from_coupling(W: np.ndarray, problem: TransportProblem) -> float:
-    # the objective itself, without uot_primal_value's checks, so that
-    # non-converged plans still report a value
-    pos = W > 0
-    wlogw = float(np.sum(W[pos] * np.log(W[pos])))
-    val = float(np.sum(W * problem.cost)) + problem.lam * wlogw
-    both_pinned = math.isinf(problem.rho1) and math.isinf(problem.rho2)
-    if not both_pinned:
-        val -= problem.lam * float(W.sum())
-    if not math.isinf(problem.rho1):
-        val += problem.rho1 * generalized_kl(W.sum(axis=1), problem.row_marginal)
-    if not math.isinf(problem.rho2):
-        val += problem.rho2 * generalized_kl(W.sum(axis=0), problem.col_marginal)
     return val
 
 
@@ -326,9 +319,8 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     return [TransportPlan(
         coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),
         iterations=int(iterations[b]), converged=bool(converged[b]),
-        primal_value=(math.nan if failed[b] else _primal_from_coupling(coupling[b], p)),
         clamped=bool(clamped[b]), error=failed[b],
-    ) for b, p in enumerate(problems)]
+    ) for b in range(B)]
 
 
 def solve_uot(problem: TransportProblem, config: SolverConfig | None = None) -> TransportPlan:
@@ -355,15 +347,3 @@ def solve_entropic_ot(cost, row_marginal, col_marginal, lam: float,
     problem = TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
                                lam=lam, rho1=INF, rho2=INF)
     return solve_uot(problem, config)
-
-
-def gradient_wrt_cost(plan: TransportPlan) -> np.ndarray:
-    """Gradient of the optimal objective value with respect to the cost.
-
-    By the envelope argument this is just the optimal coupling, with
-    the potentials held fixed at the optimum. Only meaningful on a
-    converged plan.
-    """
-    if not plan.converged:
-        raise ValueError("gradient at non-optimum: plan did not converge")
-    return plan.coupling.copy()

@@ -13,7 +13,8 @@ speed.
 
 `recover_coupling` is the reference for the solver's couplings: the
 closed form W = exp((u + v - C) / lam) written out directly from the
-potentials.
+potentials. `uot_primal_value` is the solver's `primal_value` behind a
+feasibility check on the pinned marginals.
 """
 
 from __future__ import annotations
@@ -23,9 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uotalign.transport import FEASIBILITY_TOL, NumericalBlowupError, TransportProblem
+from uotalign.transport import (
+    FEASIBILITY_TOL,
+    NumericalBlowupError,
+    TransportProblem,
+    primal_value,
+)
 
-__all__ = ["GridSpec", "grid_minimize", "finite_diff_grad", "recover_coupling"]
+__all__ = ["GridSpec", "grid_minimize", "finite_diff_grad", "recover_coupling",
+           "uot_primal_value"]
 
 _MAX_CELLS = 6
 _NEG_SLACK = 1e-12
@@ -271,3 +278,21 @@ def recover_coupling(u: np.ndarray, v: np.ndarray, cost: np.ndarray, lam: float)
     if not np.all(np.isfinite(W)):
         raise NumericalBlowupError("numerical blowup: coupling overflow for this lam")
     return W
+
+
+def uot_primal_value(W, problem: TransportProblem) -> float:
+    """primal_value of a coupling that must meet the pinned marginals.
+
+    primal_value's input checks run first; then a pinned (rho = INF)
+    marginal must hold to within FEASIBILITY_TOL in L1, otherwise this
+    raises.
+    """
+    value = primal_value(W, problem)
+    W = np.asarray(W, dtype=np.float64)
+    if math.isinf(problem.rho1):
+        if float(np.abs(W.sum(axis=1) - problem.row_marginal).sum()) > FEASIBILITY_TOL:
+            raise ValueError("marginal constraint violated: rows")
+    if math.isinf(problem.rho2):
+        if float(np.abs(W.sum(axis=0) - problem.col_marginal).sum()) > FEASIBILITY_TOL:
+            raise ValueError("marginal constraint violated: columns")
+    return value

@@ -258,7 +258,7 @@ class TestScore:
             # the batch solver marks a failed instance instead of raising
             return [TransportPlan(coupling=np.full(p.shape, np.nan),
                                   u=np.zeros(p.shape[0]), v=np.zeros(p.shape[1]),
-                                  iterations=1, converged=False, primal_value=math.nan,
+                                  iterations=1, converged=False,
                                   error="numerical blowup: coupling overflow")
                     for p in problems]
 

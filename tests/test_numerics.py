@@ -11,7 +11,7 @@ from uotalign.numerics import (
     generalized_kl,
     logsumexp_axis,
 )
-from uotalign.transport import INF, TransportProblem, uot_primal_value
+from uotalign.transport import INF, TransportProblem, primal_value
 
 
 def lse(v):
@@ -95,12 +95,12 @@ def entropy(W):
     """-sum(W log W), read off the transport objective.
 
     With zero cost, lam = 1 and both marginals pinned to W's own sums,
-    uot_primal_value is exactly the entropy term sum(W log W).
+    primal_value is exactly the entropy term sum(W log W).
     """
     W = np.asarray(W, dtype=np.float64)
     p = TransportProblem(np.zeros(W.shape), W.sum(axis=1), W.sum(axis=0),
                          lam=1.0, rho1=INF, rho2=INF)
-    return -uot_primal_value(W, p)
+    return -primal_value(W, p)
 
 
 class TestEntropy:
@@ -111,7 +111,7 @@ class TestEntropy:
         # terms remain, so the entropy term adds exactly nothing
         p = TransportProblem(np.zeros((3, 3)), [0.1, 0.2, 0.3], [0.3, 0.3, 0.3],
                              lam=0.7, rho1=2.0, rho2=5.0)
-        assert uot_primal_value(np.zeros((3, 3)), p) == 2.0 * 0.6 + 5.0 * 0.9
+        assert primal_value(np.zeros((3, 3)), p) == 2.0 * 0.6 + 5.0 * 0.9
 
     def test_point_mass(self):
         assert entropy(np.array([[1.0]])) == 0.0
@@ -125,7 +125,7 @@ class TestEntropy:
     def test_negative_raises(self):
         p = TransportProblem([[1.0, 0.0]], [1.0], [0.5, 0.5], lam=0.5, rho1=1.0, rho2=1.0)
         with pytest.raises(ValueError, match="negative mass"):
-            uot_primal_value([[0.5, -0.1]], p)
+            primal_value([[0.5, -0.1]], p)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)

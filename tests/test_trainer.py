@@ -13,11 +13,13 @@ from uotalign.classifier import (
     ClassifierConfig,
     ce_loss,
     cost_matrix,
+    forward,
     likelihood,
     prompt_marginal,
 )
 from uotalign.features import (
     DatasetManifest,
+    FeatureSet,
     SampleRecord,
     augment,
     load_split,
@@ -27,6 +29,7 @@ from uotalign.prompts import (
     FrozenEncoder,
     attention_forward,
     build_prompt_bank,
+    encode_class,
     synth_description_texts,
 )
 from uotalign.transport import (
@@ -291,6 +294,59 @@ class TestBatchLossAndGrads:
             rel = np.linalg.norm(an - fd) / np.linalg.norm(fd)
             assert rel < 1e-5, f"{key}: relative gradient error {rel:.2e}"
 
+    @pytest.mark.parametrize("variant", ["full", "no_self_attention", "no_uot"])
+    def test_matches_frozen_coupling_loss(self, variant):
+        """The grads are those of the loss with every W* held fixed.
+
+        Default classifier settings on samples with no class structure,
+        where re-solving W* moves the loss well away from this gradient.
+        """
+        ccfg, bank_kw = apply_variant(variant, ClassifierConfig())
+        classes = ["a", "b", "c"]
+        bank = build_prompt_bank(classes, synth_description_texts(classes, count=2),
+                                 num_shared_prompts=2, num_class_prompts=2,
+                                 context_length=3, token_dim=8, seed=4, **bank_kw)
+        encoder = FrozenEncoder.seeded(8, 8, 5)
+        rng = np.random.default_rng(6)
+        batch = []
+        for s in range(5):
+            F = rng.standard_normal((6, 8))
+            F /= np.linalg.norm(F, axis=1, keepdims=True)
+            batch.append(FeatureSet(features=F, weights=np.full(6, 1 / 6),
+                                    sample_id=f"s{s}", label=classes[s % 3]))
+        _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
+        fw = forward(batch, bank, encoder, ccfg)
+        Y = one_hot(batch, classes)
+
+        def frozen_loss():
+            d = np.zeros((len(batch), len(classes)))
+            for k, c in enumerate(classes):
+                enc = encode_class(bank, c, encoder)
+                for tag, gamma in fw.paths:
+                    G = enc.g_cs if tag == "cs" else enc.g_ds
+                    for s in range(len(batch)):
+                        W = fw.plans[(s, k, tag)].coupling
+                        d[s, k] += gamma * float(np.sum(W * cost_matrix(fw.feats[s], G)))
+            return ce_loss(likelihood(d, ccfg.tau), Y)
+
+        params = _trainable_arrays(bank)
+        assert set(grads) == set(params)
+        for key in sorted(grads):
+            p = params[key]
+            orig = p.copy()
+
+            def loss_at(x):
+                p[...] = x.reshape(p.shape)
+                try:
+                    return frozen_loss()
+                finally:
+                    p[...] = orig
+
+            fd = finite_diff_grad(loss_at, orig.ravel(), step=1e-5)
+            an = grads[key].ravel()
+            rel = np.linalg.norm(an - fd) / np.linalg.norm(fd)
+            assert rel < 1e-5, f"{variant} {key}: relative gradient error {rel:.2e}"
+
     def test_zero_gamma_skips_path(self, gradcheck_instance):
         bank, encoder, batch, ccfg, solver = gradcheck_instance
         import dataclasses
@@ -357,8 +413,7 @@ class TestTrainStep:
         def broken_batch(problems, config=None):
             return [TransportPlan(coupling=np.zeros(p.shape), u=np.zeros(p.shape[0]),
                                   v=np.zeros(p.shape[1]), iterations=0,
-                                  converged=False, primal_value=math.nan,
-                                  error="numerical blowup: dual overflow")
+                                  converged=False, error="numerical blowup: dual overflow")
                     for p in problems]
 
         monkeypatch.setattr("uotalign.classifier.solve_uot_batch", broken_batch)
@@ -518,6 +573,13 @@ class TestRunAblation:
         state = train(manifest, TrainConfig(epochs=2, seed=1),
                       ClassifierConfig(), **BANK_KW)
         assert ablation_rows[0]["final_train_loss"] == state.history[-1]["loss"]
+        assert ablation_rows[0]["train_accuracy"] == state.history[-1]["accuracy"]
+        # no epoch ran, so there is no train loss or accuracy to report
+        for row in run_ablation(manifest, TrainConfig(epochs=0, seed=1),
+                                ClassifierConfig(), **BANK_KW):
+            assert math.isnan(row["train_accuracy"]), row
+            assert math.isnan(row["final_train_loss"]), row
+            assert math.isfinite(row["test_loss"]), row
 
     def test_variant_failures_are_isolated(self, manifest):
         cfg = TrainConfig(epochs=1, seed=1, shots=99)

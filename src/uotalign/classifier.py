@@ -106,10 +106,6 @@ class AlignmentScore:
     plan_cs: TransportPlan | None
     plan_ds: TransportPlan | None
 
-    @property
-    def plans(self) -> tuple[TransportPlan | None, TransportPlan | None]:
-        return (self.plan_cs, self.plan_ds)
-
 
 def cost_matrix(features, prompts) -> np.ndarray:
     """Transport cost between prompt rows and visual rows, 1 - cosine.

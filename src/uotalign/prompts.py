@@ -161,26 +161,34 @@ class AttentionParams:
         return self.w_query.shape[1]
 
 
+def _as_tokens(x, name: str = "tokens") -> np.ndarray:
+    """Validate one (L, d) token matrix or a (P, L, d) stack of them."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"{name} must be (L, d) or (P, L, d), got ndim={a.ndim}")
+    flat = a.reshape(-1, a.shape[-1]) if a.ndim == 3 else a
+    return as_matrix(flat, name).reshape(a.shape)
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_forward(tokens: np.ndarray, params: AttentionParams,
-                      return_weights: bool = False):
-    """Single-head self-attention: softmax(Q K^T / sqrt(d_k)) V."""
-    T = as_matrix(tokens, "tokens")
-    if T.shape[1] != params.w_query.shape[0]:
+def _attention(T: np.ndarray, params: AttentionParams):
+    if T.shape[-1] != params.w_query.shape[0]:
         raise ValueError("token dimension does not match attention parameters")
     Q = T @ params.w_query
     K = T @ params.w_key
     V = T @ params.w_value
-    A = _softmax_rows(Q @ K.T / np.sqrt(params.d_k))
-    out = A @ V
-    if return_weights:
-        return out, A
-    return out
+    return Q, K, V, _softmax_rows(Q @ K.swapaxes(-1, -2) / np.sqrt(params.d_k))
+
+
+def attention_forward(tokens: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Single-head self-attention softmax(Q K^T / sqrt(d_k)) V, per stacked matrix."""
+    _, _, V, A = _attention(_as_tokens(tokens), params)
+    return A @ V
 
 
 def attention_backward(tokens: np.ndarray, params: AttentionParams,
@@ -188,27 +196,24 @@ def attention_backward(tokens: np.ndarray, params: AttentionParams,
     """Analytic gradients of attention_forward.
 
     Returns (grad_tokens, grad_w_query, grad_w_key, grad_w_value) for
-    the scalar function <upstream, attention_forward(tokens, params)>.
+    the scalar function <upstream, attention_forward(tokens, params)>;
+    on a stack the weight gradients are summed over it.
     """
-    T = as_matrix(tokens, "tokens")
-    G = as_matrix(upstream, "upstream")
-    Q = T @ params.w_query
-    K = T @ params.w_key
-    V = T @ params.w_value
+    T = _as_tokens(tokens)
+    G = _as_tokens(upstream, "upstream")
+    Q, K, V, A = _attention(T, params)
     s = np.sqrt(params.d_k)
-    A = _softmax_rows(Q @ K.T / s)
 
-    dV = A.T @ G
-    dA = G @ V.T
-    dZ = A * (dA - np.sum(dA * A, axis=1, keepdims=True))
+    dV = A.swapaxes(-1, -2) @ G
+    dA = G @ V.swapaxes(-1, -2)
+    dZ = A * (dA - np.sum(dA * A, axis=-1, keepdims=True))
     dQ = dZ @ K / s
-    dK = dZ.T @ Q / s
+    dK = dZ.swapaxes(-1, -2) @ Q / s
 
-    grad_wq = T.T @ dQ
-    grad_wk = T.T @ dK
-    grad_wv = T.T @ dV
     grad_tokens = dQ @ params.w_query.T + dK @ params.w_key.T + dV @ params.w_value.T
-    return grad_tokens, grad_wq, grad_wk, grad_wv
+    # one product over the rows of every matrix sums the weight gradients
+    rows = T.reshape(-1, T.shape[-1]).T
+    return (grad_tokens, *(rows @ d.reshape(-1, d.shape[-1]) for d in (dQ, dK, dV)))
 
 
 @dataclass
@@ -230,25 +235,28 @@ class FrozenEncoder:
         return cls(projection=rng.standard_normal((d_tok, d)) / np.sqrt(d_tok),
                    bias=0.01 * rng.standard_normal(d))
 
-    def encode(self, tokens: np.ndarray) -> np.ndarray:
-        T = as_matrix(tokens, "tokens")
-        h = T.mean(axis=0) @ self.projection + self.bias
-        norm = float(np.linalg.norm(h))
-        if norm < 1e-12:
+    def _project(self, tokens: np.ndarray):
+        """Tokens, pre-normalization encodings h (..., d) and their norms (..., 1)."""
+        T = _as_tokens(tokens)
+        h = (T.mean(axis=-2, keepdims=True) @ self.projection)[..., 0, :] + self.bias
+        norm = np.sqrt(h[..., None, :] @ h[..., :, None])[..., 0]
+        if np.any(norm < 1e-12):
             raise ValueError("degenerate encoding: zero vector before normalization")
+        return T, h, norm
+
+    def encode(self, tokens: np.ndarray) -> np.ndarray:
+        """Unit encoding: (d,) for one (L, d_tok) matrix, (P, d) for a stack."""
+        _, h, norm = self._project(tokens)
         return h / norm
 
     def encode_backward(self, tokens: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Gradient of <upstream, encode(tokens)> with respect to tokens."""
-        T = as_matrix(tokens, "tokens")
-        h = T.mean(axis=0) @ self.projection + self.bias
-        norm = float(np.linalg.norm(h))
-        if norm < 1e-12:
-            raise ValueError("degenerate encoding: zero vector before normalization")
+        T, h, norm = self._project(tokens)
         g = h / norm
-        dh = (upstream - g * float(g @ upstream)) / norm
-        dmean = self.projection @ dh
-        return np.tile(dmean / T.shape[0], (T.shape[0], 1))
+        up = np.asarray(upstream, dtype=np.float64)
+        dh = (up - g * (g[..., None, :] @ up[..., :, None])[..., 0]) / norm
+        dmean = dh @ self.projection.T / T.shape[-2]
+        return np.repeat(dmean[..., None, :], T.shape[-2], axis=-2)
 
 
 @dataclass
@@ -363,18 +371,18 @@ class ClassEncoding:
     """The prompt paths of one class, with what the backward pass needs.
 
     g_ds and g_cs hold unit-norm rows, one per shared and per class
-    prompt. toks_ds are the shared path's encoder inputs; toks_in are the
-    class path's tokens before the attention adapter and toks_out the
-    encoder inputs after it (the same matrices when the adapter is off).
-    Every token matrix ends in the class-word row. The fields of a path
-    that was not requested are None.
+    prompt. The (P, L+1, d_tok) token stacks are toks_ds, the shared
+    path's encoder input, toks_in, the class path's before the adapter,
+    and toks_out after it (the same array when the adapter is off).
+    Every matrix ends in the class-word row. The fields of a path that
+    was not requested are None.
     """
 
     g_ds: np.ndarray | None
     g_cs: np.ndarray | None
-    toks_ds: list[np.ndarray] | None
-    toks_in: list[np.ndarray] | None
-    toks_out: list[np.ndarray] | None
+    toks_ds: np.ndarray | None
+    toks_in: np.ndarray | None
+    toks_out: np.ndarray | None
 
 
 def encode_class(bank: PromptBank, class_id: str, encoder: FrozenEncoder,
@@ -383,21 +391,20 @@ def encode_class(bank: PromptBank, class_id: str, encoder: FrozenEncoder,
 
     The shared path appends the class word and encodes directly; the
     class path appends the class word, passes through attention (when
-    enabled), then encodes.
+    enabled), then encodes; each call takes all of the path's prompts.
     """
     ci = bank.class_index(class_id)
     c_vec = bank.class_words[ci]
     g_ds = toks_ds = g_cs = toks_in = toks_out = None
     if "ds" in paths:
-        toks_ds = [np.vstack([bank.shared_tokens[p], c_vec])
-                   for p in range(bank.num_shared_prompts)]
-        g_ds = np.array([encoder.encode(T) for T in toks_ds])
+        # insert at index L appends c_vec as every prompt's last row
+        toks_ds = np.insert(bank.shared_tokens, bank.shared_tokens.shape[1], c_vec, 1)
+        g_ds = encoder.encode(toks_ds)
     if "cs" in paths:
-        toks_in = [np.vstack([bank.class_tokens[ci, p], c_vec])
-                   for p in range(bank.num_class_prompts)]
-        toks_out = ([attention_forward(T, bank.attention) for T in toks_in]
+        toks_in = np.insert(bank.class_tokens[ci], bank.class_tokens.shape[2], c_vec, 1)
+        toks_out = (attention_forward(toks_in, bank.attention)
                     if bank.use_attention else toks_in)
-        g_cs = np.array([encoder.encode(T) for T in toks_out])
+        g_cs = encoder.encode(toks_out)
     return ClassEncoding(g_ds=g_ds, g_cs=g_cs, toks_ds=toks_ds,
                          toks_in=toks_in, toks_out=toks_out)
 

@@ -202,7 +202,9 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     Returns (loss, grads keyed like the trainable arrays, probs matrix).
     The grads are those of the frozen-coupling loss: each solved W* is
     a constant (stop-gradient) and only the cost matrices carry the
-    parameters. Pure at the call site: nothing in bank is modified.
+    parameters. Each (class, path) runs one backward over the whole
+    batch and all of the path's prompts. Pure at the call site: nothing
+    in bank is modified.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -228,11 +230,11 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     want_shared = "shared_tokens" in grads
     want_attn = "attention.w_query" in grads
     want_class = "class_tokens" in grads
-    # the appended class-word row is dropped: class words never train
-    L_ds = bank.shared_tokens.shape[1]
-    L_cs = bank.class_tokens.shape[2]
+    # cost_matrix_backward is linear in the upstream: one call sums the samples
+    feats = np.vstack(fw.feats)
 
-    # forward() ran over all bank classes, so i indexes bank.classes
+    # forward() ran over all bank classes, so i indexes bank.classes;
+    # [:, :-1] drops the appended class-word row, which never trains
     for i, enc in enumerate(fw.encodings):
         for path, gamma in fw.paths:
             if path == "ds" and not want_shared:
@@ -240,29 +242,23 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
             if path == "cs" and not (want_attn or want_class):
                 continue
             G = enc.g_cs if path == "cs" else enc.g_ds
-            grad_G = np.zeros_like(G)
-            for s in range(B):
-                key = (s, i, path)
-                upstream = coeff[s, i] * gamma * fw.plans[key].coupling
-                grad_G += cost_matrix_backward(fw.feats[s], G, upstream)
+            upstream = np.hstack([coeff[s, i] * gamma * fw.plans[(s, i, path)].coupling
+                                  for s in range(B)])
+            grad_G = cost_matrix_backward(feats, G, upstream)
             if path == "ds":
-                for p in range(bank.num_shared_prompts):
-                    rows = encoder.encode_backward(enc.toks_ds[p], grad_G[p])
-                    grads["shared_tokens"][p] += rows[:L_ds]
+                rows = encoder.encode_backward(enc.toks_ds, grad_G)
+                grads["shared_tokens"] += rows[:, :-1]
             else:
-                for p in range(bank.num_class_prompts):
-                    rows = encoder.encode_backward(enc.toks_out[p], grad_G[p])
-                    if bank.use_attention:
-                        g_tok, gq, gk, gv = attention_backward(
-                            enc.toks_in[p], bank.attention, rows)
-                        if want_attn:
-                            grads["attention.w_query"] += gq
-                            grads["attention.w_key"] += gk
-                            grads["attention.w_value"] += gv
-                        if want_class:
-                            grads["class_tokens"][i, p] += g_tok[:L_cs]
-                    elif want_class:
-                        grads["class_tokens"][i, p] += rows[:L_cs]
+                rows = encoder.encode_backward(enc.toks_out, grad_G)
+                if bank.use_attention:
+                    rows, gq, gk, gv = attention_backward(
+                        enc.toks_in, bank.attention, rows)
+                    if want_attn:
+                        grads["attention.w_query"] += gq
+                        grads["attention.w_key"] += gk
+                        grads["attention.w_value"] += gv
+                if want_class:
+                    grads["class_tokens"][i] += rows[:, :-1]
     return loss, grads, probs
 
 
@@ -388,8 +384,10 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
     Train accuracy and loss are the last epoch's history entry (NaN
     after zero epochs); the test split is evaluated afterwards. Returns
     one row per variant; a variant that fails contributes an "error"
-    row instead of aborting the rest.
+    row instead of aborting the rest. The test split is read once, so
+    an unreadable one raises before any variant trains.
     """
+    test_samples = load_split(manifest, "test")
     rows = []
     for variant in VARIANTS:
         cfg_v = replace(cfg, variant=variant)
@@ -397,7 +395,6 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
             state = train(manifest, cfg_v, ccfg, descriptions=descriptions,
                           solver=solver, **bank_kwargs)
             ccfg_v, _ = apply_variant(variant, ccfg)
-            test_samples = load_split(manifest, "test")
             test_metrics = (evaluate(test_samples, state, ccfg_v, solver=solver)
                             if test_samples else {"accuracy": math.nan,
                                                   "mean_loss": math.nan})
@@ -471,17 +468,27 @@ def load_checkpoint(path) -> TrainState:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"corrupt file: {path} has a bad header ({e})") from e
+    if not isinstance(header, dict):
+        raise ValueError(f"corrupt file: {path} header is not an object")
     if header.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version in {path}")
+    specs = header.get("arrays")
+    if not (isinstance(specs, list) and all(
+            isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
+            and isinstance(spec[1], list)
+            and all(type(n) is int and n >= 0 for n in spec[1])
+            for spec in specs)):
+        raise ValueError(f"corrupt file: {path} header lacks a valid "
+                         f"[[name, shape], ...] array list")
 
     offset = 8 + hlen
     payload = len(raw) - offset
-    want = sum(int(np.prod(shape)) for _, shape in header["arrays"]) * 8
+    want = sum(int(np.prod(shape)) for _, shape in specs) * 8
     if payload != want:
         raise ValueError(f"corrupt file: {path} has {payload} payload bytes, "
                          f"expected {want}")
     arrays = {}
-    for name, shape in header["arrays"]:
+    for name, shape in specs:
         size = int(np.prod(shape)) * 8
         a = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(shape)
         arrays[name] = a.astype(np.float64)  # own the memory, drop readonly
@@ -489,18 +496,22 @@ def load_checkpoint(path) -> TrainState:
     if any(not np.all(np.isfinite(a)) for a in arrays.values()):
         raise ValueError(f"invalid payload: non-finite values in {path}")
 
-    attention = AttentionParams(w_query=arrays["attention.w_query"],
-                                w_key=arrays["attention.w_key"],
-                                w_value=arrays["attention.w_value"])
-    bank = PromptBank(classes=list(header["classes"]),
-                      shared_tokens=arrays["shared_tokens"],
-                      class_tokens=arrays["class_tokens"],
-                      class_words=arrays["class_words"],
-                      attention=attention,
-                      use_attention=bool(header["use_attention"]),
-                      trainable=tuple(header["trainable"]))
-    encoder = FrozenEncoder(projection=arrays["encoder.projection"],
-                            bias=arrays["encoder.bias"])
+    try:
+        attention = AttentionParams(w_query=arrays["attention.w_query"],
+                                    w_key=arrays["attention.w_key"],
+                                    w_value=arrays["attention.w_value"])
+        bank = PromptBank(classes=list(header["classes"]),
+                          shared_tokens=arrays["shared_tokens"],
+                          class_tokens=arrays["class_tokens"],
+                          class_words=arrays["class_words"],
+                          attention=attention,
+                          use_attention=bool(header["use_attention"]),
+                          trainable=tuple(header["trainable"]))
+        encoder = FrozenEncoder(projection=arrays["encoder.projection"],
+                                bias=arrays["encoder.bias"])
+        step, epoch, history = header["step"], header["epoch"], header["history"]
+    except KeyError as e:
+        raise ValueError(f"corrupt file: {path} lacks {e.args[0]!r}") from None
     m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
     v = {name[2:]: a for name, a in arrays.items() if name.startswith("v.")}
     expected = set(_trainable_arrays(bank))
@@ -508,5 +519,4 @@ def load_checkpoint(path) -> TrainState:
         raise ValueError(f"corrupt file: {path} moment keys do not match "
                          f"the trainable groups")
     return TrainState(bank=bank, encoder=encoder, m=m, v=v,
-                      step=int(header["step"]), epoch=int(header["epoch"]),
-                      history=list(header["history"]))
+                      step=int(step), epoch=int(epoch), history=list(history))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import uotalign.prompts as prompts_mod
 from conftest import count_trainable
 from uotalign.prompts import (
     AttentionParams,
@@ -128,8 +129,9 @@ class TestAttention:
         rng = np.random.default_rng(53)
         params = AttentionParams.seeded(8, 8, seed=2)
         for _ in range(10):
-            _, A = attention_forward(rng.standard_normal((5, 8)), params,
-                                     return_weights=True)
+            T = rng.standard_normal((5, 8))
+            Z = (T @ params.w_query) @ (T @ params.w_key).T / np.sqrt(params.d_k)
+            A = prompts_mod._softmax_rows(Z)
             np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -220,6 +222,50 @@ class TestFrozenEncoder:
             d[idx] = h
             fd[idx] = (float(up @ enc.encode(T + d)) - float(up @ enc.encode(T - d))) / (2 * h)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-4
+
+
+class TestStacks:
+    """A (P, L, d) stack through a layer equals P one-matrix calls."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(60)
+        self.stack = rng.standard_normal((3, 5, 8))
+        self.params = AttentionParams.seeded(8, 8, seed=6)
+        self.enc = FrozenEncoder.seeded(8, 6, seed=7)
+        self.up_tokens = rng.standard_normal((3, 5, 8))
+        self.up_code = rng.standard_normal((3, 6))
+
+    def test_forward_is_bitwise_per_matrix(self):
+        att = attention_forward(self.stack, self.params)
+        code = self.enc.encode(self.stack)
+        assert att.shape == self.stack.shape and code.shape == (3, 6)
+        for p, T in enumerate(self.stack):
+            assert att[p].tobytes() == attention_forward(T, self.params).tobytes()
+            assert code[p].tobytes() == self.enc.encode(T).tobytes()
+
+    def test_encode_backward_is_per_matrix(self):
+        g = self.enc.encode_backward(self.stack, self.up_code)
+        assert g.shape == self.stack.shape
+        for p, T in enumerate(self.stack):
+            one = self.enc.encode_backward(T, self.up_code[p])
+            np.testing.assert_allclose(g[p], one, rtol=1e-12, atol=0)
+
+    def test_attention_backward_sums_weight_gradients(self):
+        g_tok, *g_w = attention_backward(self.stack, self.params, self.up_tokens)
+        singles = [attention_backward(T, self.params, U)
+                   for T, U in zip(self.stack, self.up_tokens)]
+        for p, one in enumerate(singles):
+            np.testing.assert_allclose(g_tok[p], one[0], rtol=1e-12, atol=0)
+        for j, total in enumerate(g_w, start=1):
+            want = sum(one[j] for one in singles)
+            rel = np.abs(total - want).max() / np.abs(want).max()
+            assert rel < 1e-12, f"weight gradient {j}: relative error {rel:.2e}"
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match=r"\(P, L, d\), got ndim=4"):
+            self.enc.encode(self.stack[None])
+        with pytest.raises(ValueError, match="non-finite"):
+            attention_forward(np.full((2, 5, 8), np.nan), self.params)
 
 
 def make_bank(classes=("cat", "dog"), seed=0, **kw):

@@ -347,6 +347,28 @@ class TestBatchLossAndGrads:
             rel = np.linalg.norm(an - fd) / np.linalg.norm(fd)
             assert rel < 1e-5, f"{variant} {key}: relative gradient error {rel:.2e}"
 
+    def test_one_backward_per_class_and_path(self, gradcheck_instance, monkeypatch):
+        """The backward layers run once per (class, path), not per sample or prompt."""
+        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        assert bank.trainable == ("shared_tokens", "attention") and bank.use_attention
+        calls = {"cost": 0, "encode": 0, "attention": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trainer_mod, "cost_matrix_backward",
+                            counted("cost", trainer_mod.cost_matrix_backward))
+        monkeypatch.setattr(trainer_mod, "attention_backward",
+                            counted("attention", trainer_mod.attention_backward))
+        monkeypatch.setattr(FrozenEncoder, "encode_backward",
+                            counted("encode", FrozenEncoder.encode_backward))
+        batch_loss_and_grads(batch * 3, bank, ccfg, encoder, solver)
+        K = len(bank.classes)
+        assert calls == {"cost": 2 * K, "encode": 2 * K, "attention": K}
+
     def test_zero_gamma_skips_path(self, gradcheck_instance):
         bank, encoder, batch, ccfg, solver = gradcheck_instance
         import dataclasses
@@ -581,6 +603,31 @@ class TestRunAblation:
             assert math.isnan(row["final_train_loss"]), row
             assert math.isfinite(row["test_loss"]), row
 
+    def test_reads_test_split_once(self, manifest, monkeypatch):
+        reads = []
+
+        def counted_load_split(m, split, *args, **kwargs):
+            reads.append(split)
+            return load_split(m, split, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "load_split", counted_load_split)
+        rows = run_ablation(manifest, TrainConfig(epochs=0, seed=1),
+                            ClassifierConfig(), **BANK_KW)
+        assert all("error" not in r for r in rows)
+        assert reads.count("test") == 1
+        assert reads.count("train") == len(VARIANTS)
+
+        def unreadable(m, split, *args, **kwargs):
+            if split == "test":
+                raise ValueError("corrupt file: test split")
+            return load_split(m, split, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "load_split", unreadable)
+        monkeypatch.setattr(trainer_mod, "train", None)  # no variant may train
+        with pytest.raises(ValueError, match="corrupt file: test split"):
+            run_ablation(manifest, TrainConfig(epochs=0, seed=1),
+                         ClassifierConfig(), **BANK_KW)
+
     def test_variant_failures_are_isolated(self, manifest):
         cfg = TrainConfig(epochs=1, seed=1, shots=99)
         rows = run_ablation(manifest, cfg, ClassifierConfig(), **BANK_KW)
@@ -678,6 +725,37 @@ class TestCheckpoint:
         raw[-8:] = np.array([math.nan]).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="invalid payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["no_arrays_key", "missing_array",
+                                      "shape_not_a_list", "negative_shape"])
+    def test_rejects_malformed_header(self, gradcheck_instance, tmp_path, case):
+        bank, encoder, _, _, _ = gradcheck_instance
+        import copy
+        import re
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(init_state(copy.deepcopy(bank), encoder), path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        header = json.loads(raw[8:8 + hlen].decode())
+        payload = raw[8 + hlen:]
+        if case == "no_arrays_key":
+            del header["arrays"]
+        elif case == "missing_array":
+            sizes = [8 * int(np.prod(shape)) for _, shape in header["arrays"]]
+            i = [name for name, _ in header["arrays"]].index("attention.w_query")
+            lo = sum(sizes[:i])
+            payload = payload[:lo] + payload[lo + sizes[i]:]
+            del header["arrays"][i]
+        elif case == "shape_not_a_list":
+            header["arrays"][0][1] = "xy"
+        else:
+            header["arrays"] = [["shared_tokens", [-1, -1]]]
+            payload = bytes(8)
+        blob = json.dumps(header).encode()
+        path.write_bytes(CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes()
+                         + blob + payload)
+        with pytest.raises(ValueError, match="corrupt file: " + re.escape(str(path))):
             load_checkpoint(path)
 
     def test_rejects_moment_key_mismatch(self, gradcheck_instance, tmp_path):

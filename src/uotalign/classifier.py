@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import FeatureSet
-from .numerics import as_matrix, as_vector, logsumexp_axis
-from .prompts import ClassEncoding, FrozenEncoder, PromptBank, encode_class
+from .numerics import as_matrix, as_stack, as_vector, logsumexp_axis
+from .prompts import ClassEncoding, FrozenEncoder, PromptBank, encode_classes
 # solve_uot is unused here; bench/test_bench.py checks it stays bound
 from .transport import (  # noqa: F401
     INF,
@@ -107,55 +107,55 @@ class AlignmentScore:
     plan_ds: TransportPlan | None
 
 
+def _unit_rows(features, prompts):
+    """Validated features (N, d) and prompts (P, d) or (K, P, d), their
+    rows normalised, plus both norms. A zero row has no direction."""
+    F = as_matrix(features, "features")
+    G = as_stack(prompts, "prompts", "(P, d) or (K, P, d)")
+    if F.shape[1] != G.shape[-1]:
+        raise ValueError(f"dimension mismatch: prompts have {G.shape[-1]} "
+                         f"columns, features have {F.shape[1]}")
+    nf = np.linalg.norm(F, axis=1)
+    ng = np.linalg.norm(G, axis=-1)
+    if np.any(ng < 1e-300) or np.any(nf < 1e-300):
+        raise ValueError("degenerate embedding: zero-norm row")
+    return F / nf[:, None], G / ng[..., None], nf, ng
+
+
 def cost_matrix(features, prompts) -> np.ndarray:
     """Transport cost between prompt rows and visual rows, 1 - cosine.
 
     Rows of `prompts` index the source side (one row per prompt), rows
-    of `features` the target side, so the result is (P, M). Entries lie
-    in [0, 2] up to roundoff. Rows are normalised here, and a zero row
-    has no direction and is rejected. Inputs are expected unit-norm;
+    of `features` the target side, so the result is (P, M), or (K, P, M)
+    for a (K, P, d) stack whose slices equal single-matrix calls bitwise.
+    Entries lie in [0, 2] up to roundoff. Rows are normalised here, and
+    a zero row is rejected. Inputs are expected unit-norm;
     anything else gets a warning because the rest of the pipeline
     assumes the cosine and the dot product agree.
     """
-    F = as_matrix(features, "features")
-    G = as_matrix(prompts, "prompts")
-    if F.shape[1] != G.shape[1]:
-        raise ValueError(f"dimension mismatch: prompts have {G.shape[1]} "
-                         f"columns, features have {F.shape[1]}")
-    nf = np.linalg.norm(F, axis=1)
-    ng = np.linalg.norm(G, axis=1)
-    if np.any(ng < 1e-300) or np.any(nf < 1e-300):
-        raise ValueError("degenerate embedding: zero-norm row")
+    Fh, Gh, nf, ng = _unit_rows(features, prompts)
     for name, norms in (("features", nf), ("prompts", ng)):
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             warnings.warn(f"cost_matrix: {name} rows are not unit-norm")
-    return 1.0 - (G / ng[:, None]) @ (F / nf[:, None]).T
+    return 1.0 - Gh @ Fh.T
 
 
 def cost_matrix_backward(features, prompts, upstream) -> np.ndarray:
     """Gradient of <upstream, cost_matrix(features, prompts)> in the prompts.
 
-    The features are data, so only the prompt-side gradient is needed.
+    The features are data, so only the prompt-side gradient is needed,
+    shaped like `prompts`; a (K, P, d) stack takes a (K, P, N) upstream.
     With ghat, fhat the normalized rows, d cos / d g is
-    (fhat - cos * ghat) / |g|, and the cost negates it.
+    (fhat - cos * ghat) / |g|, and the cost negates it. The cosine
+    matrix is never formed: sum_n D_pn cos_pn = ghat_p . (D fhat)_p.
     """
-    F = as_matrix(features, "features")
-    G = as_matrix(prompts, "prompts")
-    D = as_matrix(upstream, "upstream")
-    if D.shape != (G.shape[0], F.shape[0]):
-        raise ValueError(
-            f"upstream shape {D.shape} does not match ({G.shape[0]}, {F.shape[0]})"
-        )
-    nf = np.linalg.norm(F, axis=1)
-    ng = np.linalg.norm(G, axis=1)
-    if np.any(nf < 1e-300) or np.any(ng < 1e-300):
-        raise ValueError("degenerate embedding: zero-norm row")
-    Fh = F / nf[:, None]
-    Gh = G / ng[:, None]
-    cos = Gh @ Fh.T
-    term1 = D @ Fh
-    term2 = np.sum(D * cos, axis=1)[:, None] * Gh
-    return -(term1 - term2) / ng[:, None]
+    Fh, Gh, _, ng = _unit_rows(features, prompts)
+    want = (*Gh.shape[:-1], Fh.shape[0])
+    D = as_stack(upstream, "upstream", "(P, N) or (K, P, N)")
+    if D.shape != want:
+        raise ValueError(f"upstream shape {D.shape} does not match {want}")
+    DF = D @ Fh
+    return -(DF - np.sum(Gh * DF, axis=-1, keepdims=True) * Gh) / ng[..., None]
 
 
 def prompt_marginal(num_prompts: int) -> np.ndarray:
@@ -171,17 +171,19 @@ class Forward:
 
     d[s, k] is the weighted distance of sample s to requested class k,
     d_path[tag][s, k] the unweighted transported cost of one path, and
-    encodings[k] the class's encodings of those paths. Plans are keyed
-    (s, k, tag) and cover only the sample's nonzero-weight columns,
-    whose features are feats[s]. Only paths with a positive weight
-    appear in `paths`, `d_path` and `plans`.
+    `encoding` holds the requested classes' encodings of those paths.
+    feats holds the batch's nonzero-weight feature rows, sample s at
+    rows offsets[s]:offsets[s + 1]. Plans are keyed (s, k, tag) and
+    cover only those rows. Only paths with a positive weight appear in
+    `paths`, `d_path` and `plans`.
     """
 
     d: np.ndarray
     d_path: dict[str, np.ndarray]
     paths: tuple[tuple[str, float], ...]
-    encodings: list[ClassEncoding]
-    feats: list[np.ndarray]
+    encoding: ClassEncoding
+    feats: np.ndarray
+    offsets: np.ndarray
     plans: dict[tuple[int, int, str], TransportPlan]
 
 
@@ -190,9 +192,10 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
             classes: list[str] | None = None) -> Forward:
     """Score every sample against every class along both prompt paths.
 
-    Each class is encoded once, along the paths with a positive weight
-    only. Tokens whose weight is exactly zero (dropout leftovers) carry
-    no mass and would break the positive-marginal requirement, so each
+    All classes are encoded at once, along the paths with a positive
+    weight only, and each (sample, path) makes one cost_matrix call.
+    Tokens whose weight is exactly zero (dropout leftovers) carry no
+    mass and would break the positive-marginal requirement, so each
     problem keeps only the sample's surviving columns. Problems are
     grouped by shape and each group goes through one solve_uot_batch
     call, whose results equal one-at-a-time solves bitwise. `classes`
@@ -202,21 +205,23 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
-    encodings = [encode_class(bank, c, encoder, tuple(tag for tag, _ in paths))
-                 for c in classes]
+    encoding = encode_classes(bank, classes, encoder, tuple(tag for tag, _ in paths))
+    prompts = {tag: encoding.g_cs if tag == "cs" else encoding.g_ds for tag, _ in paths}
+    marginals = {tag: prompt_marginal(G.shape[1]) for tag, G in prompts.items()}
 
-    feats, groups = [], {}
+    active = [fs.weights > 0 for fs in samples]
+    offsets = np.cumsum([0] + [int(a.sum()) for a in active])
+    feats = np.concatenate([fs.features[a] for fs, a in zip(samples, active)]
+                           or [np.empty((0, 0))])
+    groups = {}
     for s, fs in enumerate(samples):
-        active = fs.weights > 0
-        feats.append(fs.features[active])
-        w = fs.weights[active]
-        for k, enc in enumerate(encodings):
-            for tag, _ in paths:
-                G = enc.g_cs if tag == "cs" else enc.g_ds
+        F = feats[offsets[s]:offsets[s + 1]]
+        w = fs.weights[active[s]]
+        for tag, G in prompts.items():
+            for k, cost in enumerate(cost_matrix(F, G)):
                 problem = TransportProblem(
-                    cost=cost_matrix(feats[s], G),
-                    row_marginal=prompt_marginal(G.shape[0]),
-                    col_marginal=w, lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
+                    cost=cost, row_marginal=marginals[tag], col_marginal=w,
+                    lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
                 groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
 
     B, K = len(samples), len(classes)
@@ -235,8 +240,8 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     d = np.zeros((B, K))
     for tag, gamma in paths:
         d += gamma * d_path[tag]
-    return Forward(d=d, d_path=d_path, paths=paths, encodings=encodings,
-                   feats=feats, plans=plans)
+    return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
+                   feats=feats, offsets=offsets, plans=plans)
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,

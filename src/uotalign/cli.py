@@ -67,20 +67,20 @@ _CLASSIFIER_KEYS = {f.name for f in dataclasses.fields(ClassifierConfig)}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _BANK_KEYS = {"num_shared_prompts", "num_class_prompts", "context_length",
               "token_dim"}
+_INT_KEYS = _BANK_KEYS | {"batch_size", "epochs", "shots", "seed", "max_iterations"}
 
 
 def _parse_rho(value):
     """Accept a number or the string "inf" (any case) for a KL weight."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return INF
-        return float(value)
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
+        return INF
     return float(value)
 
 
 def load_config(path):
     """Strict flat JSON config -> (TrainConfig, ClassifierConfig,
-    SolverConfig, bank kwargs). Unknown keys are errors."""
+    SolverConfig, bank kwargs). Unknown keys are errors, and so is a
+    count, size or seed that is not a JSON integer."""
     if path is None:
         return TrainConfig(), ClassifierConfig(), SolverConfig(), {}
     try:
@@ -91,6 +91,8 @@ def load_config(path):
         raise ValueError(f"schema violation: {path} top level must be an object")
     train_kw, ccfg_kw, solver_kw, bank_kw = {}, {}, {}, {}
     for key, value in doc.items():
+        if key in _INT_KEYS and type(value) is not int:
+            raise ValueError(f"schema violation: {key} must be an integer, got {value!r}")
         if key in _TRAIN_KEYS:
             if key == "augmentation":
                 value = tuple(value)
@@ -102,7 +104,7 @@ def load_config(path):
         elif key in _SOLVER_KEYS:
             solver_kw[key] = value
         elif key in _BANK_KEYS:
-            bank_kw[key] = int(value)
+            bank_kw[key] = value
         else:
             raise ValueError(f"unknown config key: {key!r}")
     return (TrainConfig(**train_kw), ClassifierConfig(**ccfg_kw),

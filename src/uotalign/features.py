@@ -183,15 +183,12 @@ def load_manifest(path) -> DatasetManifest:
                            root=path.parent)
 
 
-def load_split(manifest: DatasetManifest, split: str, root=None) -> list[FeatureSet]:
-    base = Path(root) if root is not None else manifest.root
-    if base is None:
-        raise ValueError("manifest has no root directory; pass root explicitly")
-    out = []
-    for rec in manifest.split(split):
-        out.append(load_feature_set(base / rec.path, sample_id=rec.sample_id,
-                                    label=rec.label))
-    return out
+def load_split(manifest: DatasetManifest, split: str) -> list[FeatureSet]:
+    if manifest.root is None:
+        raise ValueError("manifest has no root directory")
+    return [load_feature_set(manifest.root / rec.path, sample_id=rec.sample_id,
+                             label=rec.label)
+            for rec in manifest.split(split)]
 
 
 def _split_counts(per_class: int) -> tuple[int, int, int]:

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
+    "as_stack",
     "as_vector",
     "logsumexp_axis",
     "generalized_kl",
@@ -28,6 +29,14 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def as_stack(x, name: str, layouts: str) -> np.ndarray:
+    """Validate a finite float64 matrix or 3-D stack; `layouts` names both shapes."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"{name} must be {layouts}, got ndim={a.ndim}")
+    return as_matrix(a.reshape(-1, a.shape[-1]), name).reshape(a.shape)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

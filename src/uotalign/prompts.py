@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import as_matrix, as_stack
 
 __all__ = [
     "DescriptionFile",
@@ -38,7 +38,7 @@ __all__ = [
     "attention_backward",
     "ClassEncoding",
     "build_prompt_bank",
-    "encode_class",
+    "encode_classes",
     "render_description_prompt",
     "synth_description_texts",
     "DESCRIPTION_SYSTEM_PROMPT",
@@ -161,13 +161,7 @@ class AttentionParams:
         return self.w_query.shape[1]
 
 
-def _as_tokens(x, name: str = "tokens") -> np.ndarray:
-    """Validate one (L, d) token matrix or a (P, L, d) stack of them."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim not in (2, 3):
-        raise ValueError(f"{name} must be (L, d) or (P, L, d), got ndim={a.ndim}")
-    flat = a.reshape(-1, a.shape[-1]) if a.ndim == 3 else a
-    return as_matrix(flat, name).reshape(a.shape)
+_TOKEN_LAYOUTS = "(L, d) or (P, L, d)"
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -187,7 +181,7 @@ def _attention(T: np.ndarray, params: AttentionParams):
 
 def attention_forward(tokens: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Single-head self-attention softmax(Q K^T / sqrt(d_k)) V, per stacked matrix."""
-    _, _, V, A = _attention(_as_tokens(tokens), params)
+    _, _, V, A = _attention(as_stack(tokens, "tokens", _TOKEN_LAYOUTS), params)
     return A @ V
 
 
@@ -199,8 +193,8 @@ def attention_backward(tokens: np.ndarray, params: AttentionParams,
     the scalar function <upstream, attention_forward(tokens, params)>;
     on a stack the weight gradients are summed over it.
     """
-    T = _as_tokens(tokens)
-    G = _as_tokens(upstream, "upstream")
+    T = as_stack(tokens, "tokens", _TOKEN_LAYOUTS)
+    G = as_stack(upstream, "upstream", _TOKEN_LAYOUTS)
     Q, K, V, A = _attention(T, params)
     s = np.sqrt(params.d_k)
 
@@ -237,7 +231,7 @@ class FrozenEncoder:
 
     def _project(self, tokens: np.ndarray):
         """Tokens, pre-normalization encodings h (..., d) and their norms (..., 1)."""
-        T = _as_tokens(tokens)
+        T = as_stack(tokens, "tokens", _TOKEN_LAYOUTS)
         h = (T.mean(axis=-2, keepdims=True) @ self.projection)[..., 0, :] + self.bias
         norm = np.sqrt(h[..., None, :] @ h[..., :, None])[..., 0]
         if np.any(norm < 1e-12):
@@ -293,24 +287,6 @@ class PromptBank:
         unknown = set(self.trainable) - set(PARAM_GROUPS)
         if unknown:
             raise ValueError(f"unknown trainable groups: {sorted(unknown)}")
-
-    @property
-    def d_tok(self) -> int:
-        return self.shared_tokens.shape[2]
-
-    @property
-    def num_shared_prompts(self) -> int:
-        return self.shared_tokens.shape[0]
-
-    @property
-    def num_class_prompts(self) -> int:
-        return self.class_tokens.shape[1]
-
-    def class_index(self, class_id: str) -> int:
-        try:
-            return self.classes.index(class_id)
-        except ValueError:
-            raise ValueError(f"unknown class: {class_id!r}") from None
 
 
 def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2,
@@ -368,14 +344,14 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
 
 @dataclass
 class ClassEncoding:
-    """The prompt paths of one class, with what the backward pass needs.
+    """The prompt paths of a class list, with what the backward pass needs.
 
-    g_ds and g_cs hold unit-norm rows, one per shared and per class
-    prompt. The (P, L+1, d_tok) token stacks are toks_ds, the shared
-    path's encoder input, toks_in, the class path's before the adapter,
-    and toks_out after it (the same array when the adapter is off).
-    Every matrix ends in the class-word row. The fields of a path that
-    was not requested are None.
+    g_ds and g_cs are (K, P, d): unit-norm rows, one per class and per
+    shared or class prompt. The token stacks are (K*P, L+1, d_tok),
+    class-major: toks_ds, the shared path's encoder input, toks_in, the
+    class path's before the adapter, and toks_out after it (the same
+    array when the adapter is off). Every matrix ends in its class-word
+    row. The fields of a path that was not requested are None.
     """
 
     g_ds: np.ndarray | None
@@ -385,26 +361,40 @@ class ClassEncoding:
     toks_out: np.ndarray | None
 
 
-def encode_class(bank: PromptBank, class_id: str, encoder: FrozenEncoder,
-                 paths: tuple[str, ...] = ("cs", "ds")) -> ClassEncoding:
-    """Encode the requested prompt paths ("cs", "ds") for one class.
+def _append_class_words(tokens: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(K, P, L, d_tok) prompts, or (P, L, d_tok) ones shared by all K
+    classes, and (K, d_tok) words -> (K*P, L+1, d_tok) stack."""
+    *_, P, L, d_tok = tokens.shape
+    out = np.empty((len(words), P, L + 1, d_tok))
+    out[:, :, :L] = tokens
+    out[:, :, L] = words[:, None]
+    return out.reshape(-1, L + 1, d_tok)
 
-    The shared path appends the class word and encodes directly; the
-    class path appends the class word, passes through attention (when
-    enabled), then encodes; each call takes all of the path's prompts.
+
+def encode_classes(bank: PromptBank, class_ids, encoder: FrozenEncoder,
+                   paths: tuple[str, ...] = ("cs", "ds")) -> ClassEncoding:
+    """Encode the requested prompt paths ("cs", "ds") for a list of classes.
+
+    Each class word is appended to each of that class's prompts. The
+    shared path encodes directly; the class path passes through
+    attention (when enabled), then encodes. Each path makes one call
+    per layer over all classes' prompts.
     """
-    ci = bank.class_index(class_id)
-    c_vec = bank.class_words[ci]
+    unknown = [c for c in class_ids if c not in bank.classes]
+    if unknown:
+        raise ValueError(f"unknown class: {unknown[0]!r}")
+    idx = [bank.classes.index(c) for c in class_ids]
+    words = bank.class_words[idx]
+    shape = (len(idx), -1, encoder.bias.shape[0])
     g_ds = toks_ds = g_cs = toks_in = toks_out = None
     if "ds" in paths:
-        # insert at index L appends c_vec as every prompt's last row
-        toks_ds = np.insert(bank.shared_tokens, bank.shared_tokens.shape[1], c_vec, 1)
-        g_ds = encoder.encode(toks_ds)
+        toks_ds = _append_class_words(bank.shared_tokens, words)
+        g_ds = encoder.encode(toks_ds).reshape(shape)
     if "cs" in paths:
-        toks_in = np.insert(bank.class_tokens[ci], bank.class_tokens.shape[2], c_vec, 1)
+        toks_in = _append_class_words(bank.class_tokens[idx], words)
         toks_out = (attention_forward(toks_in, bank.attention)
                     if bank.use_attention else toks_in)
-        g_cs = encoder.encode(toks_out)
+        g_cs = encoder.encode(toks_out).reshape(shape)
     return ClassEncoding(g_ds=g_ds, g_cs=g_cs, toks_ds=toks_ds,
                          toks_in=toks_in, toks_out=toks_out)
 

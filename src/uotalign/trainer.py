@@ -77,7 +77,7 @@ _BETA2 = 0.999
 _EPS = 1e-8
 
 # samples per forward() call in evaluate: bounds the arrays of one
-# batched solve while still encoding each class once per chunk
+# batched solve; each chunk encodes all classes in one call per path
 _EVAL_CHUNK = 8
 
 
@@ -202,14 +202,13 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     Returns (loss, grads keyed like the trainable arrays, probs matrix).
     The grads are those of the frozen-coupling loss: each solved W* is
     a constant (stop-gradient) and only the cost matrices carry the
-    parameters. Each (class, path) runs one backward over the whole
-    batch and all of the path's prompts. Pure at the call site: nothing
-    in bank is modified.
+    parameters. Each path runs one backward over the whole batch and
+    all classes' prompts. Pure at the call site: nothing in bank is
+    modified.
     """
     if not batch:
         raise ValueError("empty batch")
-    K = len(bank.classes)
-    B = len(batch)
+    B, K = len(batch), len(bank.classes)
     labels = []
     for fs in batch:
         if fs.label is None or fs.label not in bank.classes:
@@ -227,38 +226,35 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     coeff = (probs - Y) * (-1.0 / ccfg.tau) / B
 
     grads = {k: np.zeros_like(p) for k, p in _trainable_arrays(bank).items()}
-    want_shared = "shared_tokens" in grads
-    want_attn = "attention.w_query" in grads
-    want_class = "class_tokens" in grads
-    # cost_matrix_backward is linear in the upstream: one call sums the samples
-    feats = np.vstack(fw.feats)
-
-    # forward() ran over all bank classes, so i indexes bank.classes;
-    # [:, :-1] drops the appended class-word row, which never trains
-    for i, enc in enumerate(fw.encodings):
-        for path, gamma in fw.paths:
-            if path == "ds" and not want_shared:
-                continue
-            if path == "cs" and not (want_attn or want_class):
-                continue
-            G = enc.g_cs if path == "cs" else enc.g_ds
-            upstream = np.hstack([coeff[s, i] * gamma * fw.plans[(s, i, path)].coupling
-                                  for s in range(B)])
-            grad_G = cost_matrix_backward(feats, G, upstream)
-            if path == "ds":
-                rows = encoder.encode_backward(enc.toks_ds, grad_G)
-                grads["shared_tokens"] += rows[:, :-1]
-            else:
-                rows = encoder.encode_backward(enc.toks_out, grad_G)
-                if bank.use_attention:
-                    rows, gq, gk, gv = attention_backward(
-                        enc.toks_in, bank.attention, rows)
-                    if want_attn:
-                        grads["attention.w_query"] += gq
-                        grads["attention.w_key"] += gk
-                        grads["attention.w_value"] += gv
-                if want_class:
-                    grads["class_tokens"][i] += rows[:, :-1]
+    enc = fw.encoding
+    for path, gamma in fw.paths:
+        if path == "ds" and "shared_tokens" not in grads:
+            continue
+        if path == "cs" and not {"attention.w_query", "class_tokens"} & grads.keys():
+            continue
+        G = enc.g_cs if path == "cs" else enc.g_ds
+        # cost_matrix_backward is linear in the upstream: each plan fills
+        # its (class, sample) block, and one call sums over the batch
+        upstream = np.empty((*G.shape[:2], len(fw.feats)))
+        for (s, k, tag), plan in fw.plans.items():
+            if tag == path:
+                upstream[k, :, fw.offsets[s]:fw.offsets[s + 1]] = coeff[s, k] * gamma * plan.coupling
+        grad_G = cost_matrix_backward(fw.feats, G, upstream)
+        rows = encoder.encode_backward(enc.toks_out if path == "cs" else enc.toks_ds,
+                                       grad_G.reshape(-1, G.shape[-1]))
+        if path == "cs" and bank.use_attention:
+            rows, gq, gk, gv = attention_backward(enc.toks_in, bank.attention, rows)
+            if "attention.w_query" in grads:
+                grads["attention.w_query"] = gq
+                grads["attention.w_key"] = gk
+                grads["attention.w_value"] = gv
+        # forward() ran over all bank classes, so axis 0 is bank.classes;
+        # [..., :-1, :] drops the class-word row, which never trains
+        rows = rows.reshape(*G.shape[:2], *rows.shape[1:])[..., :-1, :]
+        if path == "ds":
+            grads["shared_tokens"] = rows.sum(axis=0)
+        elif "class_tokens" in grads:
+            grads["class_tokens"] = rows
     return loss, grads, probs
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from uotalign.classifier import ClassifierConfig
 from uotalign.features import FeatureSet
-from uotalign.prompts import DescriptionFile, FrozenEncoder, build_prompt_bank, encode_class
+from uotalign.prompts import DescriptionFile, FrozenEncoder, build_prompt_bank, encode_classes
 from uotalign.transport import SolverConfig
 
 GRADCHECK_SEED = 14
@@ -43,10 +43,10 @@ def build_gradcheck_instance():
                              context_length=3, token_dim=8, seed=seed)
     encoder = FrozenEncoder.seeded(8, 8, seed + 100)
     rng = np.random.default_rng(seed + 500)
+    enc = encode_classes(bank, classes, encoder)
     batch = []
     for ci, c in enumerate(classes):
-        enc = encode_class(bank, c, encoder)
-        targets = np.vstack([enc.g_cs, enc.g_ds])
+        targets = np.vstack([enc.g_cs[ci], enc.g_ds[ci]])
         F = targets + 0.4 * rng.standard_normal((4, 8))
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),

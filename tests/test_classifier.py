@@ -24,7 +24,7 @@ from uotalign.prompts import (
     FrozenEncoder,
     PromptBank,
     build_prompt_bank,
-    encode_class,
+    encode_classes,
 )
 from uotalign.transport import INF, NumericalBlowupError, TransportPlan, solve_entropic_ot
 
@@ -110,6 +110,23 @@ class TestCostMatrix:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cost_matrix(np.eye(3), np.eye(4))
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(16)
+        F = unit_rows(rng, (7, 6))
+        G = unit_rows(rng, (15, 6)).reshape(5, 3, 6)
+        C = cost_matrix(F, G)
+        assert C.shape == (5, 3, 7)
+        for k in range(5):
+            assert C[k].tobytes() == cost_matrix(F, G[k]).tobytes()
+
+    def test_four_dimensional_prompts_rejected(self):
+        rng = np.random.default_rng(17)
+        G = unit_rows(rng, (12, 6)).reshape(2, 2, 3, 6)
+        with pytest.raises(ValueError, match=r"prompts must be \(P, d\) or \(K, P, d\)"):
+            cost_matrix(unit_rows(rng, (4, 6)), G)
+        with pytest.raises(ValueError, match="got ndim=4"):
+            cost_matrix_backward(unit_rows(rng, (4, 6)), G, np.ones((2, 2, 3, 4)))
+
 
 class TestCostMatrixBackward:
     def test_matches_finite_differences(self):
@@ -146,6 +163,29 @@ class TestCostMatrixBackward:
         with pytest.raises(ValueError, match="upstream"):
             cost_matrix_backward(np.eye(3), np.eye(3), np.ones((2, 3)))
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(18)
+        F = unit_rows(rng, (7, 6))
+        G = rng.standard_normal((5, 3, 6))
+        D = rng.standard_normal((5, 3, 7))
+        got = cost_matrix_backward(F, G, D)
+        assert got.shape == G.shape
+        for k in range(5):
+            assert got[k].tobytes() == cost_matrix_backward(F, G[k], D[k]).tobytes()
+
+    def test_stack_upstream_checked(self):
+        rng = np.random.default_rng(19)
+        F = unit_rows(rng, (4, 6))
+        G = unit_rows(rng, (6, 6)).reshape(2, 3, 6)
+        with pytest.raises(ValueError, match=r"upstream shape \(3, 2, 4\) does not match \(2, 3, 4\)"):
+            cost_matrix_backward(F, G, np.ones((3, 2, 4)))
+        with pytest.raises(ValueError, match="upstream shape"):
+            cost_matrix_backward(F, G, np.ones((3, 4)))
+        D = np.ones((2, 3, 4))
+        D[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="upstream contains non-finite"):
+            cost_matrix_backward(F, G, D)
+
 
 class TestPromptMarginal:
     def test_uniform_and_normalized(self):
@@ -161,19 +201,19 @@ class TestScore:
     def test_weighted_breakdown(self):
         rng = np.random.default_rng(5)
         bank = make_bank(["cat", "dog"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
         cfg = ClassifierConfig(gamma_cs=0.7, gamma_ds=0.3)
         s = score(fs, "cat", bank, enc, cfg)
         assert s.d_total == pytest.approx(0.7 * s.d_cs + 0.3 * s.d_ds, abs=1e-12)
-        assert s.plan_cs.coupling.shape == (bank.num_class_prompts, fs.num_tokens)
-        assert s.plan_ds.coupling.shape == (bank.num_shared_prompts, fs.num_tokens)
+        assert s.plan_cs.coupling.shape == (bank.class_tokens.shape[1], fs.num_tokens)
+        assert s.plan_ds.coupling.shape == (bank.shared_tokens.shape[0], fs.num_tokens)
         assert s.d_cs > 0 and s.d_ds > 0
 
     def test_single_path_exact(self):
         rng = np.random.default_rng(6)
         bank = make_bank(["cat", "dog"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
         s = score(fs, "dog", bank, enc, ClassifierConfig(gamma_cs=1.0, gamma_ds=0.0))
         assert s.d_total == s.d_cs
@@ -184,9 +224,9 @@ class TestScore:
         # rho1 = INF pins prompt-side row sums at 1/P
         rng = np.random.default_rng(7)
         bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         s = score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
-        P = bank.num_class_prompts
+        P = bank.class_tokens.shape[1]
         assert np.allclose(s.plan_cs.coupling.sum(axis=1), 1.0 / P, atol=1e-6)
 
     def test_zero_cost_gives_zero_total(self):
@@ -213,12 +253,12 @@ class TestScore:
     def test_balanced_mode_matches_direct_solve(self):
         rng = np.random.default_rng(9)
         bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
         cfg = ClassifierConfig(rho1=INF, rho2=INF, lam=0.05)
         s = score(fs, "cat", bank, enc, cfg)
 
-        g_cs = encode_class(bank, "cat", enc).g_cs
+        g_cs = encode_classes(bank, ["cat"], enc).g_cs[0]
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
         assert np.array_equal(s.plan_cs.coupling, direct.coupling)
@@ -227,7 +267,7 @@ class TestScore:
     def test_zero_weight_tokens_dropped_then_reembedded(self):
         rng = np.random.default_rng(10)
         bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         F = unit_rows(rng, (5, 6))
         full = FeatureSet(features=F, weights=np.array([0.5, 0.0, 0.25, 0.25, 0.0]))
         kept = FeatureSet(features=F[[0, 2, 3]], weights=np.array([0.5, 0.25, 0.25]))
@@ -235,7 +275,7 @@ class TestScore:
         s_full = score(full, "cat", bank, enc, cfg)
         s_kept = score(kept, "cat", bank, enc, cfg)
         assert s_full.d_total == s_kept.d_total
-        assert s_full.plan_cs.coupling.shape == (bank.num_class_prompts, 5)
+        assert s_full.plan_cs.coupling.shape == (bank.class_tokens.shape[1], 5)
         assert np.all(s_full.plan_cs.coupling[:, [1, 4]] == 0.0)
         assert np.all(s_full.plan_cs.v[[1, 4]] == -np.inf)
         assert np.array_equal(s_full.plan_cs.coupling[:, [0, 2, 3]],
@@ -244,14 +284,14 @@ class TestScore:
     def test_unknown_class(self):
         rng = np.random.default_rng(11)
         bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         with pytest.raises(ValueError, match="unknown class"):
             score(make_sample(rng), "ferret", bank, enc, ClassifierConfig())
 
     def test_solver_error_tagged_with_class_and_path(self, monkeypatch):
         rng = np.random.default_rng(12)
         bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
 
         def boom(problems, config=None):
             # the batch solver marks a failed instance instead of raising
@@ -273,7 +313,7 @@ class TestForward:
 
         rng = np.random.default_rng(13)
         bank = make_bank(["cat", "dog", "owl"])
-        enc = FrozenEncoder.seeded(bank.d_tok, 6, 9)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         samples = [make_sample(rng), make_sample(rng, M=3)]
         both = forward(samples, bank, enc, ClassifierConfig())
 
@@ -294,16 +334,15 @@ class TestForward:
         cfg = ClassifierConfig(gamma_cs=gamma_cs, gamma_ds=gamma_ds)
         fw = forward(samples, bank, enc, cfg)
 
-        K = len(bank.classes)
         tag = "cs" if gamma_cs > 0 else "ds"
-        # one stacked call per class encodes all of the path's prompts
+        # one stacked call encodes all classes' prompts of the path
+        e = fw.encoding
         if tag == "ds":
-            assert calls == {"attention": 0, "encode": K}
-            assert all(e.g_cs is None and e.toks_in is None and e.toks_out is None
-                       for e in fw.encodings)
+            assert calls == {"attention": 0, "encode": 1}
+            assert e.g_cs is None and e.toks_in is None and e.toks_out is None
         else:
-            assert calls == {"attention": K, "encode": K}
-            assert all(e.g_ds is None and e.toks_ds is None for e in fw.encodings)
+            assert calls == {"attention": 1, "encode": 1}
+            assert e.g_ds is None and e.toks_ds is None
         # the path that is kept scores exactly as it does next to the other
         np.testing.assert_array_equal(fw.d_path[tag], both.d_path[tag])
 

@@ -78,6 +78,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key: 'use_uot'"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("token_dim", 8.9), ("num_class_prompts", True), ("context_length", "8"),
+        ("epochs", 1.5), ("batch_size", 4.0), ("seed", None), ("max_iterations", False),
+    ])
+    def test_integer_keys_are_not_coerced(self, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError,
+                           match=f"schema violation: {key} must be an integer"):
+            load_config(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")

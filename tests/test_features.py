@@ -165,6 +165,13 @@ class TestSynthDataset:
         assert all(fs.label in m.classes for fs in train)
         assert len(train) == 4  # 2 per class
 
+    def test_split_needs_a_root(self):
+        m = DatasetManifest(classes=["a"],
+                            samples=[SampleRecord("a_0", "a", "a_0.emb1", "train")],
+                            shots=1, seed=0)
+        with pytest.raises(ValueError, match="no root directory"):
+            load_split(m, "train")
+
 
 class TestAugment:
     def test_identity(self):

@@ -68,6 +68,7 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _BANK_KEYS = {"num_shared_prompts", "num_class_prompts", "context_length",
               "token_dim"}
 _INT_KEYS = _BANK_KEYS | {"batch_size", "epochs", "shots", "seed", "max_iterations"}
+_FLOAT_KEYS = {"learning_rate", "tau", "gamma_cs", "gamma_ds", "lam", "dual_tolerance"}
 
 
 def _parse_rho(value):
@@ -77,10 +78,42 @@ def _parse_rho(value):
     return float(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value(key, value):
+    """`value` of config `key` if it has the key's JSON type, converted.
+
+    Counts, sizes and seeds are integers; the other scalars are numbers
+    (never booleans); rho1/rho2 are numbers or "inf"; augmentation is a
+    list of 2 numbers and variant a string. Anything else is a schema
+    violation.
+    """
+    if key in _INT_KEYS:
+        ok, want = type(value) is int, "an integer"
+    elif key in _FLOAT_KEYS:
+        ok, want = _is_number(value), "a number"
+    elif key in ("rho1", "rho2"):
+        ok = _is_number(value) or (isinstance(value, str)
+                                   and value.strip().lower() in ("inf", "infinity"))
+        want = 'a number or "inf"'
+    elif key == "augmentation":
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        want = "a list of 2 numbers"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"schema violation: {key} must be {want}, got {value!r}")
+    if key in ("rho1", "rho2"):
+        return _parse_rho(value)
+    return tuple(value) if key == "augmentation" else value
+
+
 def load_config(path):
     """Strict flat JSON config -> (TrainConfig, ClassifierConfig,
     SolverConfig, bank kwargs). Unknown keys are errors, and so is a
-    count, size or seed that is not a JSON integer."""
+    value of the wrong JSON type (see _config_value)."""
     if path is None:
         return TrainConfig(), ClassifierConfig(), SolverConfig(), {}
     try:
@@ -91,20 +124,11 @@ def load_config(path):
         raise ValueError(f"schema violation: {path} top level must be an object")
     train_kw, ccfg_kw, solver_kw, bank_kw = {}, {}, {}, {}
     for key, value in doc.items():
-        if key in _INT_KEYS and type(value) is not int:
-            raise ValueError(f"schema violation: {key} must be an integer, got {value!r}")
-        if key in _TRAIN_KEYS:
-            if key == "augmentation":
-                value = tuple(value)
-            train_kw[key] = value
-        elif key in _CLASSIFIER_KEYS:
-            if key in ("rho1", "rho2"):
-                value = _parse_rho(value)
-            ccfg_kw[key] = value
-        elif key in _SOLVER_KEYS:
-            solver_kw[key] = value
-        elif key in _BANK_KEYS:
-            bank_kw[key] = value
+        for keys, kw in ((_TRAIN_KEYS, train_kw), (_CLASSIFIER_KEYS, ccfg_kw),
+                         (_SOLVER_KEYS, solver_kw), (_BANK_KEYS, bank_kw)):
+            if key in keys:
+                kw[key] = _config_value(key, value)
+                break
         else:
             raise ValueError(f"unknown config key: {key!r}")
     return (TrainConfig(**train_kw), ClassifierConfig(**ccfg_kw),

@@ -54,8 +54,9 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 def logsumexp_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """Stable logsumexp along one axis, for already-validated arrays.
 
-    Serves the solver inner loop and the class softmax; does not
-    re-validate. Keeps the max-shift in float64 throughout. The shifted
+    Serves the transport solver's log-domain fallback (a contraction
+    that left float range) and the class softmax in `likelihood`; does
+    not re-validate. Keeps the max-shift in float64 throughout. The shifted
     copy a - m is the only full-size temporary: exp runs in place on it,
     and log and the shift-back run in place on the reduced sum.
     """

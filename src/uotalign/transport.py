@@ -15,15 +15,21 @@ Each half-step is an exact block minimization of the dual
 
 so the dual value is nonincreasing along the iteration. With both
 rho = inf the update factor collapses to lam and the scheme is the
-classic balanced Sinkhorn in log domain; primal_value then reports the
+classic balanced Sinkhorn iteration; primal_value then reports the
 conventional <W, C> - lam * H(W), which differs from the expression
 above only by lam * mass(W), a constant on the feasible set. Plans
 carry no objective value: the classifier reads couplings only, and
 primal_value / dual_value evaluate a plan where a value is reported.
 
-All marginal sums are taken in log space (row/column logsumexp of
-(u + v - C) / lam), so small lam does not underflow: a sum below
-1e-300 is clamped and flagged rather than crashing.
+The iteration runs in stabilized scaling form (Schmitzer, SIAM J. Sci.
+Comput. 41(3), 2019, sec. 3): each instance caches exp((u' + v' - C) /
+lam) with potentials u', v' absorbed, and a half-step is one contraction
+with the scalings exp((v - v') / lam) plus a log of the result (relaxed
+marginals: Chizat et al., Math. Comp. 2018, Alg. 1). A scaling past e^50
+is absorbed into a rebuilt kernel; a contraction that leaves float range
+is redone for its instance in log space, so small lam does not
+underflow. A marginal sum below 1e-300 is clamped and flagged rather
+than crashing; a log-coupling past 709 marks the instance as blown up.
 """
 
 from __future__ import annotations
@@ -58,8 +64,15 @@ FEASIBILITY_TOL = 1e-6
 _CLAMP = 1e-300
 _LOG_CLAMP = math.log(_CLAMP)
 
-# log-coupling ceiling: exp beyond this overflows float64
-_LOG_HUGE = 709.0
+# log-coupling ceiling: exp beyond this overflows float64; a bound on
+# it below _LOG_BOUND, a margin for the bound's rounding, skips the check
+_LOG_HUGE, _LOG_BOUND = 709.0, 708.0
+
+# a log-scaling beyond +-_ABSORB is folded into the kernel, and a
+# contraction entry below e^_LOG_TINY = 1e-280 (or infinite) is redone in
+# log space: subnormal kernel entries times scalings up to e^_ABSORB then
+# err by at most M * 1e-302, a relative 1e-20 of any sum that is kept
+_ABSORB, _LOG_TINY = 50.0, math.log(1e-280)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -206,13 +219,36 @@ def dual_value(u, v, problem: TransportProblem) -> float:
 
 
 def _log_kernel(U: np.ndarray, V: np.ndarray, C: np.ndarray, lam: float,
-                out: np.ndarray) -> np.ndarray:
+                out: np.ndarray | None = None) -> np.ndarray:
     # (u_i + v_j - C_ij) / lam for every instance, written into `out` in
     # the same operation order as the expression, so no bit changes
-    np.add(U[:, :, None], V[:, None, :], out=out)
+    out = np.add(U[:, :, None], V[:, None, :], out=out)
     out -= C
     out /= lam
     return out
+
+
+def _half_step(kx, lp, lp_lo, base, fac, exact):
+    """New potential from the contraction kx of the scaled kernel.
+
+    lp + log kx is the log marginal sum (lp: the side's log-scaling, lp_lo
+    a lower bound on it; base: its absorbed potential over lam plus its
+    log marginal). Rows with kx outside [1e-280, inf) take it from
+    exact(rows). Returns the potential and the fell-back and clamped
+    row masks, each False when empty.
+    """
+    lk = np.log(kx)
+    lo = lk.min()
+    fell = low = False
+    if not (lo >= _LOG_TINY and lk.max() < INF):
+        fell = ~np.all((lk >= _LOG_TINY) & (lk < INF), axis=1)
+        lk[fell] = exact(fell) - lp[fell]
+        lo = lk.min()
+    if not (lo + lp_lo >= _LOG_CLAMP):
+        low = lp + lk < _LOG_CLAMP
+        lk = np.where(low, _LOG_CLAMP - lp, lk)
+        low = low.any(axis=1)
+    return (base - lk) * fac, fell, low
 
 
 def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | None = None) -> list[TransportPlan]:
@@ -222,11 +258,12 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     and marginals may differ. The iteration is vectorised over the
     instances still running: one that converges or blows up leaves the
     loop, its potentials and its coupling (exp of its last log kernel)
-    are written back and the arrays shrink to the rest. Per-instance
-    arithmetic does not depend on the batch, so each result is
-    identical to an independent single solve. An instance that blows up
-    is marked via its plan's `error` field instead of aborting the
-    batch.
+    are written back and the arrays shrink to the rest. Each decision
+    (fallback, clamp, absorption, blowup) reads only its instance's
+    data, and batch-wide gates skip only work that would change
+    nothing, so each result is identical to an independent single
+    solve. An instance that blows up is marked via its plan's `error`
+    field instead of aborting the batch.
     """
     if config is None:
         config = SolverConfig()
@@ -239,8 +276,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     B = len(problems)
     n_rows, n_cols = p0.shape
     lam = p0.lam
-    fac1 = _factor(lam, p0.rho1)
-    fac2 = _factor(lam, p0.rho2)
+    fac1, fac2 = _factor(lam, p0.rho1), _factor(lam, p0.rho2)
     tol = config.dual_tolerance
 
     # per-instance results, indexed by position in `problems`
@@ -253,68 +289,92 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     coupling = np.empty((B, n_rows, n_cols))
 
     # working arrays over the live instances only; live[i] is the batch
-    # position of working row i
+    # position of working row i. K = exp(Ua + Vb - C/lam) absorbs the
+    # potentials over lam as of its last rebuild, Kmax is its largest log
+    # entry, An = Ua + log n, Bm = Vb + log m, U = lam * (Ua + la) and
+    # V = lam * (Vb + lb) for the log-scalings (la, lb)
     live = np.arange(B)
     C = np.stack([p.cost for p in problems])
     log_n = np.log(np.stack([p.row_marginal for p in problems]))
     log_m = np.log(np.stack([p.col_marginal for p in problems]))
-    U = np.zeros((B, n_rows))
-    V = np.zeros((B, n_cols))
-    S = _log_kernel(U, V, C, lam, np.empty_like(C))
-    S2 = np.empty_like(C)
+    U, Ua, An, la = (np.zeros((B, n_rows)) for _ in range(4))
+    V, Vb, Bm, lb = (np.zeros((B, n_cols)) for _ in range(4))
+    K, Kmax = np.empty_like(C), np.empty(B)
+    # batch-wide bounds on the scalings that gate the per-instance checks
+    # (la_lo .. lb_hi); each covers 0, a rebuilt row's, and lags outward
+    la_lo = lb_lo = 0.0
 
-    for k in range(config.max_iterations):
-        log_nk = logsumexp_axis(S, axis=2)
-        low = log_nk < _LOG_CLAMP
-        if low.any():
-            clamped[live] |= low.any(axis=1)
-            log_nk = np.maximum(log_nk, _LOG_CLAMP)
-        U_new = (U / lam + log_n - log_nk) * fac1
+    def absorb(rows, U, V):
+        S = _log_kernel(U[rows], V[rows], C[rows], lam)
+        Kmax[rows] = np.max(S, axis=(1, 2))
+        K[rows] = np.exp(S, out=S)
+        Ua[rows], Vb[rows] = U[rows] / lam, V[rows] / lam
+        An[rows], Bm[rows] = Ua[rows] + log_n[rows], Vb[rows] + log_m[rows]
+        la[rows], lb[rows] = 0.0, 0.0
 
-        log_mk = logsumexp_axis(_log_kernel(U_new, V, C, lam, S2), axis=1)
-        low = log_mk < _LOG_CLAMP
-        if low.any():
-            clamped[live] |= low.any(axis=1)
-            log_mk = np.maximum(log_mk, _LOG_CLAMP)
-        V_new = (V / lam + log_m - log_mk) * fac2
+    def refold(l, fell, U, V):
+        # absorb the finite rows whose scaling left e^+-_ABSORB or whose
+        # contraction fell back, so no contraction runs on larger ones;
+        # returns the bounds on l
+        lo, hi = min(l.min(), 0.0), max(l.max(), 0.0)
+        if fell is not False or not (-_ABSORB <= lo and hi <= _ABSORB):
+            rows = (np.max(np.abs(l), axis=1) > _ABSORB) | fell
+            absorb(rows & np.all(np.isfinite(l), axis=1), U, V)
+        return lo, hi
 
-        du = np.max(np.abs(U_new - U), axis=1)
-        dv = np.max(np.abs(V_new - V), axis=1)
-        U, V = U_new, V_new
-        _log_kernel(U, V, C, lam, S)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        absorb(slice(None), U, V)
+        for k in range(config.max_iterations):
+            U_new, fell, low_u = _half_step(
+                np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
+                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2))
+            la = U_new / lam - Ua
+            la_lo, la_hi = refold(la, fell, U_new, V)
+            V_new, fell, low_v = _half_step(
+                np.matmul(np.exp(la)[:, None, :], K)[:, 0, :], lb, lb_lo, Bm, fac2,
+                lambda r: logsumexp_axis(_log_kernel(U_new[r], V[r], C[r], lam), axis=1))
+            lb = V_new / lam - Vb
+            lb_lo, lb_hi = refold(lb, fell, U_new, V_new)
+            if low_u is not False or low_v is not False:
+                clamped[live] |= low_u | low_v
 
-        # an instance whose coupling would leave float range is dead even
-        # though the log-domain iteration itself stays finite
-        bad = (
-            (np.max(S, axis=(1, 2)) > _LOG_HUGE)
-            | ~np.all(np.isfinite(U), axis=1)
-            | ~np.all(np.isfinite(V), axis=1)
-        )
-        done = ~bad & (du < tol) & (dv < tol)
-        finished = bad | done
-        if not finished.any():
-            continue
-        ended = live[finished]
-        U_out[ended] = U[finished]
-        V_out[ended] = V[finished]
-        iterations[ended] = k + 1
-        converged[live[done]] = True
-        # the check above keeps exp(S) finite for every instance not bad
-        coupling[live[done]] = np.exp(S[done])
-        coupling[live[bad]] = np.nan
-        for b in live[bad]:
-            failed[b] = f"numerical blowup at iteration {k + 1}"
-        keep = ~finished
-        live = live[keep]
-        if live.size == 0:
-            break
-        C, log_n, log_m = C[keep], log_n[keep], log_m[keep]
-        U, V, S = U[keep], V[keep], S[keep]
-        S2 = S2[:live.size]
-    else:
-        U_out[live] = U
-        V_out[live] = V
-        coupling[live] = np.exp(S, out=S)
+            du = np.max(np.abs(U_new - U), axis=1)
+            dv = np.max(np.abs(V_new - V), axis=1)
+            U, V = U_new, V_new
+
+            # an instance whose coupling would leave float range is dead even
+            # though the iteration stays finite; its exact log kernel is
+            # checked only where Kmax + la + lb reaches _LOG_BOUND or is not finite
+            bad = np.zeros(live.size, dtype=bool)
+            if not (Kmax.max() + la_hi + lb_hi < _LOG_BOUND and la_lo > -INF and lb_lo > -INF):
+                s = ~((Kmax + np.max(la, axis=1) + np.max(lb, axis=1) < _LOG_BOUND)
+                      & np.all(np.isfinite(la), axis=1) & np.all(np.isfinite(lb), axis=1))
+                bad[s] = ((np.max(_log_kernel(U[s], V[s], C[s], lam), axis=(1, 2)) > _LOG_HUGE)
+                          | ~(np.isfinite(U[s]).all(axis=1) & np.isfinite(V[s]).all(axis=1)))
+            elif not (du.min() < tol and dv.min() < tol):
+                continue
+            done = ~bad & (du < tol) & (dv < tol)
+            finished = bad | done
+            if not finished.any():
+                continue
+            ended = live[finished]
+            U_out[ended], V_out[ended] = U[finished], V[finished]
+            iterations[ended] = k + 1
+            converged[live[done]] = True
+            # finite wherever not bad, and in the old operation order
+            coupling[live[done]] = np.exp(_log_kernel(U[done], V[done], C[done], lam))
+            coupling[live[bad]] = np.nan
+            for i in live[bad]:
+                failed[i] = f"numerical blowup at iteration {k + 1}"
+            keep = ~finished
+            live = live[keep]
+            if live.size == 0:
+                break
+            C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = (
+                x[keep] for x in (C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
+        else:
+            U_out[live], V_out[live] = U, V
+            coupling[live] = np.exp(_log_kernel(U, V, C, lam, K), out=K)
 
     return [TransportPlan(
         coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),

@@ -15,6 +15,11 @@ speed.
 closed form W = exp((u + v - C) / lam) written out directly from the
 potentials. `uot_primal_value` is the solver's `primal_value` behind a
 feasibility check on the pinned marginals.
+
+`log_domain_solve_uot_batch` is the reference for `solve_uot_batch`:
+the same fixed-point iteration with every marginal sum taken as a
+logsumexp of the full log kernel, as the solver computed it before it
+moved to the scaling form.
 """
 
 from __future__ import annotations
@@ -24,15 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from uotalign.numerics import logsumexp_axis
 from uotalign.transport import (
     FEASIBILITY_TOL,
     NumericalBlowupError,
+    SolverConfig,
+    TransportPlan,
     TransportProblem,
     primal_value,
 )
 
 __all__ = ["GridSpec", "grid_minimize", "finite_diff_grad", "recover_coupling",
-           "uot_primal_value"]
+           "uot_primal_value", "log_domain_solve_uot_batch"]
 
 _MAX_CELLS = 6
 _NEG_SLACK = 1e-12
@@ -296,3 +304,140 @@ def uot_primal_value(W, problem: TransportProblem) -> float:
         if float(np.abs(W.sum(axis=0) - problem.col_marginal).sum()) > FEASIBILITY_TOL:
             raise ValueError("marginal constraint violated: columns")
     return value
+
+
+# the log-domain solver's constants: marginal-sum floor and log-coupling
+# ceiling
+_LOG_CLAMP = math.log(1e-300)
+_LOG_HUGE = 709.0
+
+
+def _factor(lam: float, rho: float) -> float:
+    # prox step size of the penalised marginal update; lam when pinned
+    if math.isinf(rho):
+        return lam
+    return lam * rho / (lam + rho)
+
+
+def _log_kernel(U: np.ndarray, V: np.ndarray, C: np.ndarray, lam: float,
+                out: np.ndarray) -> np.ndarray:
+    # (u_i + v_j - C_ij) / lam for every instance, written into `out` in
+    # the same operation order as the expression, so no bit changes
+    np.add(U[:, :, None], V[:, None, :], out=out)
+    out -= C
+    out /= lam
+    return out
+
+
+def log_domain_solve_uot_batch(problems: list[TransportProblem],
+                               config: SolverConfig | None = None) -> list[TransportPlan]:
+    """The log-domain batch solver, kept as the reference for solve_uot_batch.
+
+    Every marginal sum is a logsumexp of the full log kernel, rebuilt
+    twice per iteration. Otherwise the same contract:
+
+    Solve a batch of same-shape, same-parameter instances together.
+
+    All instances must share (n_rows, n_cols, lam, rho1, rho2); costs
+    and marginals may differ. The iteration is vectorised over the
+    instances still running: one that converges or blows up leaves the
+    loop, its potentials and its coupling (exp of its last log kernel)
+    are written back and the arrays shrink to the rest. Per-instance
+    arithmetic does not depend on the batch, so each result is
+    identical to an independent single solve. An instance that blows up
+    is marked via its plan's `error` field instead of aborting the
+    batch.
+    """
+    if config is None:
+        config = SolverConfig()
+    if not problems:
+        raise ValueError("empty batch")
+    p0 = problems[0]
+    for p in problems[1:]:
+        if p.shape != p0.shape or p.lam != p0.lam or p.rho1 != p0.rho1 or p.rho2 != p0.rho2:
+            raise ValueError("batch instances must share shape, lam, rho1 and rho2")
+    B = len(problems)
+    n_rows, n_cols = p0.shape
+    lam = p0.lam
+    fac1 = _factor(lam, p0.rho1)
+    fac2 = _factor(lam, p0.rho2)
+    tol = config.dual_tolerance
+
+    # per-instance results, indexed by position in `problems`
+    U_out = np.zeros((B, n_rows))
+    V_out = np.zeros((B, n_cols))
+    converged = np.zeros(B, dtype=bool)
+    clamped = np.zeros(B, dtype=bool)
+    failed: list[str | None] = [None] * B
+    iterations = np.full(B, config.max_iterations, dtype=int)
+    coupling = np.empty((B, n_rows, n_cols))
+
+    # working arrays over the live instances only; live[i] is the batch
+    # position of working row i
+    live = np.arange(B)
+    C = np.stack([p.cost for p in problems])
+    log_n = np.log(np.stack([p.row_marginal for p in problems]))
+    log_m = np.log(np.stack([p.col_marginal for p in problems]))
+    U = np.zeros((B, n_rows))
+    V = np.zeros((B, n_cols))
+    S = _log_kernel(U, V, C, lam, np.empty_like(C))
+    S2 = np.empty_like(C)
+
+    for k in range(config.max_iterations):
+        log_nk = logsumexp_axis(S, axis=2)
+        low = log_nk < _LOG_CLAMP
+        if low.any():
+            clamped[live] |= low.any(axis=1)
+            log_nk = np.maximum(log_nk, _LOG_CLAMP)
+        U_new = (U / lam + log_n - log_nk) * fac1
+
+        log_mk = logsumexp_axis(_log_kernel(U_new, V, C, lam, S2), axis=1)
+        low = log_mk < _LOG_CLAMP
+        if low.any():
+            clamped[live] |= low.any(axis=1)
+            log_mk = np.maximum(log_mk, _LOG_CLAMP)
+        V_new = (V / lam + log_m - log_mk) * fac2
+
+        du = np.max(np.abs(U_new - U), axis=1)
+        dv = np.max(np.abs(V_new - V), axis=1)
+        U, V = U_new, V_new
+        _log_kernel(U, V, C, lam, S)
+
+        # an instance whose coupling would leave float range is dead even
+        # though the log-domain iteration itself stays finite
+        bad = (
+            (np.max(S, axis=(1, 2)) > _LOG_HUGE)
+            | ~np.all(np.isfinite(U), axis=1)
+            | ~np.all(np.isfinite(V), axis=1)
+        )
+        done = ~bad & (du < tol) & (dv < tol)
+        finished = bad | done
+        if not finished.any():
+            continue
+        ended = live[finished]
+        U_out[ended] = U[finished]
+        V_out[ended] = V[finished]
+        iterations[ended] = k + 1
+        converged[live[done]] = True
+        # the check above keeps exp(S) finite for every instance not bad
+        coupling[live[done]] = np.exp(S[done])
+        coupling[live[bad]] = np.nan
+        for b in live[bad]:
+            failed[b] = f"numerical blowup at iteration {k + 1}"
+        keep = ~finished
+        live = live[keep]
+        if live.size == 0:
+            break
+        C, log_n, log_m = C[keep], log_n[keep], log_m[keep]
+        U, V, S = U[keep], V[keep], S[keep]
+        S2 = S2[:live.size]
+    else:
+        U_out[live] = U
+        V_out[live] = V
+        coupling[live] = np.exp(S, out=S)
+
+    return [TransportPlan(
+        coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),
+        iterations=int(iterations[b]), converged=bool(converged[b]),
+        clamped=bool(clamped[b]), error=failed[b],
+    ) for b in range(B)]

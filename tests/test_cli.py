@@ -89,6 +89,18 @@ class TestConfig:
                            match=f"schema violation: {key} must be an integer"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "0.05"), ("dual_tolerance", "1e-9"), ("learning_rate", True),
+        ("lam", None), ("gamma_cs", [0.5]), ("rho1", "0.5"), ("rho2", False),
+        ("augmentation", 0.1), ("augmentation", [0.1]), ("augmentation", [0.1, "0"]),
+        ("variant", 3),
+    ])
+    def test_values_of_the_wrong_type_are_schema_violations(self, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"schema violation: {key} must be "):
+            load_config(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")

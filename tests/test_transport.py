@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracle import recover_coupling, uot_primal_value
+from oracle import log_domain_solve_uot_batch, recover_coupling, uot_primal_value
+from uotalign.classifier import ClassifierConfig, cost_matrix, prompt_marginal
 from uotalign.transport import (
     INF,
     NumericalBlowupError,
@@ -323,6 +324,85 @@ class TestBatch:
         assert plans[1].error is not None and "numerical blowup" in plans[1].error
         assert plans[0].error is None
         assert np.all(np.isfinite(plans[0].coupling))
+
+
+class TestLogDomainReference:
+    """The scaling-form solver against the log-domain one it replaced.
+
+    The two compute the same iteration in a different floating-point
+    order, so plans are not bitwise equal; every instance must still end
+    the same way (iterations, converged, clamped, error) and converged
+    couplings must agree within the stated bound.
+    """
+
+    @staticmethod
+    def _assert_matches_reference(problems, cfg, bound, relative):
+        plans = solve_uot_batch(problems, cfg)
+        refs = log_domain_solve_uot_batch(problems, cfg)
+        for plan, ref in zip(plans, refs):
+            assert (plan.iterations, plan.converged, plan.clamped, plan.error) == \
+                (ref.iterations, ref.converged, ref.clamped, ref.error)
+            if ref.converged:
+                # relative to the plan's largest entry: an entry's relative
+                # error is that of exp((u + v - C) / lam), alike for all
+                scale = np.abs(ref.coupling).max() if relative else 1.0
+                assert np.abs(plan.coupling - ref.coupling).max() <= bound * scale
+        return refs
+
+    @pytest.mark.parametrize("shape, pinned", [
+        ((4, 16), False), ((4, 49), False), ((4, 196), False),
+        ((4, 16), True), ((4, 49), True),
+    ])
+    def test_benchmark_shapes(self, shape, pinned):
+        # the classifier's solves: cosine costs of unit rows, lam = 0.01,
+        # relaxed column marginal or both pinned, batches of 128
+        ccfg = ClassifierConfig()
+        rho1, rho2 = (INF, INF) if pinned else (ccfg.rho1, ccfg.rho2)
+        rng = np.random.default_rng([31, *shape, pinned])
+        rows, cols = shape
+
+        def unit(k):
+            a = rng.standard_normal((k, 64))
+            return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+        problems = [TransportProblem(cost_matrix(unit(cols), unit(rows)), prompt_marginal(rows),
+                                     np.full(cols, 1 / cols), lam=ccfg.lam, rho1=rho1, rho2=rho2)
+                    for _ in range(128)]
+        self._assert_matches_reference(problems, SolverConfig(), 1e-12, relative=False)
+
+    @pytest.mark.parametrize("rho", [INF, 0.05])
+    def test_small_lambda(self, rho):
+        # exp(-C / lam) underflows on every entry at the start, so the
+        # first half-step runs in log space and clamps every instance
+        rng = np.random.default_rng(32)
+        problems = [TransportProblem(rng.uniform(0.7, 2.0, (4, 16)), np.full(4, 0.25),
+                                     np.full(16, 1 / 16), lam=1e-3, rho1=rho, rho2=rho)
+                    for _ in range(32)]
+        refs = self._assert_matches_reference(problems, SolverConfig(), 1e-10, relative=True)
+        assert all(ref.clamped for ref in refs) and any(ref.converged for ref in refs)
+
+    def test_capped_clamped_and_blown_up(self):
+        # the constructions of TestBatch, each among ordinary instances
+        rng = np.random.default_rng(33)
+        cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
+        pinned = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
+                  for _ in range(6)]
+        relaxed = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF)
+                   for _ in range(3)]
+        relaxed += [TransportProblem(p.cost + 14.3, p.row_marginal, p.col_marginal, lam=0.02)
+                    for p in relaxed]
+        relaxed.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [8.5e307, 1, 1],
+                                        [8.5e307, 1, 1, 1, 1], lam=0.02))
+        lam, rho = 5e-4, 3e-3
+        weak = [TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
+                                 lam=lam, rho1=rho, rho2=rho)]
+        weak += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho) for _ in range(4)]
+        refs = []
+        for problems in (pinned, relaxed, weak):
+            refs += self._assert_matches_reference(problems, cfg, 1e-10, relative=True)
+        assert any(not ref.converged and ref.error is None for ref in refs)
+        assert sum(ref.clamped for ref in refs) >= 3
+        assert sum(ref.error is not None for ref in refs) == 2
 
 
 class TestStructuralProperties:

@@ -9,7 +9,9 @@ is the token weights. The class score is the weighted sum of the two
 transported costs <W*, C>; classification is a softmax over (1 - d)/tau
 across classes. forward() computes these distances for every
 (sample, class, path) at once; score() is its one-sample, one-class
-view.
+view. Token weights are positive (a dropped token is a removed row, see
+features.augment), so every token of a sample is a column of its
+problems.
 
 The reported distance is deliberately the transported-cost component,
 not the full regularized objective: it stays inside [0, 2] * mass, so
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,8 +98,7 @@ class AlignmentScore:
     """Per-class alignment result: both path distances and their plans.
 
     d_total = gamma_cs * d_cs + gamma_ds * d_ds by construction. Plans
-    are kept at full token width (columns of dropped zero-weight tokens
-    are zero) so heatmaps and gradients line up with the sample.
+    have one column per token of the sample, so heatmaps line up with it.
     """
 
     d_cs: float
@@ -172,18 +173,15 @@ class Forward:
     d[s, k] is the weighted distance of sample s to requested class k,
     d_path[tag][s, k] the unweighted transported cost of one path, and
     `encoding` holds the requested classes' encodings of those paths.
-    feats holds the batch's nonzero-weight feature rows, sample s at
-    rows offsets[s]:offsets[s + 1]. Plans are keyed (s, k, tag) and
-    cover only those rows. Only paths with a positive weight appear in
-    `paths`, `d_path` and `plans`.
+    Plans are keyed (s, k, tag) and have one column per token of
+    sample s. Only paths with a positive weight appear in `paths`,
+    `d_path` and `plans`.
     """
 
     d: np.ndarray
     d_path: dict[str, np.ndarray]
     paths: tuple[tuple[str, float], ...]
     encoding: ClassEncoding
-    feats: np.ndarray
-    offsets: np.ndarray
     plans: dict[tuple[int, int, str], TransportPlan]
 
 
@@ -194,12 +192,10 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
 
     All classes are encoded at once, along the paths with a positive
     weight only, and each (sample, path) makes one cost_matrix call.
-    Tokens whose weight is exactly zero (dropout leftovers) carry no
-    mass and would break the positive-marginal requirement, so each
-    problem keeps only the sample's surviving columns. Problems are
-    grouped by shape and each group goes through one solve_uot_batch
-    call, whose results equal one-at-a-time solves bitwise. `classes`
-    defaults to the whole bank.
+    A problem's columns are the sample's tokens and its column marginal
+    their weights. Problems are grouped by shape and each group goes
+    through one solve_uot_batch call, whose results equal one-at-a-time
+    solves bitwise. `classes` defaults to the whole bank.
     """
     classes = list(bank.classes) if classes is None else list(classes)
     paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
@@ -209,18 +205,12 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     prompts = {tag: encoding.g_cs if tag == "cs" else encoding.g_ds for tag, _ in paths}
     marginals = {tag: prompt_marginal(G.shape[1]) for tag, G in prompts.items()}
 
-    active = [fs.weights > 0 for fs in samples]
-    offsets = np.cumsum([0] + [int(a.sum()) for a in active])
-    feats = np.concatenate([fs.features[a] for fs, a in zip(samples, active)]
-                           or [np.empty((0, 0))])
     groups = {}
     for s, fs in enumerate(samples):
-        F = feats[offsets[s]:offsets[s + 1]]
-        w = fs.weights[active[s]]
         for tag, G in prompts.items():
-            for k, cost in enumerate(cost_matrix(F, G)):
+            for k, cost in enumerate(cost_matrix(fs.features, G)):
                 problem = TransportProblem(
-                    cost=cost, row_marginal=marginals[tag], col_marginal=w,
+                    cost=cost, row_marginal=marginals[tag], col_marginal=fs.weights,
                     lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
                 groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
 
@@ -241,7 +231,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     for tag, gamma in paths:
         d += gamma * d_path[tag]
     return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
-                   feats=feats, offsets=offsets, plans=plans)
+                   plans=plans)
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
@@ -249,22 +239,12 @@ def score(fs: FeatureSet, class_id: str, bank: PromptBank,
           solver: SolverConfig | None = None) -> AlignmentScore:
     """Alignment of one sample against one class: forward() at B = K = 1.
 
-    Plans are re-embedded at full token width: columns of zero-weight
-    tokens get zero coupling and a -inf column potential, which is their
-    exact log-domain limit.
+    A disabled path (weight 0) reports distance 0 and no plan.
     """
     fw = forward([fs], bank, encoder, cfg, solver, classes=[class_id])
-    active = fs.weights > 0
     out = {"cs": (0.0, None), "ds": (0.0, None)}
     for tag, _ in fw.paths:
-        plan = fw.plans[(0, 0, tag)]
-        if not active.all():
-            W = np.zeros((plan.coupling.shape[0], fs.num_tokens))
-            W[:, active] = plan.coupling
-            v = np.full(fs.num_tokens, -np.inf)
-            v[active] = plan.v
-            plan = replace(plan, coupling=W, v=v)
-        out[tag] = (float(fw.d_path[tag][0, 0]), plan)
+        out[tag] = (float(fw.d_path[tag][0, 0]), fw.plans[(0, 0, tag)])
 
     (d_cs, plan_cs), (d_ds, plan_ds) = out["cs"], out["ds"]
     return AlignmentScore(d_cs=d_cs, d_ds=d_ds, d_total=float(fw.d[0, 0]),

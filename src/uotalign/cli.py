@@ -3,8 +3,9 @@
 Subcommands: solve, compare, train, eval, ablate, heatmap,
 gen-descriptions, synth. Couplings and heatmaps interchange as
 headerless full-precision CSV (one row per line, repr round-trip
-floats); bulk embeddings as EMB1; everything else as JSON with sorted
-keys, so identical inputs and seeds produce identical bytes.
+floats); bulk embeddings as EMB1; everything else as strict JSON with
+sorted keys, an undefined (NaN) metric written as null. Identical
+inputs and seeds produce identical bytes.
 
 Exit codes are a stable contract: 0 success, 1 error, 2 solver hit its
 iteration cap, 3 some classes of gen-descriptions failed. Config files
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -153,8 +155,20 @@ def read_csv_matrix(path) -> np.ndarray:
         raise ValueError(f"corrupt file: {path} is not numeric CSV ({e})") from e
 
 
+def _null_nonfinite(doc):
+    if isinstance(doc, dict):
+        return {k: _null_nonfinite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_null_nonfinite(v) for v in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
+
+
 def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float (an undefined metric) is written as null."""
+    text = json.dumps(_null_nonfinite(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _load_cost(path) -> np.ndarray:

@@ -6,7 +6,9 @@ payload. Storage is float32; all in-memory math is float64 and rows are
 re-normalized on load so the unit-norm invariant survives the cast.
 
 Augmentation is an embedding-space proxy for image augmentation: row
-jitter stands in for photometric noise, weight dropout for cutout.
+jitter stands in for photometric noise, row dropout for cutout. A
+dropped token leaves the sample, so every FeatureSet has only positive
+weights.
 `jitter_sigma` is the expected L2 magnitude of the perturbation of a
 row (noise components are drawn at sigma/sqrt(d)), which keeps the
 perturbation scale independent of the embedding width.
@@ -44,7 +46,7 @@ _HEADER_BYTES = 12
 
 @dataclass
 class FeatureSet:
-    """M local visual embeddings with per-token masses."""
+    """M local visual embeddings with positive per-token masses."""
 
     features: np.ndarray
     weights: np.ndarray
@@ -56,8 +58,8 @@ class FeatureSet:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (self.features.shape[0],):
             raise ValueError("weights length does not match feature rows")
-        if np.any(self.weights < 0):
-            raise ValueError("negative mass")
+        if not np.all(self.weights > 0):
+            raise ValueError("token weights must be positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         norms = np.linalg.norm(self.features, axis=1)
@@ -242,11 +244,11 @@ def synth_dataset(out_dir, num_classes: int = 3, per_class: int = 20,
 
 def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
             rng_seed: int) -> FeatureSet:
-    """Jitter rows and drop token weights, deterministically per seed.
+    """Jitter rows and drop whole rows, deterministically per seed.
 
-    At least one token always survives dropout: if every weight is
-    drawn out, the heaviest original token (lowest index on ties) is
-    kept so the weight renormalization stays well defined.
+    The survivors' weights are renormalised to sum to 1. At least one
+    token always survives: if every row is drawn out, the heaviest
+    original token (lowest index on ties) is kept.
     """
     if not (0 <= drop_prob < 1):
         raise ValueError("drop_prob must be in [0, 1)")
@@ -267,8 +269,11 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
     w = fs.weights.copy()
     if drop_prob > 0:
         keep = rng.random(fs.num_tokens) >= drop_prob
-        if not (keep & (w > 0)).any():
-            keep[int(np.argmax(fs.weights))] = True
+        if not keep.any():
+            keep[int(np.argmax(w))] = True
+        # renormalise over the full-width vector, then drop: summing the
+        # survivors alone can round differently in the last bit
         w = np.where(keep, w, 0.0)
         w = w / float(w.sum())
+        F, w = F[keep], w[keep]
     return FeatureSet(features=F, weights=w, sample_id=fs.sample_id, label=fs.label)

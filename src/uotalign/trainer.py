@@ -194,6 +194,17 @@ def adam_update(params: dict, grads: dict, m: dict, v: dict,
         params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
+def _one_hot(samples: list[FeatureSet], classes: list[str]) -> np.ndarray:
+    """Label rows over `classes`, one per sample; an unknown label raises."""
+    Y = np.zeros((len(samples), len(classes)))
+    for s, fs in enumerate(samples):
+        if fs.label not in classes:
+            raise ValueError(f"unknown class: sample {fs.sample_id!r} "
+                             f"has label {fs.label!r}")
+        Y[s, classes.index(fs.label)] = 1.0
+    return Y
+
+
 def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
                          ccfg: ClassifierConfig, encoder: FrozenEncoder,
                          solver: SolverConfig | None = None):
@@ -208,25 +219,19 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     """
     if not batch:
         raise ValueError("empty batch")
-    B, K = len(batch), len(bank.classes)
-    labels = []
-    for fs in batch:
-        if fs.label is None or fs.label not in bank.classes:
-            raise ValueError(f"unknown class: sample {fs.sample_id!r} "
-                             f"has label {fs.label!r}")
-        labels.append(bank.classes.index(fs.label))
-
+    Y = _one_hot(batch, bank.classes)
     fw = forward(batch, bank, encoder, ccfg, solver)
     probs = likelihood(fw.d, ccfg.tau)
-    Y = np.zeros((B, K))
-    Y[np.arange(B), labels] = 1.0
     loss = ce_loss(probs, Y)
 
     # dL/dd with the softmax and the 1/B mean folded in
-    coeff = (probs - Y) * (-1.0 / ccfg.tau) / B
+    coeff = (probs - Y) * (-1.0 / ccfg.tau) / len(batch)
 
     grads = {k: np.zeros_like(p) for k, p in _trainable_arrays(bank).items()}
     enc = fw.encoding
+    # the batch's feature rows, sample s at rows offsets[s]:offsets[s + 1]
+    feats = np.concatenate([fs.features for fs in batch])
+    offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
     for path, gamma in fw.paths:
         if path == "ds" and "shared_tokens" not in grads:
             continue
@@ -235,11 +240,11 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
         G = enc.g_cs if path == "cs" else enc.g_ds
         # cost_matrix_backward is linear in the upstream: each plan fills
         # its (class, sample) block, and one call sums over the batch
-        upstream = np.empty((*G.shape[:2], len(fw.feats)))
+        upstream = np.empty((*G.shape[:2], len(feats)))
         for (s, k, tag), plan in fw.plans.items():
             if tag == path:
-                upstream[k, :, fw.offsets[s]:fw.offsets[s + 1]] = coeff[s, k] * gamma * plan.coupling
-        grad_G = cost_matrix_backward(fw.feats, G, upstream)
+                upstream[k, :, offsets[s]:offsets[s + 1]] = coeff[s, k] * gamma * plan.coupling
+        grad_G = cost_matrix_backward(feats, G, upstream)
         rows = encoder.encode_backward(enc.toks_out if path == "cs" else enc.toks_ds,
                                        grad_G.reshape(-1, G.shape[-1]))
         if path == "cs" and bank.use_attention:
@@ -348,27 +353,16 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
     if not samples:
         raise ValueError("empty split")
     classes = list(classes) if classes is not None else list(state.bank.classes)
-    for fs in samples:
-        if fs.label not in classes:
-            raise ValueError(f"unknown class: sample {fs.sample_id!r} "
-                             f"has label {fs.label!r}")
-    probs = np.zeros((len(samples), len(classes)))
+    Y = _one_hot(samples, classes)
+    probs = np.zeros_like(Y)
     for lo in range(0, len(samples), _EVAL_CHUNK):
         d = forward(samples[lo:lo + _EVAL_CHUNK], state.bank, state.encoder,
                     ccfg, solver, classes).d
         probs[lo:lo + len(d)] = likelihood(d, ccfg.tau)
-    Y = np.zeros_like(probs)
-    hits_total: dict[str, list[int]] = {c: [0, 0] for c in classes}
-    correct = 0
-    for s, fs in enumerate(samples):
-        true_idx = classes.index(fs.label)
-        Y[s, true_idx] = 1.0
-        hit = int(np.argmax(probs[s])) == true_idx
-        correct += hit
-        hits_total[fs.label][0] += hit
-        hits_total[fs.label][1] += 1
-    per_class = {c: (h / t if t else math.nan) for c, (h, t) in hits_total.items()}
-    return {"accuracy": correct / len(samples), "per_class": per_class,
+    hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
+    per_class = {c: (int(h) / int(t) if t else math.nan)
+                 for c, h, t in zip(classes, hits @ Y, Y.sum(axis=0))}
+    return {"accuracy": int(hits.sum()) / len(samples), "per_class": per_class,
             "mean_loss": ce_loss(probs, Y), "count": len(samples)}
 
 

@@ -264,23 +264,6 @@ class TestScore:
         assert np.array_equal(s.plan_cs.coupling, direct.coupling)
         assert s.d_cs == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
 
-    def test_zero_weight_tokens_dropped_then_reembedded(self):
-        rng = np.random.default_rng(10)
-        bank = make_bank(["cat"])
-        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
-        F = unit_rows(rng, (5, 6))
-        full = FeatureSet(features=F, weights=np.array([0.5, 0.0, 0.25, 0.25, 0.0]))
-        kept = FeatureSet(features=F[[0, 2, 3]], weights=np.array([0.5, 0.25, 0.25]))
-        cfg = ClassifierConfig()
-        s_full = score(full, "cat", bank, enc, cfg)
-        s_kept = score(kept, "cat", bank, enc, cfg)
-        assert s_full.d_total == s_kept.d_total
-        assert s_full.plan_cs.coupling.shape == (bank.class_tokens.shape[1], 5)
-        assert np.all(s_full.plan_cs.coupling[:, [1, 4]] == 0.0)
-        assert np.all(s_full.plan_cs.v[[1, 4]] == -np.inf)
-        assert np.array_equal(s_full.plan_cs.coupling[:, [0, 2, 3]],
-                              s_kept.plan_cs.coupling)
-
     def test_unknown_class(self):
         rng = np.random.default_rng(11)
         bank = make_bank(["cat"])

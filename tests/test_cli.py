@@ -309,6 +309,25 @@ class TestAblate:
         assert [row["variant"] for row in doc["rows"]] == list(VARIANTS)
         assert all("error" not in row for row in doc["rows"])
 
+    def test_zero_epochs_writes_strict_json(self, workdir, tmp_path):
+        # no epoch means no train accuracy or loss: null in JSON, nan in CSV
+        (tmp_path / "zero.json").write_text(json.dumps(dict(QUICK_CFG, epochs=0)))
+        out = tmp_path / "abl"
+        code = main(["ablate", "--manifest", str(workdir / "data/manifest.json"),
+                     "--config", str(tmp_path / "zero.json"), "--out", str(out)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((out / "ablation.json").read_text(), parse_constant=reject)
+        assert len(doc["rows"]) == len(VARIANTS)
+        for row in doc["rows"]:
+            assert row["train_accuracy"] is None and row["final_train_loss"] is None
+            assert isinstance(row["test_accuracy"], float)
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        assert all(line.split(",")[1] == "nan" for line in lines)
+
 
 class TestHeatmap:
     def test_writes_one_csv_per_path(self, workdir, tmp_path):

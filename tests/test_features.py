@@ -21,6 +21,14 @@ def unit_rows(rng, m, d):
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
+class TestFeatureSet:
+    @pytest.mark.parametrize("w", [[0.5, 0.5, 0.0], [0.75, 0.5, -0.25]])
+    def test_rejects_nonpositive_weight(self, w):
+        rng = np.random.default_rng(39)
+        with pytest.raises(ValueError, match="token weights must be positive"):
+            FeatureSet(unit_rows(rng, 3, 4), np.array(w))
+
+
 class TestEmbeddingFile:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(40)
@@ -186,7 +194,8 @@ class TestAugment:
         fs = FeatureSet(unit_rows(rng, 49, 8), np.full(49, 1 / 49), sample_id="x")
         out = augment(fs, jitter_sigma=0.0, drop_prob=0.5, rng_seed=7)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (out.weights == 0).sum() > 0
+        assert 0 < out.num_tokens < 49
+        assert out.weights.shape == (out.num_tokens,)
 
     def test_at_least_one_survivor(self):
         rng = np.random.default_rng(44)
@@ -195,7 +204,7 @@ class TestAugment:
         for seed in range(200):
             out = augment(fs, jitter_sigma=0.0, drop_prob=0.95, rng_seed=seed)
             assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (out.weights > 0).any()
+            assert 1 <= out.num_tokens <= 4
 
     def test_jitter_keeps_rows_close(self):
         rng = np.random.default_rng(45)
@@ -210,9 +219,35 @@ class TestAugment:
         fs = FeatureSet(unit_rows(rng, 6, 8), np.full(6, 1 / 6),
                         sample_id="s9", label="cat")
         out = augment(fs, jitter_sigma=0.2, drop_prob=0.3, rng_seed=1)
-        assert out.features.shape == fs.features.shape
+        assert out.dim == fs.dim and 1 <= out.num_tokens < fs.num_tokens
         assert out.sample_id == "s9" and out.label == "cat"
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("M", [8, 49])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_masked_weights_with_zero_rows_removed(self, M, seed):
+        """Dropping rows gives bitwise the survivors of the zero-weight form.
+
+        The reference keeps every row, zeroes the dropped weights and
+        renormalises the full-width vector; augment must return exactly
+        its nonzero rows and weights.
+        """
+        rng = np.random.default_rng([49, M, seed])
+        w0 = rng.random(M) + 0.1
+        fs = FeatureSet(unit_rows(rng, M, 16), w0 / w0.sum(), sample_id="x")
+        jitter, drop = 0.05, 0.3
+        out = augment(fs, jitter, drop, [seed, 3])
+
+        ref_rng = np.random.default_rng([seed, 3])
+        F = fs.features + jitter / np.sqrt(16) * ref_rng.standard_normal((M, 16))
+        F = F / np.linalg.norm(F, axis=1)[:, None]
+        keep = ref_rng.random(M) >= drop
+        if not keep.any():
+            keep[int(np.argmax(fs.weights))] = True
+        w = np.where(keep, fs.weights, 0.0)
+        w = w / float(w.sum())
+        assert np.array_equal(out.features, F[w > 0])
+        assert np.array_equal(out.weights, w[w > 0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(47)

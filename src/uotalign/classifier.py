@@ -34,13 +34,12 @@ import numpy as np
 
 from .features import FeatureSet
 from .numerics import as_matrix, as_stack, as_vector, logsumexp_axis
-from .prompts import ClassEncoding, FrozenEncoder, PromptBank, encode_classes
+from .prompts import FrozenEncoder, PathEncoding, PromptBank, encode_classes
 # solve_uot is unused here; bench/test_bench.py checks it stays bound
 from .transport import (  # noqa: F401
     INF,
     NumericalBlowupError,
     SolverConfig,
-    TransportPlan,
     TransportProblem,
     solve_uot,
     solve_uot_batch,
@@ -68,8 +67,8 @@ class ClassifierConfig:
 
     rho1 = rho2 = INF pins both marginals, so the solves are balanced
     entropic transport: the "plain OT" ablation. A path weight of
-    exactly 0 disables that path entirely: no solve is run and its plan
-    slot stays None. At least one weight must be positive.
+    exactly 0 disables that path entirely: no solve is run and its
+    coupling is None. At least one weight must be positive.
     """
 
     tau: float = 0.01
@@ -95,17 +94,17 @@ class ClassifierConfig:
 
 @dataclass
 class AlignmentScore:
-    """Per-class alignment result: both path distances and their plans.
+    """Per-class alignment result: both path distances and couplings.
 
-    d_total = gamma_cs * d_cs + gamma_ds * d_ds by construction. Plans
-    have one column per token of the sample, so heatmaps line up with it.
+    d_total = gamma_cs * d_cs + gamma_ds * d_ds by construction. Each
+    (P, M) coupling has one column per token of the sample, as heatmaps need.
     """
 
     d_cs: float
     d_ds: float
     d_total: float
-    plan_cs: TransportPlan | None
-    plan_ds: TransportPlan | None
+    coupling_cs: np.ndarray | None
+    coupling_ds: np.ndarray | None
 
 
 def _unit_rows(features, prompts):
@@ -171,18 +170,17 @@ class Forward:
     """Distances of samples to classes, plus what the backward pass needs.
 
     d[s, k] is the weighted distance of sample s to requested class k,
-    d_path[tag][s, k] the unweighted transported cost of one path, and
-    `encoding` holds the requested classes' encodings of those paths.
-    Plans are keyed (s, k, tag) and have one column per token of
-    sample s. Only paths with a positive weight appear in `paths`,
-    `d_path` and `plans`.
+    d_path[tag][s, k] one path's unweighted transported cost, encoding[tag]
+    the classes' encoding of a path and couplings[tag][s] its (K, P, M_s)
+    stack of couplings with sample s, one column per token. Only paths
+    with a positive weight appear in `paths` and as keys of the dicts.
     """
 
     d: np.ndarray
     d_path: dict[str, np.ndarray]
     paths: tuple[tuple[str, float], ...]
-    encoding: ClassEncoding
-    plans: dict[tuple[int, int, str], TransportPlan]
+    encoding: dict[str, PathEncoding]
+    couplings: dict[str, list[np.ndarray]]
 
 
 def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
@@ -202,36 +200,38 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
     encoding = encode_classes(bank, classes, encoder, tuple(tag for tag, _ in paths))
-    prompts = {tag: encoding.g_cs if tag == "cs" else encoding.g_ds for tag, _ in paths}
-    marginals = {tag: prompt_marginal(G.shape[1]) for tag, G in prompts.items()}
+    marginals = {tag: prompt_marginal(enc.g.shape[1]) for tag, enc in encoding.items()}
 
+    costs = {tag: [] for tag in encoding}
     groups = {}
     for s, fs in enumerate(samples):
-        for tag, G in prompts.items():
-            for k, cost in enumerate(cost_matrix(fs.features, G)):
+        for tag, enc in encoding.items():
+            costs[tag].append(cost_matrix(fs.features, enc.g))
+            for k, cost in enumerate(costs[tag][s]):
                 problem = TransportProblem(
                     cost=cost, row_marginal=marginals[tag], col_marginal=fs.weights,
                     lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
                 groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
 
-    B, K = len(samples), len(classes)
-    d_path = {tag: np.zeros((B, K)) for tag, _ in paths}
-    plans = {}
+    per_class = {tag: [[None] * len(C) for C in stacks] for tag, stacks in costs.items()}
     for entries in groups.values():
         solved = solve_uot_batch([problem for _, problem in entries], solver)
-        for (key, problem), plan in zip(entries, solved):
-            s, k, tag = key
+        for ((s, k, tag), _), plan in zip(entries, solved):
             if plan.error is not None:
                 raise NumericalBlowupError(
                     f"solver failed for sample {samples[s].sample_id!r}, class "
                     f"{classes[k]!r}, {tag} path: {plan.error}")
-            plans[key] = plan
-            d_path[tag][s, k] = float(np.sum(plan.coupling * problem.cost))
-    d = np.zeros((B, K))
-    for tag, gamma in paths:
-        d += gamma * d_path[tag]
+            per_class[tag][s][k] = plan.coupling
+    # stacked only now: a stack allocated before the solves raises peak RSS
+    couplings = {tag: [np.stack(Ws) for Ws in lists] for tag, lists in per_class.items()}
+
+    d_path = {tag: np.reshape([np.sum(W * C, axis=(1, 2))
+                               for W, C in zip(couplings[tag], stacks)],
+                              (len(samples), len(classes)))
+              for tag, stacks in costs.items()}
+    d = sum(gamma * d_path[tag] for tag, gamma in paths)
     return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
-                   plans=plans)
+                   couplings=couplings)
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
@@ -239,16 +239,14 @@ def score(fs: FeatureSet, class_id: str, bank: PromptBank,
           solver: SolverConfig | None = None) -> AlignmentScore:
     """Alignment of one sample against one class: forward() at B = K = 1.
 
-    A disabled path (weight 0) reports distance 0 and no plan.
+    A disabled path (weight 0) reports distance 0 and no coupling.
     """
     fw = forward([fs], bank, encoder, cfg, solver, classes=[class_id])
-    out = {"cs": (0.0, None), "ds": (0.0, None)}
-    for tag, _ in fw.paths:
-        out[tag] = (float(fw.d_path[tag][0, 0]), fw.plans[(0, 0, tag)])
-
-    (d_cs, plan_cs), (d_ds, plan_ds) = out["cs"], out["ds"]
-    return AlignmentScore(d_cs=d_cs, d_ds=d_ds, d_total=float(fw.d[0, 0]),
-                          plan_cs=plan_cs, plan_ds=plan_ds)
+    d = {tag: float(D[0, 0]) for tag, D in fw.d_path.items()}
+    W = {tag: stacks[0][0] for tag, stacks in fw.couplings.items()}
+    return AlignmentScore(d_cs=d.get("cs", 0.0), d_ds=d.get("ds", 0.0),
+                          d_total=float(fw.d[0, 0]),
+                          coupling_cs=W.get("cs"), coupling_ds=W.get("ds"))
 
 
 def likelihood(scores, tau: float) -> np.ndarray:

@@ -397,11 +397,11 @@ def cmd_heatmap(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
-    for path_name, plan in (("cs", result.plan_cs), ("ds", result.plan_ds)):
-        if plan is None:
+    for path_name, W in (("cs", result.coupling_cs), ("ds", result.coupling_ds)):
+        if W is None:
             continue
-        write_csv(out / f"heatmap_{path_name}.csv", plan.coupling)
-        written[path_name] = list(plan.coupling.shape)
+        write_csv(out / f"heatmap_{path_name}.csv", W)
+        written[path_name] = list(W.shape)
     write_json(out / "summary.json", {
         "sample_id": args.sample_id,
         "class_id": args.class_id,

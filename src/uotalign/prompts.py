@@ -36,7 +36,7 @@ __all__ = [
     "tokenize",
     "attention_forward",
     "attention_backward",
-    "ClassEncoding",
+    "PathEncoding",
     "build_prompt_bank",
     "encode_classes",
     "render_description_prompt",
@@ -343,22 +343,20 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
 
 
 @dataclass
-class ClassEncoding:
-    """The prompt paths of a class list, with what the backward pass needs.
+class PathEncoding:
+    """One prompt path of a class list, with what the backward pass needs.
 
-    g_ds and g_cs are (K, P, d): unit-norm rows, one per class and per
-    shared or class prompt. The token stacks are (K*P, L+1, d_tok),
-    class-major: toks_ds, the shared path's encoder input, toks_in, the
-    class path's before the adapter, and toks_out after it (the same
-    array when the adapter is off). Every matrix ends in its class-word
-    row. The fields of a path that was not requested are None.
+    g is (K, P, d): unit-norm rows, one per class and prompt. tokens is
+    the encoder's input, a class-major (K*P, L+1, d_tok) stack whose
+    matrices end in their class-word row. adapter_input is the class
+    path's stack before the attention adapter; it is None on the shared
+    path and when the adapter is off. encode_classes returns one per
+    requested path, keyed "cs" or "ds"; a path not requested has no key.
     """
 
-    g_ds: np.ndarray | None
-    g_cs: np.ndarray | None
-    toks_ds: np.ndarray | None
-    toks_in: np.ndarray | None
-    toks_out: np.ndarray | None
+    g: np.ndarray
+    tokens: np.ndarray
+    adapter_input: np.ndarray | None = None
 
 
 def _append_class_words(tokens: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -372,7 +370,7 @@ def _append_class_words(tokens: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def encode_classes(bank: PromptBank, class_ids, encoder: FrozenEncoder,
-                   paths: tuple[str, ...] = ("cs", "ds")) -> ClassEncoding:
+                   paths: tuple[str, ...] = ("cs", "ds")) -> dict[str, PathEncoding]:
     """Encode the requested prompt paths ("cs", "ds") for a list of classes.
 
     Each class word is appended to each of that class's prompts. The
@@ -386,17 +384,16 @@ def encode_classes(bank: PromptBank, class_ids, encoder: FrozenEncoder,
     idx = [bank.classes.index(c) for c in class_ids]
     words = bank.class_words[idx]
     shape = (len(idx), -1, encoder.bias.shape[0])
-    g_ds = toks_ds = g_cs = toks_in = toks_out = None
-    if "ds" in paths:
-        toks_ds = _append_class_words(bank.shared_tokens, words)
-        g_ds = encoder.encode(toks_ds).reshape(shape)
+    out = {}
     if "cs" in paths:
-        toks_in = _append_class_words(bank.class_tokens[idx], words)
-        toks_out = (attention_forward(toks_in, bank.attention)
-                    if bank.use_attention else toks_in)
-        g_cs = encoder.encode(toks_out).reshape(shape)
-    return ClassEncoding(g_ds=g_ds, g_cs=g_cs, toks_ds=toks_ds,
-                         toks_in=toks_in, toks_out=toks_out)
+        stack = _append_class_words(bank.class_tokens[idx], words)
+        adapter_input = stack if bank.use_attention else None
+        tokens = attention_forward(stack, bank.attention) if bank.use_attention else stack
+        out["cs"] = PathEncoding(encoder.encode(tokens).reshape(shape), tokens, adapter_input)
+    if "ds" in paths:
+        tokens = _append_class_words(bank.shared_tokens, words)
+        out["ds"] = PathEncoding(encoder.encode(tokens).reshape(shape), tokens)
+    return out
 
 
 _ADJECTIVES = ["fluffy", "sleek", "striped", "spotted", "glossy", "stocky",

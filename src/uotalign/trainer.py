@@ -228,7 +228,6 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     coeff = (probs - Y) * (-1.0 / ccfg.tau) / len(batch)
 
     grads = {k: np.zeros_like(p) for k, p in _trainable_arrays(bank).items()}
-    enc = fw.encoding
     # the batch's feature rows, sample s at rows offsets[s]:offsets[s + 1]
     feats = np.concatenate([fs.features for fs in batch])
     offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
@@ -237,25 +236,23 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
             continue
         if path == "cs" and not {"attention.w_query", "class_tokens"} & grads.keys():
             continue
-        G = enc.g_cs if path == "cs" else enc.g_ds
-        # cost_matrix_backward is linear in the upstream: each plan fills
-        # its (class, sample) block, and one call sums over the batch
-        upstream = np.empty((*G.shape[:2], len(feats)))
-        for (s, k, tag), plan in fw.plans.items():
-            if tag == path:
-                upstream[k, :, offsets[s]:offsets[s + 1]] = coeff[s, k] * gamma * plan.coupling
-        grad_G = cost_matrix_backward(feats, G, upstream)
-        rows = encoder.encode_backward(enc.toks_out if path == "cs" else enc.toks_ds,
-                                       grad_G.reshape(-1, G.shape[-1]))
-        if path == "cs" and bank.use_attention:
-            rows, gq, gk, gv = attention_backward(enc.toks_in, bank.attention, rows)
+        enc = fw.encoding[path]
+        # cost_matrix_backward is linear in the upstream: each sample
+        # fills its columns for all classes, and one call sums the batch
+        upstream = np.empty((*enc.g.shape[:2], len(feats)))
+        for s, W in enumerate(fw.couplings[path]):
+            upstream[..., offsets[s]:offsets[s + 1]] = coeff[s, :, None, None] * gamma * W
+        grad_G = cost_matrix_backward(feats, enc.g, upstream)
+        rows = encoder.encode_backward(enc.tokens, grad_G.reshape(-1, enc.g.shape[-1]))
+        if enc.adapter_input is not None:
+            rows, gq, gk, gv = attention_backward(enc.adapter_input, bank.attention, rows)
             if "attention.w_query" in grads:
                 grads["attention.w_query"] = gq
                 grads["attention.w_key"] = gk
                 grads["attention.w_value"] = gv
         # forward() ran over all bank classes, so axis 0 is bank.classes;
         # [..., :-1, :] drops the class-word row, which never trains
-        rows = rows.reshape(*G.shape[:2], *rows.shape[1:])[..., :-1, :]
+        rows = rows.reshape(*enc.g.shape[:2], *rows.shape[1:])[..., :-1, :]
         if path == "ds":
             grads["shared_tokens"] = rows.sum(axis=0)
         elif "class_tokens" in grads:
@@ -309,8 +306,14 @@ def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
     Missing descriptions fall back to deterministic synthetic texts so
     gpt-initialized variants stay runnable on purely synthetic data.
     """
+    return _train_on(manifest, load_split(manifest, "train"), cfg, ccfg, descriptions,
+                     solver, num_shared_prompts, num_class_prompts, context_length, token_dim)
+
+
+def _train_on(manifest, train_samples, cfg, ccfg, descriptions=None, solver=None,
+              num_shared_prompts=2, num_class_prompts=4, context_length=8, token_dim=32):
+    """train() on the already loaded train split of `manifest`."""
     ccfg_v, bank_kw = apply_variant(cfg.variant, ccfg)
-    train_samples = load_split(manifest, "train")
     if not train_samples:
         raise ValueError("empty split: no train samples in manifest")
     subset = _subsample_shots(train_samples, list(manifest.classes),
@@ -374,16 +377,17 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
     Train accuracy and loss are the last epoch's history entry (NaN
     after zero epochs); the test split is evaluated afterwards. Returns
     one row per variant; a variant that fails contributes an "error"
-    row instead of aborting the rest. The test split is read once, so
-    an unreadable one raises before any variant trains.
+    row instead of aborting the rest. The train and test splits are read
+    once, so an unreadable one raises before any variant trains.
     """
+    train_samples = load_split(manifest, "train")
     test_samples = load_split(manifest, "test")
     rows = []
     for variant in VARIANTS:
         cfg_v = replace(cfg, variant=variant)
         try:
-            state = train(manifest, cfg_v, ccfg, descriptions=descriptions,
-                          solver=solver, **bank_kwargs)
+            state = _train_on(manifest, train_samples, cfg_v, ccfg,
+                              descriptions=descriptions, solver=solver, **bank_kwargs)
             ccfg_v, _ = apply_variant(variant, ccfg)
             test_metrics = (evaluate(test_samples, state, ccfg_v, solver=solver)
                             if test_samples else {"accuracy": math.nan,

@@ -46,7 +46,7 @@ def build_gradcheck_instance():
     enc = encode_classes(bank, classes, encoder)
     batch = []
     for ci, c in enumerate(classes):
-        targets = np.vstack([enc.g_cs[ci], enc.g_ds[ci]])
+        targets = np.vstack([enc["cs"].g[ci], enc["ds"].g[ci]])
         F = targets + 0.4 * rng.standard_normal((4, 8))
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),

@@ -16,7 +16,7 @@ import pytest
 from conftest import build_gradcheck_instance, record_scorecard
 from oracle import GridSpec, finite_diff_grad, grid_minimize
 from uotalign.classifier import ClassifierConfig, cost_matrix, cost_matrix_backward, likelihood
-from uotalign.cli import build_outlier_instance, main, outlier_mass, read_csv_matrix
+from uotalign.cli import build_outlier_instance, main, outlier_mass
 from uotalign.features import (
     read_embedding_file,
     synth_dataset,

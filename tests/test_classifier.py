@@ -206,8 +206,8 @@ class TestScore:
         cfg = ClassifierConfig(gamma_cs=0.7, gamma_ds=0.3)
         s = score(fs, "cat", bank, enc, cfg)
         assert s.d_total == pytest.approx(0.7 * s.d_cs + 0.3 * s.d_ds, abs=1e-12)
-        assert s.plan_cs.coupling.shape == (bank.class_tokens.shape[1], fs.num_tokens)
-        assert s.plan_ds.coupling.shape == (bank.shared_tokens.shape[0], fs.num_tokens)
+        assert s.coupling_cs.shape == (bank.class_tokens.shape[1], fs.num_tokens)
+        assert s.coupling_ds.shape == (bank.shared_tokens.shape[0], fs.num_tokens)
         assert s.d_cs > 0 and s.d_ds > 0
 
     def test_single_path_exact(self):
@@ -218,7 +218,7 @@ class TestScore:
         s = score(fs, "dog", bank, enc, ClassifierConfig(gamma_cs=1.0, gamma_ds=0.0))
         assert s.d_total == s.d_cs
         assert s.d_ds == 0.0
-        assert s.plan_ds is None
+        assert s.coupling_ds is None
 
     def test_source_marginal_conserved(self):
         # rho1 = INF pins prompt-side row sums at 1/P
@@ -227,7 +227,7 @@ class TestScore:
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         s = score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
         P = bank.class_tokens.shape[1]
-        assert np.allclose(s.plan_cs.coupling.sum(axis=1), 1.0 / P, atol=1e-6)
+        assert np.allclose(s.coupling_cs.sum(axis=1), 1.0 / P, atol=1e-6)
 
     def test_zero_cost_gives_zero_total(self):
         # both paths encode to the same vector as every feature row
@@ -258,10 +258,10 @@ class TestScore:
         cfg = ClassifierConfig(rho1=INF, rho2=INF, lam=0.05)
         s = score(fs, "cat", bank, enc, cfg)
 
-        g_cs = encode_classes(bank, ["cat"], enc).g_cs[0]
+        g_cs = encode_classes(bank, ["cat"], enc)["cs"].g[0]
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
-        assert np.array_equal(s.plan_cs.coupling, direct.coupling)
+        assert np.array_equal(s.coupling_cs, direct.coupling)
         assert s.d_cs == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
 
     def test_unknown_class(self):
@@ -319,15 +319,33 @@ class TestForward:
 
         tag = "cs" if gamma_cs > 0 else "ds"
         # one stacked call encodes all classes' prompts of the path
-        e = fw.encoding
-        if tag == "ds":
-            assert calls == {"attention": 0, "encode": 1}
-            assert e.g_cs is None and e.toks_in is None and e.toks_out is None
-        else:
-            assert calls == {"attention": 1, "encode": 1}
-            assert e.g_ds is None and e.toks_ds is None
+        assert calls == {"attention": int(tag == "cs"), "encode": 1}
+        assert set(fw.encoding) == set(fw.couplings) == set(fw.d_path) == {tag}
         # the path that is kept scores exactly as it does next to the other
         np.testing.assert_array_equal(fw.d_path[tag], both.d_path[tag])
+
+    def test_coupling_stacks_match_single_scores(self):
+        # mixed token counts put the samples in different solve groups
+        rng = np.random.default_rng(14)
+        classes = ["cat", "dog", "owl"]
+        descs = {c: DescriptionFile(c, [f"the {c} up close", f"a distant {c} outline"])
+                 for c in classes}
+        bank = build_prompt_bank(classes, descs, num_shared_prompts=3,
+                                 context_length=4, token_dim=12, seed=0)
+        enc = FrozenEncoder.seeded(12, 6, 9)
+        samples = [make_sample(rng, M=M) for M in (3, 5, 5)]
+        cfg = ClassifierConfig()
+        fw = forward(samples, bank, enc, cfg)
+        assert set(fw.couplings) == {"cs", "ds"}
+        for s, fs in enumerate(samples):
+            for k, c in enumerate(classes):
+                one = score(fs, c, bank, enc, cfg)
+                for tag, P, W in (("cs", 2, one.coupling_cs), ("ds", 3, one.coupling_ds)):
+                    stack = fw.couplings[tag][s]
+                    assert stack.shape == (len(classes), P, fs.num_tokens)
+                    assert stack[k].tobytes() == W.tobytes()
+                    C = cost_matrix(fs.features, fw.encoding[tag].g[k])
+                    assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))
 
 
 class TestSeparableScoring:

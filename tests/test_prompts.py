@@ -293,7 +293,7 @@ class TestPromptBank:
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
         e = encode_classes(bank, ["cat"], enc)
-        g_ds, g_cs = e.g_ds[0], e.g_cs[0]
+        g_ds, g_cs = e["ds"].g[0], e["cs"].g[0]
         assert g_ds.shape == (2, 16)
         assert g_cs.shape == (4, 16)
         np.testing.assert_allclose(np.linalg.norm(g_ds, axis=1), 1.0, atol=1e-12)
@@ -308,12 +308,12 @@ class TestPromptBank:
     def test_shared_path_differs_only_by_class_word(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        g_cat = encode_classes(bank, ["cat"], enc).g_ds[0]
-        g_dog = encode_classes(bank, ["dog"], enc).g_ds[0]
+        g_cat = encode_classes(bank, ["cat"], enc)["ds"].g[0]
+        g_dog = encode_classes(bank, ["dog"], enc)["ds"].g[0]
         assert np.abs(g_cat - g_dog).max() > 1e-6
         # same class word would give identical embeddings
         bank.class_words[1] = bank.class_words[0]
-        g_dog2 = encode_classes(bank, ["dog"], enc).g_ds[0]
+        g_dog2 = encode_classes(bank, ["dog"], enc)["ds"].g[0]
         np.testing.assert_array_equal(g_cat, g_dog2)
 
     def test_attention_touches_only_class_path(self):
@@ -322,8 +322,8 @@ class TestPromptBank:
         e1 = encode_classes(bank, ["cat"], enc)
         bank.attention.w_query += 0.5
         e2 = encode_classes(bank, ["cat"], enc)
-        np.testing.assert_array_equal(e1.g_ds, e2.g_ds)
-        assert np.abs(e1.g_cs - e2.g_cs).max() > 1e-9
+        np.testing.assert_array_equal(e1["ds"].g, e2["ds"].g)
+        assert np.abs(e1["cs"].g - e2["cs"].g).max() > 1e-9
 
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_class_list_equals_each_class_alone(self, use_attention):
@@ -331,14 +331,18 @@ class TestPromptBank:
         enc = FrozenEncoder.seeded(8, 16, seed=0)
         order = ["owl", "cat", "dog"]
         e = encode_classes(bank, order, enc)
-        assert e.g_ds.shape == (3, 2, 16) and e.g_cs.shape == (3, 4, 16)
-        assert e.toks_in.shape == (12, 5, 8) and e.toks_ds.shape == (6, 5, 8)
-        assert (e.toks_out is e.toks_in) == (not use_attention)
+        cs, ds = e["cs"], e["ds"]
+        assert ds.g.shape == (3, 2, 16) and cs.g.shape == (3, 4, 16)
+        assert cs.tokens.shape == (12, 5, 8) and ds.tokens.shape == (6, 5, 8)
+        assert ds.adapter_input is None
+        assert (cs.adapter_input is None) == (not use_attention)
+        if use_attention:
+            assert cs.adapter_input.shape == (12, 5, 8)
         for k, c in enumerate(order):
             one = encode_classes(bank, [c], enc)
-            assert e.g_ds[k].tobytes() == one.g_ds[0].tobytes()
-            assert e.g_cs[k].tobytes() == one.g_cs[0].tobytes()
-            np.testing.assert_array_equal(e.toks_out[4 * k:4 * k + 4], one.toks_out)
+            assert ds.g[k].tobytes() == one["ds"].g[0].tobytes()
+            assert cs.g[k].tobytes() == one["cs"].g[0].tobytes()
+            np.testing.assert_array_equal(cs.tokens[4 * k:4 * k + 4], one["cs"].tokens)
 
     def test_random_init_same_shape(self):
         a = make_bank()

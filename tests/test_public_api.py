@@ -1,4 +1,5 @@
-"""Every public name of the package has a user outside the tests.
+"""Every public name of the package has a user outside the tests, and
+every import is used.
 
 A name listed in a module's `__all__` must be referenced somewhere in
 `src/uotalign/` other than its own definition and `__all__` entry, or
@@ -6,6 +7,11 @@ in `bench/`, which pins names such as FEASIBILITY_TOL. A reference is
 an AST name read, an attribute or an import; text in docstrings,
 comments or string constants does not count. Helpers that only tests
 call belong in `tests/`.
+
+A name that a module of `src/uotalign/` or `tests/` imports must be
+read in that module or listed in its `__all__`. An import statement
+whose first line carries `noqa: F401` is exempt: it binds a name on
+purpose, for code that looks it up on the module.
 """
 
 import ast
@@ -47,3 +53,30 @@ def test_every_public_name_has_a_user_outside_tests():
             if not any(name in found for found in refs.values()):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], f"public names with no user in src/ or bench/: {unused}"
+
+
+def _unused_imports(path) -> list[str]:
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or "noqa: F401" in lines[node.lineno - 1]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_public_names(tree))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(bound.items(), key=lambda item: item[1])
+            if name not in read]
+
+
+def test_every_import_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == [], f"imported names never used: {unused}"

@@ -35,7 +35,6 @@ from uotalign.prompts import (
 from uotalign.transport import (
     INF,
     NumericalBlowupError,
-    SolverConfig,
     TransportPlan,
     TransportProblem,
     solve_uot,
@@ -44,7 +43,6 @@ from uotalign.trainer import (
     CKP1_MAGIC,
     VARIANTS,
     TrainConfig,
-    TrainState,
     _trainable_arrays,
     adam_update,
     apply_variant,
@@ -322,9 +320,9 @@ class TestBatchLossAndGrads:
             for k, c in enumerate(classes):
                 enc = encode_classes(bank, [c], encoder)
                 for tag, gamma in fw.paths:
-                    G = enc.g_cs[0] if tag == "cs" else enc.g_ds[0]
+                    G = enc[tag].g[0]
                     for s in range(len(batch)):
-                        W = fw.plans[(s, k, tag)].coupling
+                        W = fw.couplings[tag][s][k]
                         F = batch[s].features
                         d[s, k] += gamma * float(np.sum(W * cost_matrix(F, G)))
             return ce_loss(likelihood(d, ccfg.tau), Y)
@@ -598,25 +596,33 @@ class TestRunAblation:
                             ClassifierConfig(), **BANK_KW)
         assert all("error" not in r for r in rows)
         assert reads.count("test") == 1
-        assert reads.count("train") == len(VARIANTS)
+        assert reads.count("train") == 1
 
-        def unreadable(m, split, *args, **kwargs):
-            if split == "test":
-                raise ValueError("corrupt file: test split")
-            return load_split(m, split, *args, **kwargs)
+        monkeypatch.setattr(trainer_mod, "_train_on", None)  # no variant may train
+        for bad in ("train", "test"):
+            def unreadable(m, split, *args, bad=bad, **kwargs):
+                if split == bad:
+                    raise ValueError(f"corrupt file: {bad} split")
+                return load_split(m, split, *args, **kwargs)
 
-        monkeypatch.setattr(trainer_mod, "load_split", unreadable)
-        monkeypatch.setattr(trainer_mod, "train", None)  # no variant may train
-        with pytest.raises(ValueError, match="corrupt file: test split"):
-            run_ablation(manifest, TrainConfig(epochs=0, seed=1),
-                         ClassifierConfig(), **BANK_KW)
+            monkeypatch.setattr(trainer_mod, "load_split", unreadable)
+            with pytest.raises(ValueError, match=f"corrupt file: {bad} split"):
+                run_ablation(manifest, TrainConfig(epochs=0, seed=1),
+                             ClassifierConfig(), **BANK_KW)
 
-    def test_variant_failures_are_isolated(self, manifest):
+    def test_variant_failures_are_isolated(self, manifest, tmp_path):
         cfg = TrainConfig(epochs=1, seed=1, shots=99)
         rows = run_ablation(manifest, cfg, ClassifierConfig(), **BANK_KW)
         assert [r["variant"] for r in rows] == list(VARIANTS)
         for r in rows:
             assert "need 99 shots" in r["error"]
+
+        empty = DatasetManifest(classes=["a"], samples=[], shots=1, seed=0,
+                                root=tmp_path)
+        rows = run_ablation(empty, TrainConfig(shots=1), ClassifierConfig(), **BANK_KW)
+        assert [r["variant"] for r in rows] == list(VARIANTS)
+        for r in rows:
+            assert "empty split" in r["error"]
 
 
 class TestCheckpoint:

@@ -471,7 +471,8 @@ def _add_common(p, *, config=False, seed=False, seed_default=None):
     if seed:
         p.add_argument("--seed", type=int, default=seed_default,
                        help="seed override")
-    p.add_argument("--verbose", "-v", action="count", default=0)
+    p.add_argument("--verbose", "-v", action="store_true",
+                   help="re-raise errors with a traceback instead of one line")
 
 
 def build_parser() -> argparse.ArgumentParser:

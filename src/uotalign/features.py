@@ -174,15 +174,21 @@ def load_manifest(path) -> DatasetManifest:
     extra = doc.keys() - required
     if extra:
         raise ValueError(f"schema violation: {path} has unknown keys {sorted(extra)}")
+    for key in ("shots", "seed"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"schema violation: {path} {key} must be an integer, "
+                             f"got {doc[key]!r}")
+    if not (isinstance(doc["classes"], list)
+            and all(isinstance(c, str) for c in doc["classes"])):
+        raise ValueError(f"schema violation: {path} classes must be a list of strings")
     samples = []
     for rec in doc["samples"]:
         if not isinstance(rec, dict) or {"id", "class", "path", "split"} - rec.keys():
             raise ValueError(f"schema violation: malformed sample record in {path}")
         samples.append(SampleRecord(sample_id=rec["id"], label=rec["class"],
                                     path=rec["path"], split=rec["split"]))
-    return DatasetManifest(classes=list(doc["classes"]), samples=samples,
-                           shots=int(doc["shots"]), seed=int(doc["seed"]),
-                           root=path.parent)
+    return DatasetManifest(classes=doc["classes"], samples=samples,
+                           shots=doc["shots"], seed=doc["seed"], root=path.parent)
 
 
 def load_split(manifest: DatasetManifest, split: str) -> list[FeatureSet]:

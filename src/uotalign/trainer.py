@@ -128,19 +128,20 @@ class TrainState:
     history: list[dict] = field(default_factory=list)
 
 
+def _bank_arrays(bank: PromptBank) -> dict[str, np.ndarray]:
+    """Every bank array by its CKP1 name, in file order. A name's
+    parameter group is its first dotted part; class_words is in none.
+    The arrays are the live parameters, not copies: Adam updates them
+    in place."""
+    att = bank.attention
+    return {"shared_tokens": bank.shared_tokens, "class_tokens": bank.class_tokens,
+            "class_words": bank.class_words, "attention.w_query": att.w_query,
+            "attention.w_key": att.w_key, "attention.w_value": att.w_value}
+
+
 def _trainable_arrays(bank: PromptBank) -> dict[str, np.ndarray]:
-    # the returned arrays are the live parameters, not copies: Adam
-    # updates them in place
-    out = {}
-    if "shared_tokens" in bank.trainable:
-        out["shared_tokens"] = bank.shared_tokens
-    if "attention" in bank.trainable:
-        out["attention.w_query"] = bank.attention.w_query
-        out["attention.w_key"] = bank.attention.w_key
-        out["attention.w_value"] = bank.attention.w_value
-    if "class_tokens" in bank.trainable:
-        out["class_tokens"] = bank.class_tokens
-    return out
+    return {name: a for name, a in _bank_arrays(bank).items()
+            if name.split(".")[0] in bank.trainable}
 
 
 def init_state(bank: PromptBank, encoder: FrozenEncoder) -> TrainState:
@@ -227,15 +228,11 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     # dL/dd with the softmax and the 1/B mean folded in
     coeff = (probs - Y) * (-1.0 / ccfg.tau) / len(batch)
 
-    grads = {k: np.zeros_like(p) for k, p in _trainable_arrays(bank).items()}
+    grads = {}
     # the batch's feature rows, sample s at rows offsets[s]:offsets[s + 1]
     feats = np.concatenate([fs.features for fs in batch])
     offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
     for path, gamma in fw.paths:
-        if path == "ds" and "shared_tokens" not in grads:
-            continue
-        if path == "cs" and not {"attention.w_query", "class_tokens"} & grads.keys():
-            continue
         enc = fw.encoding[path]
         # cost_matrix_backward is linear in the upstream: each sample
         # fills its columns for all classes, and one call sums the batch
@@ -246,25 +243,23 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
         rows = encoder.encode_backward(enc.tokens, grad_G.reshape(-1, enc.g.shape[-1]))
         if enc.adapter_input is not None:
             rows, gq, gk, gv = attention_backward(enc.adapter_input, bank.attention, rows)
-            if "attention.w_query" in grads:
-                grads["attention.w_query"] = gq
-                grads["attention.w_key"] = gk
-                grads["attention.w_value"] = gv
+            grads.update({"attention.w_query": gq, "attention.w_key": gk,
+                          "attention.w_value": gv})
         # forward() ran over all bank classes, so axis 0 is bank.classes;
         # [..., :-1, :] drops the class-word row, which never trains
         rows = rows.reshape(*enc.g.shape[:2], *rows.shape[1:])[..., :-1, :]
         if path == "ds":
             grads["shared_tokens"] = rows.sum(axis=0)
-        elif "class_tokens" in grads:
+        else:
             grads["class_tokens"] = rows
-    return loss, grads, probs
+    # a trainable group that no active path feeds gets zeros
+    return loss, {name: grads.get(name, np.zeros_like(a))
+                  for name, a in _trainable_arrays(bank).items()}, probs
 
 
 def train_step(batch: list[FeatureSet], state: TrainState, cfg: TrainConfig,
                ccfg: ClassifierConfig, solver: SolverConfig | None = None):
     """Augment, solve, backpropagate, Adam-update. Returns (state, loss)."""
-    if not batch:
-        raise ValueError("empty batch")
     jitter, drop = cfg.augmentation
     augmented = [augment(fs, jitter, drop, [cfg.seed, 41, state.step, idx])
                  for idx, fs in enumerate(batch)]
@@ -407,22 +402,30 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
 
 
 def _checkpoint_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
-    bank = state.bank
-    arrays = [
-        ("shared_tokens", bank.shared_tokens),
-        ("class_tokens", bank.class_tokens),
-        ("class_words", bank.class_words),
-        ("attention.w_query", bank.attention.w_query),
-        ("attention.w_key", bank.attention.w_key),
-        ("attention.w_value", bank.attention.w_value),
-        ("encoder.projection", state.encoder.projection),
-        ("encoder.bias", state.encoder.bias),
-    ]
-    for key in sorted(state.m):
-        arrays.append((f"m.{key}", state.m[key]))
-    for key in sorted(state.v):
-        arrays.append((f"v.{key}", state.v[key]))
-    return arrays
+    return [*_bank_arrays(state.bank).items(),
+            ("encoder.projection", state.encoder.projection),
+            ("encoder.bias", state.encoder.bias),
+            *((f"m.{k}", state.m[k]) for k in sorted(state.m)),
+            *((f"v.{k}", state.v[k]) for k in sorted(state.v))]
+
+
+def _list_of(kind):
+    return lambda x: isinstance(x, list) and all(isinstance(item, kind) for item in x)
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # a JSON integer, never a bool
+
+
+# header field -> (what it must be, its check)
+_HEADER_FIELDS = {
+    "classes": ("a list of strings", _list_of(str)),
+    "use_attention": ("a boolean", lambda x: type(x) is bool),
+    "trainable": ("a list of strings", _list_of(str)),
+    "step": ("an integer >= 0", _is_count),
+    "epoch": ("an integer >= 0", _is_count),
+    "history": ("a list of objects", _list_of(dict)),
+}
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -474,6 +477,11 @@ def load_checkpoint(path) -> TrainState:
             for spec in specs)):
         raise ValueError(f"corrupt file: {path} header lacks a valid "
                          f"[[name, shape], ...] array list")
+    for key, (want, ok) in _HEADER_FIELDS.items():
+        if key not in header:
+            raise ValueError(f"corrupt file: {path} lacks {key!r}")
+        if not ok(header[key]):
+            raise ValueError(f"corrupt file: {path} header field {key!r} must be {want}")
 
     offset = 8 + hlen
     payload = len(raw) - offset
@@ -494,16 +502,15 @@ def load_checkpoint(path) -> TrainState:
         attention = AttentionParams(w_query=arrays["attention.w_query"],
                                     w_key=arrays["attention.w_key"],
                                     w_value=arrays["attention.w_value"])
-        bank = PromptBank(classes=list(header["classes"]),
+        bank = PromptBank(classes=header["classes"],
                           shared_tokens=arrays["shared_tokens"],
                           class_tokens=arrays["class_tokens"],
                           class_words=arrays["class_words"],
                           attention=attention,
-                          use_attention=bool(header["use_attention"]),
+                          use_attention=header["use_attention"],
                           trainable=tuple(header["trainable"]))
         encoder = FrozenEncoder(projection=arrays["encoder.projection"],
                                 bias=arrays["encoder.bias"])
-        step, epoch, history = header["step"], header["epoch"], header["history"]
     except KeyError as e:
         raise ValueError(f"corrupt file: {path} lacks {e.args[0]!r}") from None
     m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
@@ -512,5 +519,5 @@ def load_checkpoint(path) -> TrainState:
     if set(m) != expected or set(v) != expected:
         raise ValueError(f"corrupt file: {path} moment keys do not match "
                          f"the trainable groups")
-    return TrainState(bank=bank, encoder=encoder, m=m, v=v,
-                      step=int(step), epoch=int(epoch), history=list(history))
+    return TrainState(bank=bank, encoder=encoder, m=m, v=v, step=header["step"],
+                      epoch=header["epoch"], history=header["history"])

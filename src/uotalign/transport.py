@@ -139,7 +139,10 @@ class TransportPlan:
     `coupling` is exp of the last log kernel of the potentials (u, v),
     all NaN when `error` names a blowup. `converged` is False when the
     iteration cap was hit first, `clamped` when a marginal sum fell
-    below the log-space floor at some iteration.
+    below the log-space floor at some iteration. A plan from
+    solve_uot_batch holds a view of that call's (B, P, M) coupling
+    buffer, so keeping any one plan keeps the whole call's couplings
+    alive; copy the coupling to keep it alone.
     """
 
     coupling: np.ndarray
@@ -263,7 +266,9 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     data, and batch-wide gates skip only work that would change
     nothing, so each result is identical to an independent single
     solve. An instance that blows up is marked via its plan's `error`
-    field instead of aborting the batch.
+    field instead of aborting the batch. Each plan's coupling is a view
+    of one (B, P, M) buffer for the whole call, which stays alive while
+    any plan does.
     """
     if config is None:
         config = SolverConfig()

@@ -200,6 +200,13 @@ class TestSolve:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["-v", "-vv", "--verbose"])
+    def test_verbose_reraises(self, tmp_path, flag):
+        argv = ["solve", "--cost", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_ERROR
+        with pytest.raises(FileNotFoundError):
+            main(argv + [flag])
+
 
 class TestCompare:
     def test_default_instance_suppresses_outliers(self, tmp_path):

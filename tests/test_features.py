@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ class TestManifest:
         p = tmp_path / "m.json"
         p.write_text('{"classes": [], "samples": [], "shots": 1, "seed": 0, "extra": 1}')
         with pytest.raises(ValueError, match="schema violation"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("shots", "4"), ("shots", 2.9), ("shots", True), ("seed", True),
+        ("seed", 1.0), ("seed", None), ("classes", "ab"), ("classes", ["a", 1]),
+        ("classes", {"a": 1})])
+    def test_mistyped_field_rejected(self, tmp_path, key, value):
+        doc = {"classes": ["a", "b"], "samples": [], "shots": 1, "seed": 0, key: value}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"schema violation: .* {key} must be"):
             load_manifest(p)
 
 

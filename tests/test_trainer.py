@@ -26,6 +26,7 @@ from uotalign.features import (
     synth_dataset,
 )
 from uotalign.prompts import (
+    PARAM_GROUPS,
     FrozenEncoder,
     attention_forward,
     build_prompt_bank,
@@ -376,6 +377,51 @@ class TestBatchLossAndGrads:
             assert not grads[key].any()
         assert grads["shared_tokens"].any()
 
+    def test_frozen_path_still_routes_trainable_gradient(self, gradcheck_instance):
+        """Both paths run, and only the trainable group's gradient returns."""
+        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        import copy
+        import dataclasses
+        half = dataclasses.replace(ccfg, gamma_cs=0.5, gamma_ds=0.5)
+        shared_only = copy.deepcopy(bank)
+        shared_only.trainable = ("shared_tokens",)
+        _, full, _ = batch_loss_and_grads(batch, bank, half, encoder, solver)
+        _, grads, _ = batch_loss_and_grads(batch, shared_only, half, encoder, solver)
+        assert set(grads) == {"shared_tokens"}
+        np.testing.assert_array_equal(grads["shared_tokens"], full["shared_tokens"])
+
+    def test_trainable_group_on_inactive_path_gets_zeros(self, gradcheck_instance):
+        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        import dataclasses
+        only_cs = dataclasses.replace(ccfg, gamma_ds=0.0)
+        _, grads, _ = batch_loss_and_grads(batch, bank, only_cs, encoder, solver)
+        assert "shared_tokens" in bank.trainable
+        assert grads["shared_tokens"].shape == bank.shared_tokens.shape
+        assert not grads["shared_tokens"].any()
+        assert grads["attention.w_query"].any()
+
+
+class TestBankArrays:
+    def test_every_param_group_owns_an_array(self, gradcheck_instance):
+        bank = gradcheck_instance[0]
+        groups = {name.split(".")[0] for name in trainer_mod._bank_arrays(bank)}
+        assert set(PARAM_GROUPS) <= groups
+
+    def test_checkpoint_lists_bank_then_encoder_then_moments(self, gradcheck_instance,
+                                                             tmp_path):
+        bank, encoder, _, _, _ = gradcheck_instance
+        import copy
+        state = init_state(copy.deepcopy(bank), encoder)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(state, path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        names = [name for name, _ in json.loads(raw[8:8 + hlen].decode())["arrays"]]
+        moments = sorted(_trainable_arrays(bank))
+        assert names == [*trainer_mod._bank_arrays(bank),
+                         "encoder.projection", "encoder.bias",
+                         *(f"m.{k}" for k in moments), *(f"v.{k}" for k in moments)]
+
 
 class TestTrainStep:
     def setup_state(self, gradcheck_instance):
@@ -699,6 +745,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("use_attention", "no"), ("use_attention", 1), ("classes", "abc"),
+        ("classes", [1, 2, 3]), ("trainable", "shared_tokens"), ("step", 1.5),
+        ("step", True), ("step", -1), ("epoch", None), ("history", {"a": 1}),
+        ("history", [1])])
+    def test_rejects_mistyped_header_field(self, trained, tmp_path, key, value):
+        import re
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(trained, path)
+        raw = bytearray(path.read_bytes())
+        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        header = json.loads(raw[8:8 + hlen].decode())
+        header[key] = value
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        out = CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob \
+            + bytes(raw[8 + hlen:])
+        path.write_bytes(out)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt file: {path} header field {key!r} must be")):
+            load_checkpoint(path)
+
     def test_rejects_payload_size_mismatch(self, trained, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(trained, path)
@@ -717,7 +784,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", ["no_arrays_key", "missing_array",
-                                      "shape_not_a_list", "negative_shape"])
+                                      "shape_not_a_list", "negative_shape",
+                                      "no_classes_key"])
     def test_rejects_malformed_header(self, gradcheck_instance, tmp_path, case):
         bank, encoder, _, _, _ = gradcheck_instance
         import copy
@@ -738,14 +806,18 @@ class TestCheckpoint:
             del header["arrays"][i]
         elif case == "shape_not_a_list":
             header["arrays"][0][1] = "xy"
+        elif case == "no_classes_key":
+            del header["classes"]
         else:
             header["arrays"] = [["shared_tokens", [-1, -1]]]
             payload = bytes(8)
         blob = json.dumps(header).encode()
         path.write_bytes(CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes()
                          + blob + payload)
-        with pytest.raises(ValueError, match="corrupt file: " + re.escape(str(path))):
+        with pytest.raises(ValueError, match="corrupt file: " + re.escape(str(path))) as err:
             load_checkpoint(path)
+        if case == "no_classes_key":
+            assert str(err.value).endswith("lacks 'classes'")
 
     def test_rejects_moment_key_mismatch(self, gradcheck_instance, tmp_path):
         bank, encoder, _, _, _ = gradcheck_instance

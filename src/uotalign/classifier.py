@@ -67,8 +67,9 @@ class ClassifierConfig:
 
     rho1 = rho2 = INF pins both marginals, so the solves are balanced
     entropic transport: the "plain OT" ablation. A path weight of
-    exactly 0 disables that path entirely: no solve is run and its
-    coupling is None. At least one weight must be positive.
+    exactly 0 disables that path entirely: no solve is run, the path
+    has no entry in forward's dicts, and score reports its distance as
+    0 and its coupling as None. At least one weight must be positive.
     """
 
     tau: float = 0.01

@@ -33,6 +33,7 @@ from .features import (
     load_manifest,
     load_split,
     read_embedding_file,
+    read_json_object,
     synth_dataset,
     write_embedding_file,
 )
@@ -43,6 +44,7 @@ from .prompts import (
 )
 from .trainer import (
     TrainConfig,
+    apply_variant,
     evaluate,
     load_checkpoint,
     run_ablation,
@@ -118,12 +120,7 @@ def load_config(path):
     value of the wrong JSON type (see _config_value)."""
     if path is None:
         return TrainConfig(), ClassifierConfig(), SolverConfig(), {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"schema violation: {path} is not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise ValueError(f"schema violation: {path} top level must be an object")
+    doc = read_json_object(path)
     train_kw, ccfg_kw, solver_kw, bank_kw = {}, {}, {}, {}
     for key, value in doc.items():
         for keys, kw in ((_TRAIN_KEYS, train_kw), (_CLASSIFIER_KEYS, ccfg_kw),
@@ -335,7 +332,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     state = load_checkpoint(args.checkpoint)
-    _, ccfg, solver, _ = load_config(args.config)
+    cfg, ccfg, solver, _ = load_config(args.config)
+    ccfg, _ = apply_variant(cfg.variant, ccfg)
     samples = load_split(manifest, args.split)
     if not samples:
         raise ValueError(f"empty split: no {args.split!r} samples in manifest")
@@ -391,7 +389,8 @@ def cmd_heatmap(args) -> int:
         raise ValueError(f"sample {args.sample_id!r} not in manifest")
     fs = load_feature_set(Path(manifest.root) / record.path,
                           sample_id=record.sample_id, label=record.label)
-    _, ccfg, solver, _ = load_config(args.config)
+    cfg, ccfg, solver, _ = load_config(args.config)
+    ccfg, _ = apply_variant(cfg.variant, ccfg)
     result = score(fs, args.class_id, state.bank, state.encoder, ccfg, solver)
 
     out = Path(args.out)

@@ -36,6 +36,8 @@ __all__ = [
     "load_split",
     "load_manifest",
     "save_manifest",
+    "read_json_object",
+    "require_unique_classes",
     "synth_dataset",
     "augment",
 ]
@@ -75,6 +77,16 @@ class FeatureSet:
         return self.features.shape[1]
 
 
+def require_unique_classes(classes) -> None:
+    """Raise on the first class name that repeats an earlier one: a
+    repeated class would own a column that no label resolves to."""
+    seen = set()
+    for c in classes:
+        if c in seen:
+            raise ValueError(f"schema violation: duplicate class {c!r}")
+        seen.add(c)
+
+
 @dataclass
 class SampleRecord:
     sample_id: str
@@ -92,6 +104,7 @@ class DatasetManifest:
     root: Path | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        require_unique_classes(self.classes)
         known = set(self.classes)
         for s in self.samples:
             if s.label not in known:
@@ -159,14 +172,23 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_manifest(path) -> DatasetManifest:
-    path = Path(path)
+def read_json_object(path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"schema violation: {path} is not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ValueError(f"schema violation: {path} top level must be an object")
+    return doc
+
+
+_RECORD_KEYS = ("id", "class", "path", "split")
+
+
+def load_manifest(path) -> DatasetManifest:
+    path = Path(path)
+    doc = read_json_object(path)
     required = {"classes", "samples", "shots", "seed"}
     missing = required - doc.keys()
     if missing:
@@ -181,10 +203,16 @@ def load_manifest(path) -> DatasetManifest:
     if not (isinstance(doc["classes"], list)
             and all(isinstance(c, str) for c in doc["classes"])):
         raise ValueError(f"schema violation: {path} classes must be a list of strings")
+    if not isinstance(doc["samples"], list):
+        raise ValueError(f"schema violation: {path} samples must be a list")
     samples = []
     for rec in doc["samples"]:
-        if not isinstance(rec, dict) or {"id", "class", "path", "split"} - rec.keys():
+        if not isinstance(rec, dict) or set(_RECORD_KEYS) - rec.keys():
             raise ValueError(f"schema violation: malformed sample record in {path}")
+        for key in _RECORD_KEYS:
+            if not isinstance(rec[key], str):
+                raise ValueError(f"schema violation: {path} sample record field "
+                                 f"{key!r} must be a string")
         samples.append(SampleRecord(sample_id=rec["id"], label=rec["class"],
                                     path=rec["path"], split=rec["split"]))
     return DatasetManifest(classes=doc["classes"], samples=samples,

@@ -17,13 +17,13 @@ same matrix and distinct words collide with negligible probability.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .features import read_json_object, require_unique_classes
 from .numerics import as_matrix, as_stack
 
 __all__ = [
@@ -75,11 +75,8 @@ def parse_descriptions(path) -> DescriptionFile:
     4 are accepted with a warning since prompt count is configurable.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"schema violation: {path} is not valid JSON ({e})") from e
-    if not isinstance(doc, dict) or "description" not in doc:
+    doc = read_json_object(path)
+    if "description" not in doc:
         raise ValueError(f'schema violation: {path} lacks the "description" key')
     descs = doc["description"]
     if not isinstance(descs, list) or not all(isinstance(t, str) for t in descs):
@@ -99,8 +96,8 @@ def parse_descriptions(path) -> DescriptionFile:
 def load_description_manifest(path) -> dict[str, DescriptionFile]:
     """Load a {class: relative file path} manifest of description files."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
+    doc = read_json_object(path)
+    if not all(isinstance(v, str) for v in doc.values()):
         raise ValueError(f"schema violation: {path} must map class names to paths")
     out = {}
     for cls, rel in doc.items():
@@ -272,6 +269,7 @@ class PromptBank:
     trainable: tuple[str, ...] = ("shared_tokens", "attention")
 
     def __post_init__(self):
+        require_unique_classes(self.classes)
         if self.shared_tokens.ndim != 3 or self.class_tokens.ndim != 4:
             raise ValueError("token tensors have wrong rank")
         K = len(self.classes)
@@ -297,10 +295,11 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
                       ) -> PromptBank:
     """Construct a PromptBank for `classes`.
 
-    With gpt_init, class tokens come from tokenizing the supplied
-    description files (all classes must provide the same number of
-    descriptions); otherwise they are seeded random unit rows of the
-    same shape. Shared tokens always start random.
+    With gpt_init, class tokens tokenize the given descriptions (every
+    class the same count, which sets P_cs) or, when descriptions is
+    None, num_class_prompts synth_description_texts per class; without
+    gpt_init they are seeded random unit rows. Shared tokens always
+    start random. train passes its bank sizes through to these defaults.
     """
     classes = list(classes)
     if not classes:
@@ -313,7 +312,8 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
 
     if gpt_init:
         if descriptions is None:
-            raise ValueError("no descriptions: gpt_init requires description files")
+            descriptions = synth_description_texts(classes, seed=seed,
+                                                   count=num_class_prompts)
         counts = set()
         for c in classes:
             if c not in descriptions:
@@ -321,7 +321,6 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
             counts.add(len(descriptions[c].descriptions))
         if len(counts) != 1:
             raise ValueError("schema violation: classes have differing description counts")
-        p_cs = counts.pop()
         class_tokens = np.array([
             [tokenize(t, token_dim, context_length, seed)
              for t in descriptions[c].descriptions]

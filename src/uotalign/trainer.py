@@ -46,7 +46,6 @@ from .prompts import (
     PromptBank,
     attention_backward,
     build_prompt_bank,
-    synth_description_texts,
 )
 # solve_uot_batch is unused here; bench/test_bench.py checks it stays bound
 from .transport import INF, SolverConfig, solve_uot_batch  # noqa: F401
@@ -291,37 +290,28 @@ def _subsample_shots(samples: list[FeatureSet], classes: list[str],
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
-          *, descriptions=None,
-          solver: SolverConfig | None = None, num_shared_prompts: int = 2,
-          num_class_prompts: int = 4, context_length: int = 8,
-          token_dim: int = 32) -> TrainState:
+          *, descriptions=None, solver: SolverConfig | None = None,
+          **bank_sizes) -> TrainState:
     """Full few-shot run: subsample shots, build the bank, run epochs.
 
     The variant in cfg decides the active paths and trainable groups.
-    Missing descriptions fall back to deterministic synthetic texts so
-    gpt-initialized variants stay runnable on purely synthetic data.
+    bank_sizes are build_prompt_bank's num_shared_prompts,
+    num_class_prompts, context_length and token_dim, with its defaults.
     """
     return _train_on(manifest, load_split(manifest, "train"), cfg, ccfg, descriptions,
-                     solver, num_shared_prompts, num_class_prompts, context_length, token_dim)
+                     solver, bank_sizes)
 
 
-def _train_on(manifest, train_samples, cfg, ccfg, descriptions=None, solver=None,
-              num_shared_prompts=2, num_class_prompts=4, context_length=8, token_dim=32):
+def _train_on(manifest, train_samples, cfg, ccfg, descriptions, solver, bank_sizes):
     """train() on the already loaded train split of `manifest`."""
     ccfg_v, bank_kw = apply_variant(cfg.variant, ccfg)
     if not train_samples:
         raise ValueError("empty split: no train samples in manifest")
     subset = _subsample_shots(train_samples, list(manifest.classes),
                               cfg.shots, cfg.seed)
-    encoder = FrozenEncoder.seeded(token_dim, subset[0].dim, cfg.seed)
-    if bank_kw["gpt_init"] and descriptions is None:
-        descriptions = synth_description_texts(manifest.classes, seed=cfg.seed,
-                                               count=num_class_prompts)
-    bank = build_prompt_bank(manifest.classes, descriptions,
-                             num_shared_prompts=num_shared_prompts,
-                             num_class_prompts=num_class_prompts,
-                             context_length=context_length,
-                             token_dim=token_dim, seed=cfg.seed, **bank_kw)
+    bank = build_prompt_bank(manifest.classes, descriptions, seed=cfg.seed,
+                             **bank_sizes, **bank_kw)
+    encoder = FrozenEncoder.seeded(bank.shared_tokens.shape[2], subset[0].dim, cfg.seed)
     state = init_state(bank, encoder)
 
     for epoch in range(cfg.epochs):
@@ -381,8 +371,8 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
     for variant in VARIANTS:
         cfg_v = replace(cfg, variant=variant)
         try:
-            state = _train_on(manifest, train_samples, cfg_v, ccfg,
-                              descriptions=descriptions, solver=solver, **bank_kwargs)
+            state = _train_on(manifest, train_samples, cfg_v, ccfg, descriptions,
+                              solver, bank_kwargs)
             ccfg_v, _ = apply_variant(variant, ccfg)
             test_metrics = (evaluate(test_samples, state, ccfg_v, solver=solver)
                             if test_samples else {"accuracy": math.nan,

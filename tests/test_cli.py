@@ -1,13 +1,20 @@
 """Command-line contract: exit codes, file formats, strict config."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uotalign.classifier import ClassifierConfig
 from uotalign.cli import (
+    _BANK_KEYS,
+    _CLASSIFIER_KEYS,
+    _SOLVER_KEYS,
+    _TRAIN_KEYS,
     EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -20,9 +27,9 @@ from uotalign.cli import (
     read_csv_matrix,
     write_csv,
 )
-from uotalign.features import load_manifest, read_embedding_file
+from uotalign.features import load_manifest, load_split, read_embedding_file
 from uotalign.prompts import parse_descriptions
-from uotalign.trainer import VARIANTS, load_checkpoint
+from uotalign.trainer import VARIANTS, apply_variant, evaluate, load_checkpoint
 from uotalign.transport import INF, SolverConfig, solve_entropic_ot
 
 TRAIN_CFG = {"epochs": 25, "seed": 1, "token_dim": 16, "context_length": 4,
@@ -112,6 +119,16 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="schema violation"):
             load_config(path)
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config file", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "c.json"
+        path.write_text(example)
+        load_config(path)
+        assert set(json.loads(example)) == \
+            _TRAIN_KEYS | _CLASSIFIER_KEYS | _SOLVER_KEYS | _BANK_KEYS
 
 
 class TestCsv:
@@ -301,6 +318,46 @@ class TestTrainEval:
                      "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == EXIT_ERROR
         assert "unknown config key: 'epoch'" in capsys.readouterr().err
+
+
+class TestConfigVariant:
+    """eval and heatmap score with the config's variant, as train does."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("variants")
+        for variant in ("no_uot", "no_csc"):
+            (root / f"{variant}.json").write_text(
+                json.dumps(dict(QUICK_CFG, variant=variant)))
+            assert main(["train", "--manifest", str(workdir / "data/manifest.json"),
+                         "--config", str(root / f"{variant}.json"),
+                         "--out", str(root / variant)]) == EXIT_OK
+        return root
+
+    @pytest.mark.parametrize("variant", ["no_uot", "no_csc"])
+    def test_eval_equals_library_evaluate_under_the_variant(self, workdir, runs,
+                                                             tmp_path, variant):
+        manifest = workdir / "data/manifest.json"
+        checkpoint = runs / variant / "checkpoint.ckpt"
+        assert main(["eval", "--manifest", str(manifest), "--checkpoint",
+                     str(checkpoint), "--config", str(runs / f"{variant}.json"),
+                     "--split", "test", "--out", str(tmp_path)]) == EXIT_OK
+        got = json.loads((tmp_path / "metrics.json").read_text())
+        ccfg, _ = apply_variant(variant, ClassifierConfig())
+        want = evaluate(load_split(load_manifest(manifest), "test"),
+                        load_checkpoint(checkpoint), ccfg)
+        assert (got["accuracy"], got["mean_loss"]) == \
+            (want["accuracy"], want["mean_loss"])
+
+    def test_heatmap_skips_the_variants_dropped_path(self, workdir, runs, tmp_path):
+        assert main(["heatmap", "--checkpoint", str(runs / "no_csc/checkpoint.ckpt"),
+                     "--manifest", str(workdir / "data/manifest.json"),
+                     "--sample-id", "class_0_000", "--class-id", "class_0",
+                     "--config", str(runs / "no_csc.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["heatmaps"]) == {"ds"} and summary["d_cs"] == 0.0
+        assert not (tmp_path / "heatmap_cs.csv").exists()
 
 
 class TestAblate:

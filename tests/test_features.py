@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from uotalign.features import (
     load_manifest,
     load_split,
     read_embedding_file,
+    read_json_object,
     save_manifest,
     synth_dataset,
     write_embedding_file,
@@ -115,13 +117,47 @@ class TestManifest:
     @pytest.mark.parametrize("key,value", [
         ("shots", "4"), ("shots", 2.9), ("shots", True), ("seed", True),
         ("seed", 1.0), ("seed", None), ("classes", "ab"), ("classes", ["a", 1]),
-        ("classes", {"a": 1})])
+        ("classes", {"a": 1}), ("samples", 5)])
     def test_mistyped_field_rejected(self, tmp_path, key, value):
         doc = {"classes": ["a", "b"], "samples": [], "shots": 1, "seed": 0, key: value}
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"schema violation: .* {key} must be"):
             load_manifest(p)
+
+    def test_duplicate_class_rejected(self, tmp_path):
+        m = synth_dataset(tmp_path / "d", num_classes=4, per_class=2, tokens=3,
+                          dim=4, separation=1.0, seed=0)
+        doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        doc["classes"] = m.classes + ["class_0"]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match="schema violation: duplicate class 'class_0'"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("id", 5), ("class", None), ("path", 5), ("split", ["train"])])
+    def test_mistyped_sample_record_field_rejected(self, tmp_path, key, value):
+        record = {"id": "a_0", "class": "a", "path": "a_0.emb1", "split": "train"}
+        doc = {"classes": ["a"], "samples": [dict(record, **{key: value})],
+               "shots": 1, "seed": 0}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: {p} sample record field {key!r} must be a string")):
+            load_manifest(p)
+
+
+class TestReadJsonObject:
+    @pytest.mark.parametrize("text,reason", [
+        ("{nope", "is not valid JSON ("), ("[1, 2]", "top level must be an object"),
+        ("null", "top level must be an object")])
+    def test_rejects_with_the_path(self, tmp_path, text, reason):
+        p = tmp_path / "x.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"schema violation: {p} {reason}")):
+            read_json_object(p)
 
 
 class TestSynthDataset:

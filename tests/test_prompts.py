@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ class TestParseDescriptions:
         p = tmp_path / "lynx.json"
         p.write_text(json.dumps({"description": ["a", "b", "c", "d"]}))
         assert parse_descriptions(p).class_name == "lynx"
+
+
+class TestDescriptionManifest:
+    def test_invalid_json_names_the_file(self, tmp_path):
+        p = tmp_path / "descriptions.json"
+        p.write_text("{nope")
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: {p} is not valid JSON")):
+            load_description_manifest(p)
+
+    @pytest.mark.parametrize("load", [load_description_manifest, parse_descriptions])
+    def test_top_level_must_be_an_object(self, tmp_path, load):
+        p = tmp_path / "x.json"
+        p.write_text('["cat.json"]')
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: {p} top level must be an object")):
+            load(p)
 
 
 class TestTokenize:
@@ -367,6 +385,21 @@ class TestPromptBank:
                  .DescriptionFile("cat", ["a", "b", "c", "d"])}
         with pytest.raises(ValueError, match="no descriptions"):
             build_prompt_bank(["cat", "dog"], descs, token_dim=8, context_length=4)
+
+    def test_missing_descriptions_fall_back_to_synthetic_texts(self):
+        classes = ["owl", "cat", "dog"]
+        sizes = dict(num_class_prompts=3, context_length=4, token_dim=8, seed=5)
+        fallback = build_prompt_bank(classes, None, gpt_init=True, **sizes)
+        texts = synth_description_texts(classes, seed=5, count=3)
+        explicit = build_prompt_bank(classes, texts, gpt_init=True, **sizes)
+        assert fallback.class_tokens.shape == (3, 3, 4, 8)
+        assert fallback.class_tokens.tobytes() == explicit.class_tokens.tobytes()
+
+    @pytest.mark.parametrize("gpt_init", [True, False])
+    def test_duplicate_class_rejected(self, gpt_init):
+        with pytest.raises(ValueError, match="schema violation: duplicate class 'cat'"):
+            build_prompt_bank(["cat", "dog", "cat"], None, token_dim=8,
+                              context_length=4, gpt_init=gpt_init)
 
 
 class TestSynthDescriptions:

@@ -548,6 +548,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty split"):
             train(manifest, TrainConfig(shots=1), ClassifierConfig(), **BANK_KW)
 
+    def test_misspelt_bank_size_rejected(self, manifest):
+        with pytest.raises(TypeError, match="num_shared_prompt"):
+            train(manifest, TrainConfig(epochs=0, seed=1), ClassifierConfig(),
+                  num_shared_prompt=2)
+
 
 class TestEvaluate:
     def test_empty_split_rejected(self, trained):
@@ -671,6 +676,19 @@ class TestRunAblation:
             assert "empty split" in r["error"]
 
 
+def save_with_header_field(state, path, key, value):
+    """Save `state` as CKP1, then rewrite one header field in place."""
+    save_checkpoint(state, path)
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    header = json.loads(raw[8:8 + hlen].decode())
+    header[key] = value
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob
+                     + raw[8 + hlen:])
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, trained, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -732,17 +750,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_unknown_version(self, trained, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(trained, path)
-        raw = bytearray(path.read_bytes())
-        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        header = json.loads(raw[8:8 + hlen].decode())
-        header["version"] = 2
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        out = CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob \
-            + bytes(raw[8 + hlen:])
-        path.write_bytes(out)
+        path = save_with_header_field(trained, tmp_path / "x.ckpt", "version", 2)
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+
+    def test_rejects_duplicate_class(self, trained, tmp_path):
+        assert trained.bank.classes == ["class_0", "class_1", "class_2"]
+        path = save_with_header_field(trained, tmp_path / "x.ckpt", "classes",
+                                      ["class_0", "class_1", "class_0"])
+        with pytest.raises(ValueError,
+                           match="schema violation: duplicate class 'class_0'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -752,16 +769,7 @@ class TestCheckpoint:
         ("history", [1])])
     def test_rejects_mistyped_header_field(self, trained, tmp_path, key, value):
         import re
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(trained, path)
-        raw = bytearray(path.read_bytes())
-        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        header = json.loads(raw[8:8 + hlen].decode())
-        header[key] = value
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        out = CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob \
-            + bytes(raw[8 + hlen:])
-        path.write_bytes(out)
+        path = save_with_header_field(trained, tmp_path / "x.ckpt", key, value)
         with pytest.raises(ValueError, match=re.escape(
                 f"corrupt file: {path} header field {key!r} must be")):
             load_checkpoint(path)

@@ -175,6 +175,9 @@ class Forward:
     the classes' encoding of a path and couplings[tag][s] its (K, P, M_s)
     stack of couplings with sample s, one column per token. Only paths
     with a positive weight appear in `paths` and as keys of the dicts.
+    unconverged and clamped count the solves that hit the iteration cap
+    and those whose marginal sums were clamped; their couplings are used
+    all the same.
     """
 
     d: np.ndarray
@@ -182,6 +185,8 @@ class Forward:
     paths: tuple[tuple[str, float], ...]
     encoding: dict[str, PathEncoding]
     couplings: dict[str, list[np.ndarray]]
+    unconverged: int
+    clamped: int
 
 
 def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
@@ -215,6 +220,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                 groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
 
     per_class = {tag: [[None] * len(C) for C in stacks] for tag, stacks in costs.items()}
+    unconverged = clamped = 0
     for entries in groups.values():
         solved = solve_uot_batch([problem for _, problem in entries], solver)
         for ((s, k, tag), _), plan in zip(entries, solved):
@@ -223,6 +229,8 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                     f"solver failed for sample {samples[s].sample_id!r}, class "
                     f"{classes[k]!r}, {tag} path: {plan.error}")
             per_class[tag][s][k] = plan.coupling
+            unconverged += not plan.converged
+            clamped += plan.clamped
     # stacked only now: a stack allocated before the solves raises peak RSS
     couplings = {tag: [np.stack(Ws) for Ws in lists] for tag, lists in per_class.items()}
 
@@ -232,7 +240,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
               for tag, stacks in costs.items()}
     d = sum(gamma * d_path[tag] for tag, gamma in paths)
     return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
-                   couplings=couplings)
+                   couplings=couplings, unconverged=unconverged, clamped=clamped)
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,

@@ -288,7 +288,7 @@ class PromptBank:
 
 
 def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2,
-                      num_class_prompts: int = 4, context_length: int = 8,
+                      num_class_prompts: int | None = None, context_length: int = 8,
                       token_dim: int = 32, seed: int = 0, gpt_init: bool = True,
                       use_attention: bool = True,
                       trainable: tuple[str, ...] = ("shared_tokens", "attention"),
@@ -296,10 +296,12 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
     """Construct a PromptBank for `classes`.
 
     With gpt_init, class tokens tokenize the given descriptions (every
-    class the same count, which sets P_cs) or, when descriptions is
-    None, num_class_prompts synth_description_texts per class; without
-    gpt_init they are seeded random unit rows. Shared tokens always
-    start random. train passes its bank sizes through to these defaults.
+    class the same count, which sets P_cs; a num_class_prompts other than
+    that count is a schema violation) or, when descriptions is None,
+    num_class_prompts synth_description_texts per class; without
+    gpt_init they are seeded random unit rows. num_class_prompts None
+    means 4 wherever it sets P_cs. Shared tokens always start random.
+    train passes its bank sizes through to these defaults.
     """
     classes = list(classes)
     if not classes:
@@ -310,10 +312,10 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
 
     class_words = np.array([_word_vector(c, token_dim, seed) for c in classes])
 
+    p_cs = 4 if num_class_prompts is None else num_class_prompts
     if gpt_init:
         if descriptions is None:
-            descriptions = synth_description_texts(classes, seed=seed,
-                                                   count=num_class_prompts)
+            descriptions = synth_description_texts(classes, seed=seed, count=p_cs)
         counts = set()
         for c in classes:
             if c not in descriptions:
@@ -321,13 +323,16 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
             counts.add(len(descriptions[c].descriptions))
         if len(counts) != 1:
             raise ValueError("schema violation: classes have differing description counts")
+        count = counts.pop()
+        if num_class_prompts not in (None, count):
+            raise ValueError(f"schema violation: num_class_prompts is {num_class_prompts}, "
+                             f"but each class has {count} descriptions")
         class_tokens = np.array([
             [tokenize(t, token_dim, context_length, seed)
              for t in descriptions[c].descriptions]
             for c in classes
         ])
     else:
-        p_cs = num_class_prompts
         class_tokens = np.empty((len(classes), p_cs, context_length, token_dim))
         for ci in range(len(classes)):
             r = np.random.default_rng([seed, 22, ci])

@@ -503,6 +503,8 @@ def load_checkpoint(path) -> TrainState:
                                 bias=arrays["encoder.bias"])
     except KeyError as e:
         raise ValueError(f"corrupt file: {path} lacks {e.args[0]!r}") from None
+    except ValueError as e:
+        raise ValueError(f"corrupt file: {path} {e}") from e
     m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
     v = {name[2:]: a for name, a in arrays.items() if name.startswith("v.")}
     expected = set(_trainable_arrays(bank))

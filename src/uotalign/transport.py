@@ -13,8 +13,18 @@ Each half-step is an exact block minimization of the dual
     lam * sum exp((u_i + v_j - C_ij) / lam)
       + rho1 * <exp(-u/rho1), n> + rho2 * <exp(-v/rho2), m>
 
-so the dual value is nonincreasing along the iteration. With both
-rho = inf the update factor collapses to lam and the scheme is the
+and each half-step is over-relaxed: the new potential is T + (omega -
+1)(T - u_old) for the block minimizer T, a fixed omega = 1.4 (Thibault,
+Chizat, Dossal and Papadakis, Algorithms 14(5), 2021; Lehmann, von
+Renesse, Sambale and Uschmajew, Optim. Lett. 2022). The dual is separable
+per coordinate within a block, so the relaxed coordinate is kept only
+where it lowers the dual, a test on u_old - T against an interval that
+depends on (lam, rho) alone; elsewhere, on clamped instances and on
+non-finite entries the plain T is taken. The dual value is therefore
+nonincreasing along the iteration. A converged plan reports v from the
+last plain half-step, an exact block minimizer, so a pinned column
+marginal holds as in plain Sinkhorn. With both
+rho = inf the update factor collapses to lam and the plain scheme is the
 classic balanced Sinkhorn iteration; primal_value then reports the
 conventional <W, C> - lam * H(W), which differs from the expression
 above only by lam * mass(W), a constant on the feasible set. Plans
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +84,10 @@ _LOG_HUGE, _LOG_BOUND = 709.0, 708.0
 # log space: subnormal kernel entries times scalings up to e^_ABSORB then
 # err by at most M * 1e-302, a relative 1e-20 of any sum that is kept
 _ABSORB, _LOG_TINY = 50.0, math.log(1e-280)
+
+# over-relaxation factor omega of every half-step; _BETA = omega - 1
+_OMEGA = 1.4
+_BETA = _OMEGA - 1.0
 
 
 class NumericalBlowupError(RuntimeError):
@@ -137,7 +152,8 @@ class TransportPlan:
     """Solver output: what the iteration produced and how it ended.
 
     `coupling` is exp of the last log kernel of the potentials (u, v),
-    all NaN when `error` names a blowup. `converged` is False when the
+    all NaN when `error` names a blowup; (u, v) is the last iterate,
+    except that a converged plan's v is its last plain half-step. `converged` is False when the
     iteration cap was hit first, `clamped` when a marginal sum fell
     below the log-space floor at some iteration. A plan from
     solve_uot_batch holds a view of that call's (B, P, M) coupling
@@ -254,6 +270,67 @@ def _half_step(kx, lp, lp_lo, base, fac, exact):
     return (base - lk) * fac, fell, low
 
 
+def _excess(s: float, lam: float, rho: float) -> float:
+    # the dual's excess per unit mass at T + s over its block minimum at T
+    pull = -s if math.isinf(rho) else rho * math.expm1(-s / rho)
+    return lam * math.expm1(s / lam) + pull
+
+
+@lru_cache(maxsize=None)
+def _relax_interval(lam: float, rho: float) -> tuple[float, float]:
+    """[lo, hi] of s = u_old - T on which over-relaxation lowers the dual.
+
+    Given the other potential, the dual is separable per coordinate, and
+    the coordinate at T + s (T the plain half-step's minimizer) costs its
+    marginal mass times h(s) = lam expm1(s/lam) + rho expm1(-s/rho), or
+    lam expm1(s/lam) - s when pinned, above its minimum. The relaxed
+    coordinate T - beta s is accepted where h(-beta s) <= h(s): an
+    interval around 0 that depends on (lam, rho) only. Each end is the
+    first sign change of the gain h(s) - h(-beta s), found on a halving
+    grid below a cap at which every exp stays in float range, then
+    bisected and shrunk by 0.1%; it is the cap where no sign change lies
+    below it, so both ends are finite.
+    """
+    def gain(t):
+        return _excess(t, lam, rho) - _excess(-_BETA * t, lam, rho)
+
+    ends = []
+    for sign, cap in ((-1.0, min(rho, lam / _BETA)), (1.0, min(lam, rho / _BETA))):
+        good, bad = 0.0, None
+        for j in range(30, -1, -1):
+            t = 600.0 * cap * 2.0 ** -j
+            if not gain(sign * t) >= 0:
+                bad = t
+                break
+            good = t
+        if bad is not None:
+            for _ in range(60):
+                mid = 0.5 * (good + bad)
+                if gain(sign * mid) >= 0:
+                    good = mid
+                else:
+                    bad = mid
+        ends.append(sign * good * 0.999)
+    return ends[0], ends[1]
+
+
+def _relax(T, old, lo, hi, plain):
+    """The over-relaxed potential T - beta s for s = old - T where s lies in
+    [lo, hi], so the dual drops; the plain T elsewhere, on non-finite
+    entries and on the rows of the mask `plain` (False: none). Returns it
+    and each row's largest |s|, the plain step's move. The per-entry check
+    runs only when some move leaves [-min(-lo, hi), min(-lo, hi)]."""
+    s = old - T
+    move = np.max(np.abs(s), axis=1)
+    R = T - _BETA * s
+    if plain is not False or not move.max() <= min(-lo, hi):
+        ok = (s >= lo) & (s <= hi)
+        if plain is not False:
+            ok &= ~plain[:, None]
+        R = np.where(ok, R, T)
+    return R, move
+
+
 def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | None = None) -> list[TransportPlan]:
     """Solve a batch of same-shape, same-parameter instances together.
 
@@ -262,9 +339,9 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     instances still running: one that converges or blows up leaves the
     loop, its potentials and its coupling (exp of its last log kernel)
     are written back and the arrays shrink to the rest. Each decision
-    (fallback, clamp, absorption, blowup) reads only its instance's
-    data, and batch-wide gates skip only work that would change
-    nothing, so each result is identical to an independent single
+    (fallback, clamp, relaxation, absorption, blowup) reads only its
+    instance's data, and batch-wide gates skip only work that would
+    change nothing, so each result is identical to an independent single
     solve. An instance that blows up is marked via its plan's `error`
     field instead of aborting the batch. Each plan's coupling is a view
     of one (B, P, M) buffer for the whole call, which stays alive while
@@ -282,6 +359,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     n_rows, n_cols = p0.shape
     lam = p0.lam
     fac1, fac2 = _factor(lam, p0.rho1), _factor(lam, p0.rho2)
+    (lo1, hi1), (lo2, hi2) = _relax_interval(lam, p0.rho1), _relax_interval(lam, p0.rho2)
     tol = config.dual_tolerance
 
     # per-instance results, indexed by position in `problems`
@@ -294,10 +372,12 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     coupling = np.empty((B, n_rows, n_cols))
 
     # working arrays over the live instances only; live[i] is the batch
-    # position of working row i. K = exp(Ua + Vb - C/lam) absorbs the
-    # potentials over lam as of its last rebuild, Kmax is its largest log
-    # entry, An = Ua + log n, Bm = Vb + log m, U = lam * (Ua + la) and
-    # V = lam * (Vb + lb) for the log-scalings (la, lb)
+    # position of working row i. U and V are the over-relaxed iterates; Vp,
+    # the plain v half-step, is what a converged plan reports beside U.
+    # K = exp(Ua + Vb - C/lam) absorbs the potentials over lam as of its
+    # last rebuild, Kmax is its largest log entry, An = Ua + log n,
+    # Bm = Vb + log m, U = lam * (Ua + la) and V = lam * (Vb + lb) for the
+    # log-scalings (la, lb)
     live = np.arange(B)
     C = np.stack([p.cost for p in problems])
     log_n = np.log(np.stack([p.row_marginal for p in problems]))
@@ -330,21 +410,20 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         absorb(slice(None), U, V)
         for k in range(config.max_iterations):
-            U_new, fell, low_u = _half_step(
+            T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
                 lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2))
+            U_new, du = _relax(T, U, lo1, hi1, low_u)
             la = U_new / lam - Ua
             la_lo, la_hi = refold(la, fell, U_new, V)
-            V_new, fell, low_v = _half_step(
+            Vp, fell, low_v = _half_step(
                 np.matmul(np.exp(la)[:, None, :], K)[:, 0, :], lb, lb_lo, Bm, fac2,
                 lambda r: logsumexp_axis(_log_kernel(U_new[r], V[r], C[r], lam), axis=1))
+            V_new, dv = _relax(Vp, V, lo2, hi2, low_v)
             lb = V_new / lam - Vb
             lb_lo, lb_hi = refold(lb, fell, U_new, V_new)
             if low_u is not False or low_v is not False:
                 clamped[live] |= low_u | low_v
-
-            du = np.max(np.abs(U_new - U), axis=1)
-            dv = np.max(np.abs(V_new - V), axis=1)
             U, V = U_new, V_new
 
             # an instance whose coupling would leave float range is dead even
@@ -364,10 +443,11 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
                 continue
             ended = live[finished]
             U_out[ended], V_out[ended] = U[finished], V[finished]
+            V_out[live[done]] = Vp[done]  # an exact block minimizer
             iterations[ended] = k + 1
             converged[live[done]] = True
             # finite wherever not bad, and in the old operation order
-            coupling[live[done]] = np.exp(_log_kernel(U[done], V[done], C[done], lam))
+            coupling[live[done]] = np.exp(_log_kernel(U[done], Vp[done], C[done], lam))
             coupling[live[bad]] = np.nan
             for i in live[bad]:
                 failed[i] = f"numerical blowup at iteration {k + 1}"

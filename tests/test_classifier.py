@@ -26,7 +26,13 @@ from uotalign.prompts import (
     build_prompt_bank,
     encode_classes,
 )
-from uotalign.transport import INF, NumericalBlowupError, TransportPlan, solve_entropic_ot
+from uotalign.transport import (
+    INF,
+    NumericalBlowupError,
+    SolverConfig,
+    TransportPlan,
+    solve_entropic_ot,
+)
 
 
 def unit_rows(rng, shape):
@@ -346,6 +352,31 @@ class TestForward:
                     assert stack[k].tobytes() == W.tobytes()
                     C = cost_matrix(fs.features, fw.encoding[tag].g[k])
                     assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))
+
+    @pytest.mark.parametrize("lam, cap", [(1.5e-3, 2000), (1e-2, 20)])
+    def test_counts_unconverged_and_clamped_solves(self, monkeypatch, lam, cap):
+        # at lam 1.5e-3 some first marginal sums fall below the clamp; a cap
+        # of 20 iterations stops most solves before they converge
+        import uotalign.classifier as classifier_mod
+
+        rng = np.random.default_rng(15)
+        bank = make_bank(["cat", "dog", "owl"])
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
+        samples = [make_sample(rng, M=M) for M in (3, 5, 5, 4)]
+        plans = []
+        solve = classifier_mod.solve_uot_batch
+
+        def recorded(problems, config=None):
+            plans.extend(solve(problems, config))
+            return plans[-len(problems):]
+
+        monkeypatch.setattr(classifier_mod, "solve_uot_batch", recorded)
+        fw = forward(samples, bank, enc, ClassifierConfig(lam=lam),
+                     SolverConfig(max_iterations=cap))
+        assert len(plans) == len(samples) * 3 * 2
+        assert fw.unconverged == sum(not plan.converged for plan in plans)
+        assert fw.clamped == sum(plan.clamped for plan in plans)
+        assert 0 < fw.unconverged + fw.clamped < len(plans)
 
 
 class TestSeparableScoring:

@@ -28,7 +28,7 @@ from uotalign.cli import (
     write_csv,
 )
 from uotalign.features import load_manifest, load_split, read_embedding_file
-from uotalign.prompts import parse_descriptions
+from uotalign.prompts import parse_descriptions, synth_description_texts
 from uotalign.trainer import VARIANTS, apply_variant, evaluate, load_checkpoint
 from uotalign.transport import INF, SolverConfig, solve_entropic_ot
 
@@ -309,6 +309,25 @@ class TestTrainEval:
                      "--out", str(out)])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_prompt_count_must_match_descriptions(self, workdir, tmp_path, capsys):
+        # cfg.json asks for 2 class prompts; the description files hold 4 texts
+        index = {}
+        for cls, doc in synth_description_texts(["class_0", "class_1", "class_2"],
+                                                count=4).items():
+            (tmp_path / f"{cls}.json").write_text(json.dumps(
+                {"class_name": cls, "description": doc.descriptions}))
+            index[cls] = f"{cls}.json"
+        (tmp_path / "descriptions.json").write_text(json.dumps(index))
+        out = tmp_path / "out"
+        code = main(["train", "--manifest", str(workdir / "data/manifest.json"),
+                     "--config", str(workdir / "cfg.json"),
+                     "--descriptions", str(tmp_path / "descriptions.json"),
+                     "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert ("schema violation: num_class_prompts is 2, but each class has 4 "
+                "descriptions") in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key_exits_1(self, workdir, tmp_path, capsys):

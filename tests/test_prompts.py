@@ -395,6 +395,21 @@ class TestPromptBank:
         assert fallback.class_tokens.shape == (3, 3, 4, 8)
         assert fallback.class_tokens.tobytes() == explicit.class_tokens.tobytes()
 
+    def test_class_prompt_count_must_match_descriptions(self):
+        classes = ["owl", "cat"]
+        sizes = dict(context_length=4, token_dim=8)
+        texts = synth_description_texts(classes, count=4)
+        with pytest.raises(ValueError, match="schema violation: num_class_prompts is 2, "
+                                             "but each class has 4 descriptions"):
+            build_prompt_bank(classes, texts, num_class_prompts=2, **sizes)
+        # None takes the count from the texts, and means 4 where nothing sets it
+        unset = build_prompt_bank(classes, texts, **sizes)
+        assert unset.class_tokens.tobytes() == build_prompt_bank(
+            classes, texts, num_class_prompts=4, **sizes).class_tokens.tobytes()
+        assert build_prompt_bank(classes, None, **sizes).class_tokens.shape[1] == 4
+        assert build_prompt_bank(classes, None, gpt_init=False,
+                                 **sizes).class_tokens.shape[1] == 4
+
     @pytest.mark.parametrize("gpt_init", [True, False])
     def test_duplicate_class_rejected(self, gpt_init):
         with pytest.raises(ValueError, match="schema violation: duplicate class 'cat'"):

@@ -762,6 +762,14 @@ class TestCheckpoint:
                            match="schema violation: duplicate class 'class_0'"):
             load_checkpoint(path)
 
+    def test_bank_error_names_the_file(self, trained, tmp_path):
+        import re
+        path = save_with_header_field(trained, tmp_path / "x.ckpt", "classes",
+                                      ["class_0", "class_1"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt file: {path} class token count does not match class list")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key,value", [
         ("use_attention", "no"), ("use_attention", 1), ("classes", "abc"),
         ("classes", [1, 2, 3]), ("trainable", "shared_tokens"), ("step", 1.5),

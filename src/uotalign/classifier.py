@@ -63,13 +63,14 @@ _UNIT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Temperature, path weights and solver parameters for scoring.
+    """Temperature, path weights and every setting of the solves.
 
-    rho1 = rho2 = INF pins both marginals, so the solves are balanced
-    entropic transport: the "plain OT" ablation. A path weight of
-    exactly 0 disables that path entirely: no solve is run, the path
-    has no entry in forward's dicts, and score reports its distance as
-    0 and its coupling as None. At least one weight must be positive.
+    lam, rho1 and rho2 set each problem, solver the iteration cap and
+    dual tolerance. rho1 = rho2 = INF pins both marginals, so the solves
+    are balanced entropic transport: the "plain OT" ablation. A path
+    weight of exactly 0 disables that path entirely: no solve is run, the
+    path has no entry in forward's dicts, and score reports its distance
+    as 0 and its coupling as None. At least one weight must be positive.
     """
 
     tau: float = 0.01
@@ -78,12 +79,13 @@ class ClassifierConfig:
     lam: float = 0.01
     rho1: float = INF
     rho2: float = 0.04
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if self.gamma_cs < 0 or self.gamma_ds < 0:
-            raise ValueError("path weights must be nonnegative")
+        if not (self.tau > 0 and math.isfinite(self.tau)):
+            raise ValueError("tau must be positive and finite")
+        if not all(g >= 0 and math.isfinite(g) for g in (self.gamma_cs, self.gamma_ds)):
+            raise ValueError("path weights must be nonnegative and finite")
         if self.gamma_cs == 0 and self.gamma_ds == 0:
             raise ValueError("at least one path weight must be positive")
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -190,8 +192,7 @@ class Forward:
 
 
 def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
-            cfg: ClassifierConfig, solver: SolverConfig | None = None,
-            classes: list[str] | None = None) -> Forward:
+            cfg: ClassifierConfig, classes: list[str] | None = None) -> Forward:
     """Score every sample against every class along both prompt paths.
 
     All classes are encoded at once, along the paths with a positive
@@ -222,7 +223,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     per_class = {tag: [[None] * len(C) for C in stacks] for tag, stacks in costs.items()}
     unconverged = clamped = 0
     for entries in groups.values():
-        solved = solve_uot_batch([problem for _, problem in entries], solver)
+        solved = solve_uot_batch([problem for _, problem in entries], cfg.solver)
         for ((s, k, tag), _), plan in zip(entries, solved):
             if plan.error is not None:
                 raise NumericalBlowupError(
@@ -244,13 +245,12 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
-          encoder: FrozenEncoder, cfg: ClassifierConfig,
-          solver: SolverConfig | None = None) -> AlignmentScore:
+          encoder: FrozenEncoder, cfg: ClassifierConfig) -> AlignmentScore:
     """Alignment of one sample against one class: forward() at B = K = 1.
 
     A disabled path (weight 0) reports distance 0 and no coupling.
     """
-    fw = forward([fs], bank, encoder, cfg, solver, classes=[class_id])
+    fw = forward([fs], bank, encoder, cfg, classes=[class_id])
     d = {tag: float(D[0, 0]) for tag, D in fw.d_path.items()}
     W = {tag: stacks[0][0] for tag, stacks in fw.couplings.items()}
     return AlignmentScore(d_cs=d.get("cs", 0.0), d_ds=d.get("ds", 0.0),

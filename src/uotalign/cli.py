@@ -10,7 +10,7 @@ inputs and seeds produce identical bytes.
 Exit codes are a stable contract: 0 success, 1 error, 2 solver hit its
 iteration cap, 3 some classes of gen-descriptions failed. Config files
 are strict JSON in one flat namespace mirroring the TrainConfig,
-ClassifierConfig and SolverConfig field names plus the prompt-bank
+ClassifierConfig and nested SolverConfig field names plus the prompt-bank
 sizes; unknown keys are errors, not warnings, so typos cannot silently
 fall back to defaults.
 """
@@ -67,7 +67,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PARTIAL_FAILURE = 3
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_CLASSIFIER_KEYS = {f.name for f in dataclasses.fields(ClassifierConfig)}
+_CLASSIFIER_KEYS = {f.name for f in dataclasses.fields(ClassifierConfig)} - {"solver"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _BANK_KEYS = {"num_shared_prompts", "num_class_prompts", "context_length",
               "token_dim"}
@@ -115,11 +115,12 @@ def _config_value(key, value):
 
 
 def load_config(path):
-    """Strict flat JSON config -> (TrainConfig, ClassifierConfig,
-    SolverConfig, bank kwargs). Unknown keys are errors, and so is a
-    value of the wrong JSON type (see _config_value)."""
+    """Strict flat JSON config -> (TrainConfig, ClassifierConfig, bank
+    kwargs), the SolverConfig keys going to ClassifierConfig.solver.
+    Unknown keys are errors, and so is a value of the wrong JSON type
+    (see _config_value)."""
     if path is None:
-        return TrainConfig(), ClassifierConfig(), SolverConfig(), {}
+        return TrainConfig(), ClassifierConfig(), {}
     doc = read_json_object(path)
     train_kw, ccfg_kw, solver_kw, bank_kw = {}, {}, {}, {}
     for key, value in doc.items():
@@ -130,8 +131,8 @@ def load_config(path):
                 break
         else:
             raise ValueError(f"unknown config key: {key!r}")
-    return (TrainConfig(**train_kw), ClassifierConfig(**ccfg_kw),
-            SolverConfig(**solver_kw), bank_kw)
+    return (TrainConfig(**train_kw),
+            ClassifierConfig(**ccfg_kw, solver=SolverConfig(**solver_kw)), bank_kw)
 
 
 def _fmt(x) -> str:
@@ -294,10 +295,10 @@ def cmd_compare(args) -> int:
 
 
 def _resolve_configs(args):
-    cfg, ccfg, solver, bank_kw = load_config(args.config)
+    cfg, ccfg, bank_kw = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg, ccfg, solver, bank_kw
+    return cfg, ccfg, bank_kw
 
 
 def _load_descriptions(args):
@@ -308,10 +309,9 @@ def _load_descriptions(args):
 
 def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
-    cfg, ccfg, solver, bank_kw = _resolve_configs(args)
+    cfg, ccfg, bank_kw = _resolve_configs(args)
     descriptions = _load_descriptions(args)
-    state = train(manifest, cfg, ccfg, descriptions=descriptions,
-                  solver=solver, **bank_kw)
+    state = train(manifest, cfg, ccfg, descriptions=descriptions, **bank_kw)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,12 +332,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     state = load_checkpoint(args.checkpoint)
-    cfg, ccfg, solver, _ = load_config(args.config)
+    cfg, ccfg, _ = load_config(args.config)
     ccfg, _ = apply_variant(cfg.variant, ccfg)
     samples = load_split(manifest, args.split)
     if not samples:
         raise ValueError(f"empty split: no {args.split!r} samples in manifest")
-    metrics = evaluate(samples, state, ccfg, solver=solver)
+    metrics = evaluate(samples, state, ccfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", {
@@ -352,10 +352,9 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     manifest = load_manifest(args.manifest)
-    cfg, ccfg, solver, bank_kw = _resolve_configs(args)
+    cfg, ccfg, bank_kw = _resolve_configs(args)
     descriptions = _load_descriptions(args)
-    rows = run_ablation(manifest, cfg, ccfg, descriptions=descriptions,
-                        solver=solver, **bank_kw)
+    rows = run_ablation(manifest, cfg, ccfg, descriptions=descriptions, **bank_kw)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -389,9 +388,9 @@ def cmd_heatmap(args) -> int:
         raise ValueError(f"sample {args.sample_id!r} not in manifest")
     fs = load_feature_set(Path(manifest.root) / record.path,
                           sample_id=record.sample_id, label=record.label)
-    cfg, ccfg, solver, _ = load_config(args.config)
+    cfg, ccfg, _ = load_config(args.config)
     ccfg, _ = apply_variant(cfg.variant, ccfg)
-    result = score(fs, args.class_id, state.bank, state.encoder, ccfg, solver)
+    result = score(fs, args.class_id, state.bank, state.encoder, ccfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

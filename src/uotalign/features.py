@@ -173,9 +173,13 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def read_json_object(path) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+    """Parse a JSON file whose top level must be an object. NaN and
+    (-)Infinity are not JSON, so they are schema violations."""
+    def reject(literal):
+        raise ValueError(f"schema violation: {path} has the non-JSON literal {literal}")
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=reject)
     except json.JSONDecodeError as e:
         raise ValueError(f"schema violation: {path} is not valid JSON ({e})") from e
     if not isinstance(doc, dict):
@@ -277,7 +281,7 @@ def synth_dataset(out_dir, num_classes: int = 3, per_class: int = 20,
 
 
 def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
-            rng_seed: int) -> FeatureSet:
+            rng_seed: int | list[int]) -> FeatureSet:
     """Jitter rows and drop whole rows, deterministically per seed.
 
     The survivors' weights are renormalised to sum to 1. At least one
@@ -288,8 +292,7 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
         raise ValueError("drop_prob must be in [0, 1)")
     if jitter_sigma < 0:
         raise ValueError("jitter_sigma must be >= 0")
-    seq = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(rng_seed)
     F = fs.features
     if jitter_sigma > 0:
         scale = jitter_sigma / math.sqrt(fs.dim)

@@ -306,13 +306,18 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
     classes = list(classes)
     if not classes:
         raise ValueError("no classes")
+    p_cs = 4 if num_class_prompts is None else num_class_prompts
+    for name, size in (("num_shared_prompts", num_shared_prompts),
+                       ("num_class_prompts", p_cs), ("context_length", context_length),
+                       ("token_dim", token_dim)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
     rng = np.random.default_rng([seed, 21])
     shared = rng.standard_normal((num_shared_prompts, context_length, token_dim))
     shared /= np.linalg.norm(shared, axis=2, keepdims=True)
 
     class_words = np.array([_word_vector(c, token_dim, seed) for c in classes])
 
-    p_cs = 4 if num_class_prompts is None else num_class_prompts
     if gpt_init:
         if descriptions is None:
             descriptions = synth_description_texts(classes, seed=seed, count=p_cs)

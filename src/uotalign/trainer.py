@@ -48,7 +48,7 @@ from .prompts import (
     build_prompt_bank,
 )
 # solve_uot_batch is unused here; bench/test_bench.py checks it stays bound
-from .transport import INF, SolverConfig, solve_uot_batch  # noqa: F401
+from .transport import INF, solve_uot_batch  # noqa: F401
 
 __all__ = [
     "VARIANTS",
@@ -97,8 +97,8 @@ class TrainConfig:
     augmentation: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -110,7 +110,7 @@ class TrainConfig:
         if len(self.augmentation) != 2:
             raise ValueError("augmentation must be (jitter_sigma, drop_prob)")
         jitter, drop = self.augmentation
-        if jitter < 0 or not (0 <= drop < 1):
+        if not (0 <= jitter < math.inf and 0 <= drop < 1):
             raise ValueError("augmentation out of range")
 
 
@@ -206,8 +206,7 @@ def _one_hot(samples: list[FeatureSet], classes: list[str]) -> np.ndarray:
 
 
 def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
-                         ccfg: ClassifierConfig, encoder: FrozenEncoder,
-                         solver: SolverConfig | None = None):
+                         ccfg: ClassifierConfig, encoder: FrozenEncoder):
     """Forward and analytic backward for one batch at fixed couplings.
 
     Returns (loss, grads keyed like the trainable arrays, probs matrix).
@@ -220,7 +219,7 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     if not batch:
         raise ValueError("empty batch")
     Y = _one_hot(batch, bank.classes)
-    fw = forward(batch, bank, encoder, ccfg, solver)
+    fw = forward(batch, bank, encoder, ccfg)
     probs = likelihood(fw.d, ccfg.tau)
     loss = ce_loss(probs, Y)
 
@@ -257,13 +256,12 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
 
 
 def train_step(batch: list[FeatureSet], state: TrainState, cfg: TrainConfig,
-               ccfg: ClassifierConfig, solver: SolverConfig | None = None):
+               ccfg: ClassifierConfig):
     """Augment, solve, backpropagate, Adam-update. Returns (state, loss)."""
     jitter, drop = cfg.augmentation
     augmented = [augment(fs, jitter, drop, [cfg.seed, 41, state.step, idx])
                  for idx, fs in enumerate(batch)]
-    loss, grads, _ = batch_loss_and_grads(augmented, state.bank, ccfg,
-                                          state.encoder, solver)
+    loss, grads, _ = batch_loss_and_grads(augmented, state.bank, ccfg, state.encoder)
     if not math.isfinite(loss):
         raise RuntimeError(
             f"divergence: non-finite loss at epoch {state.epoch}, "
@@ -290,8 +288,7 @@ def _subsample_shots(samples: list[FeatureSet], classes: list[str],
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
-          *, descriptions=None, solver: SolverConfig | None = None,
-          **bank_sizes) -> TrainState:
+          *, descriptions=None, **bank_sizes) -> TrainState:
     """Full few-shot run: subsample shots, build the bank, run epochs.
 
     The variant in cfg decides the active paths and trainable groups.
@@ -299,10 +296,10 @@ def train(manifest: DatasetManifest, cfg: TrainConfig, ccfg: ClassifierConfig,
     num_class_prompts, context_length and token_dim, with its defaults.
     """
     return _train_on(manifest, load_split(manifest, "train"), cfg, ccfg, descriptions,
-                     solver, bank_sizes)
+                     bank_sizes)
 
 
-def _train_on(manifest, train_samples, cfg, ccfg, descriptions, solver, bank_sizes):
+def _train_on(manifest, train_samples, cfg, ccfg, descriptions, bank_sizes):
     """train() on the already loaded train split of `manifest`."""
     ccfg_v, bank_kw = apply_variant(cfg.variant, ccfg)
     if not train_samples:
@@ -320,19 +317,18 @@ def _train_on(manifest, train_samples, cfg, ccfg, descriptions, solver, bank_siz
         total, weight = 0.0, 0
         for lo in range(0, len(shuffled), cfg.batch_size):
             chunk = shuffled[lo:lo + cfg.batch_size]
-            state, loss = train_step(chunk, state, cfg, ccfg_v, solver)
+            state, loss = train_step(chunk, state, cfg, ccfg_v)
             total += loss * len(chunk)
             weight += len(chunk)
         state.epoch = epoch + 1
-        metrics = evaluate(subset, state, ccfg_v, solver=solver)
+        metrics = evaluate(subset, state, ccfg_v)
         state.history.append({"epoch": epoch + 1, "loss": total / weight,
                               "accuracy": metrics["accuracy"]})
     return state
 
 
 def evaluate(samples: list[FeatureSet], state: TrainState,
-             ccfg: ClassifierConfig, classes: list[str] | None = None,
-             solver: SolverConfig | None = None) -> dict:
+             ccfg: ClassifierConfig, classes: list[str] | None = None) -> dict:
     """Deterministic accuracy/loss on a sample list, no augmentation.
 
     `classes` restricts the candidate set (base-to-new evaluation
@@ -345,7 +341,7 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
     probs = np.zeros_like(Y)
     for lo in range(0, len(samples), _EVAL_CHUNK):
         d = forward(samples[lo:lo + _EVAL_CHUNK], state.bank, state.encoder,
-                    ccfg, solver, classes).d
+                    ccfg, classes).d
         probs[lo:lo + len(d)] = likelihood(d, ccfg.tau)
     hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
     per_class = {c: (int(h) / int(t) if t else math.nan)
@@ -356,7 +352,7 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
 
 def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
                  ccfg: ClassifierConfig, *, descriptions=None,
-                 solver: SolverConfig | None = None, **bank_kwargs) -> list[dict]:
+                 **bank_kwargs) -> list[dict]:
     """Train and evaluate every variant with the shared seed.
 
     Train accuracy and loss are the last epoch's history entry (NaN
@@ -372,9 +368,9 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
         cfg_v = replace(cfg, variant=variant)
         try:
             state = _train_on(manifest, train_samples, cfg_v, ccfg, descriptions,
-                              solver, bank_kwargs)
+                              bank_kwargs)
             ccfg_v, _ = apply_variant(variant, ccfg)
-            test_metrics = (evaluate(test_samples, state, ccfg_v, solver=solver)
+            test_metrics = (evaluate(test_samples, state, ccfg_v)
                             if test_samples else {"accuracy": math.nan,
                                                   "mean_loss": math.nan})
             last = (state.history[-1] if state.history

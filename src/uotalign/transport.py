@@ -102,8 +102,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.dual_tolerance > 0):
-            raise ValueError("dual_tolerance must be positive")
+        if not (self.dual_tolerance > 0 and math.isfinite(self.dual_tolerance)):
+            raise ValueError("dual_tolerance must be positive and finite")
 
 
 @dataclass

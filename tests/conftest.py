@@ -33,7 +33,8 @@ def build_gradcheck_instance():
 
     Features are noisy copies of the class's own prompt embeddings, so
     true-class costs are small and every cost row has a clear winner.
-    Returns (bank, encoder, batch, classifier config, solver config).
+    Returns (bank, encoder, batch, classifier config); the config's
+    solver is tight enough for finite differences.
     """
     seed = GRADCHECK_SEED
     classes = ["a", "b"]
@@ -51,10 +52,10 @@ def build_gradcheck_instance():
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),
                                 sample_id=f"s{ci}", label=c))
-    ccfg = ClassifierConfig(tau=GRADCHECK_TAU, lam=GRADCHECK_LAM,
-                            rho2=GRADCHECK_RHO2)
-    solver = SolverConfig(max_iterations=60000, dual_tolerance=1e-13)
-    return bank, encoder, batch, ccfg, solver
+    ccfg = ClassifierConfig(tau=GRADCHECK_TAU, lam=GRADCHECK_LAM, rho2=GRADCHECK_RHO2,
+                            solver=SolverConfig(max_iterations=60000,
+                                                dual_tolerance=1e-13))
+    return bank, encoder, batch, ccfg
 
 
 def count_trainable(bank) -> int:

@@ -193,8 +193,8 @@ def test_gradient_correctness():
         G.ravel(), step=1e-6)
     rels["cost prompts"] = np.linalg.norm(g_G.ravel() - fd) / np.linalg.norm(fd)
 
-    bank, enc, batch, ccfg, solver = build_gradcheck_instance()
-    _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, enc, solver)
+    bank, enc, batch, ccfg = build_gradcheck_instance()
+    _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, enc)
     params_live = _trainable_arrays(bank)
     for key in sorted(grads):
         p = params_live[key]
@@ -203,7 +203,7 @@ def test_gradient_correctness():
         def full_loss(x, p=p, orig=orig):
             p[...] = x.reshape(p.shape)
             try:
-                val, _, _ = batch_loss_and_grads(batch, bank, ccfg, enc, solver)
+                val, _, _ = batch_loss_and_grads(batch, bank, ccfg, enc)
             finally:
                 p[...] = orig
             return val

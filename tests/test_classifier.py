@@ -83,6 +83,13 @@ class TestClassifierConfig:
         with pytest.raises(ValueError, match="rho2"):
             ClassifierConfig(rho2=-1.0)
 
+    @pytest.mark.parametrize("field", ["tau", "gamma_cs", "gamma_ds"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN weight used to drop its path, as nan > 0 is False
+        with pytest.raises(ValueError, match="finite"):
+            ClassifierConfig(**{field: value})
+
 
 class TestCostMatrix:
     def test_exact_corners(self):
@@ -371,8 +378,8 @@ class TestForward:
             return plans[-len(problems):]
 
         monkeypatch.setattr(classifier_mod, "solve_uot_batch", recorded)
-        fw = forward(samples, bank, enc, ClassifierConfig(lam=lam),
-                     SolverConfig(max_iterations=cap))
+        fw = forward(samples, bank, enc,
+                     ClassifierConfig(lam=lam, solver=SolverConfig(max_iterations=cap)))
         assert len(plans) == len(samples) * 3 * 2
         assert fw.unconverged == sum(not plan.converged for plan in plans)
         assert fw.clamped == sum(plan.clamped for plan in plans)

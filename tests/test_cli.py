@@ -60,17 +60,17 @@ class TestConfig:
             "tau": 0.05, "rho2": "inf", "max_iterations": 5,
             "token_dim": 24,
         }))
-        cfg, ccfg, solver, bank_kw = load_config(path)
+        cfg, ccfg, bank_kw = load_config(path)
         assert cfg.epochs == 3 and cfg.variant == "no_uot"
         assert cfg.augmentation == (0.1, 0.2)
         assert ccfg.tau == 0.05 and ccfg.rho2 == INF
-        assert solver.max_iterations == 5
+        assert ccfg.solver == SolverConfig(max_iterations=5)
         assert bank_kw == {"token_dim": 24}
 
     def test_no_file_gives_defaults(self):
-        cfg, ccfg, solver, bank_kw = load_config(None)
+        cfg, ccfg, bank_kw = load_config(None)
         assert cfg.epochs == 50 and ccfg.lam == 0.01
-        assert solver.dual_tolerance == 1e-9 and bank_kw == {}
+        assert ccfg.solver == SolverConfig() and bank_kw == {}
 
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -78,11 +78,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key: 'learning_rte'"):
             load_config(path)
 
-    def test_use_uot_is_an_unknown_key(self, tmp_path):
-        # the plain-OT ablation is rho1 = rho2 = inf, not a separate switch
+    @pytest.mark.parametrize("key", [
+        "use_uot",  # the plain-OT ablation is rho1 = rho2 = inf, not a switch
+        "solver",  # the flat max_iterations and dual_tolerance set it
+    ])
+    def test_switches_and_nested_fields_are_unknown_keys(self, tmp_path, key):
         path = tmp_path / "c.json"
-        path.write_text('{"use_uot": false}')
-        with pytest.raises(ValueError, match="unknown config key: 'use_uot'"):
+        path.write_text(json.dumps({key: False}))
+        with pytest.raises(ValueError, match=f"unknown config key: '{key}'"):
             load_config(path)
 
     @pytest.mark.parametrize("key, value", [

@@ -18,6 +18,8 @@ from uotalign.features import (
     synth_dataset,
     write_embedding_file,
 )
+from uotalign.cli import load_config
+from uotalign.prompts import load_description_manifest, parse_descriptions
 
 
 def unit_rows(rng, m, d):
@@ -158,6 +160,23 @@ class TestReadJsonObject:
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"schema violation: {p} {reason}")):
             read_json_object(p)
+
+    @pytest.mark.parametrize("load, text, literal", [
+        (load_config, '{"gamma_cs": NaN}', "NaN"),
+        (load_config, '{"tau": Infinity}', "Infinity"),
+        (load_config, '{"augmentation": [NaN, 0.1]}', "NaN"),
+        (load_manifest, '{"classes": [], "samples": [], "shots": 1, "seed": -Infinity}',
+         "-Infinity"),
+        (parse_descriptions, '{"description": ["a"], "class_name": NaN}', "NaN"),
+        (load_description_manifest, '{"cat": Infinity}', "Infinity"),
+    ])
+    def test_non_json_literals_are_schema_violations(self, tmp_path, load, text, literal):
+        # json.loads accepts these by default; no reader of this package may
+        p = tmp_path / "x.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: {p} has the non-JSON literal {literal}")):
+            load(p)
 
 
 class TestSynthDataset:

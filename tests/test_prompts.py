@@ -299,6 +299,13 @@ def make_bank(classes=("cat", "dog"), seed=0, **kw):
 
 
 class TestPromptBank:
+    @pytest.mark.parametrize("name", ["num_shared_prompts", "num_class_prompts",
+                                      "context_length", "token_dim"])
+    @pytest.mark.parametrize("gpt_init", [True, False])
+    def test_sizes_below_one_are_rejected(self, name, gpt_init):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            build_prompt_bank(["cat", "dog"], gpt_init=gpt_init, **{name: 0})
+
     def test_build_deterministic_bitwise(self):
         a = make_bank(seed=5)
         b = make_bank(seed=5)

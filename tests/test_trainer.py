@@ -83,7 +83,7 @@ def fresh_bank(manifest, variant, seed=1):
                              token_dim=16, seed=seed, **bank_kw)
 
 
-def reference_probs(samples, bank, encoder, ccfg, classes, solver=None):
+def reference_probs(samples, bank, encoder, ccfg, classes):
     """Likelihood rows built one transport problem at a time.
 
     Encodes the prompts and solves each (sample, class, path) problem
@@ -109,7 +109,7 @@ def reference_probs(samples, bank, encoder, ccfg, classes, solver=None):
                 C = cost_matrix(F, G)
                 plan = solve_uot(TransportProblem(
                     cost=C, row_marginal=prompt_marginal(len(G)), col_marginal=w,
-                    lam=ccfg.lam, rho1=ccfg.rho1, rho2=ccfg.rho2), solver)
+                    lam=ccfg.lam, rho1=ccfg.rho1, rho2=ccfg.rho2), ccfg.solver)
                 total += gamma * float(np.sum(plan.coupling * C))
             d.append(total)
         rows.append(likelihood(np.array(d), ccfg.tau))
@@ -146,6 +146,10 @@ class TestTrainConfig:
         {"augmentation": (0.1,)},
         {"augmentation": (-0.1, 0.0)},
         {"augmentation": (0.0, 1.0)},
+        {"learning_rate": math.inf},
+        {"learning_rate": math.nan},
+        {"augmentation": (math.inf, 0.0)},
+        {"augmentation": (math.nan, 0.0)},  # a NaN jitter used to turn jitter off
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
@@ -248,12 +252,12 @@ class TestAdamUpdate:
 
 class TestBatchLossAndGrads:
     def test_empty_batch_rejected(self, gradcheck_instance):
-        bank, encoder, _, ccfg, _ = gradcheck_instance
+        bank, encoder, _, ccfg = gradcheck_instance
         with pytest.raises(ValueError, match="empty batch"):
             batch_loss_and_grads([], bank, ccfg, encoder)
 
     def test_unknown_label_rejected(self, gradcheck_instance):
-        bank, encoder, batch, ccfg, _ = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import dataclasses
         bad = dataclasses.replace(batch[0], label="mule")
         with pytest.raises(ValueError, match="unknown class"):
@@ -261,16 +265,16 @@ class TestBatchLossAndGrads:
 
     def test_matches_per_problem_reference(self, gradcheck_instance):
         """The batched forward equals one-at-a-time solves bitwise."""
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
-        loss, _, probs = batch_loss_and_grads(batch, bank, ccfg, encoder, solver)
-        expected = reference_probs(batch, bank, encoder, ccfg, bank.classes, solver)
+        bank, encoder, batch, ccfg = gradcheck_instance
+        loss, _, probs = batch_loss_and_grads(batch, bank, ccfg, encoder)
+        expected = reference_probs(batch, bank, encoder, ccfg, bank.classes)
         np.testing.assert_array_equal(probs, expected)
         assert loss == ce_loss(expected, one_hot(batch, bank.classes))
 
     def test_gradients_match_finite_differences(self, gradcheck_instance):
         """Frozen-coupling analytic gradients vs re-solving FD, all groups."""
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
-        _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder, solver)
+        bank, encoder, batch, ccfg = gradcheck_instance
+        _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
         params = _trainable_arrays(bank)
         assert set(grads) == {"shared_tokens", "attention.w_query",
                               "attention.w_key", "attention.w_value"}
@@ -281,8 +285,7 @@ class TestBatchLossAndGrads:
             def full_loss(x):
                 p[...] = x.reshape(p.shape)
                 try:
-                    val, _, _ = batch_loss_and_grads(batch, bank, ccfg,
-                                                     encoder, solver)
+                    val, _, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
                 finally:
                     p[...] = orig
                 return val
@@ -348,7 +351,7 @@ class TestBatchLossAndGrads:
 
     def test_one_backward_per_class_and_path(self, gradcheck_instance, monkeypatch):
         """The backward layers run once per path, not per class, sample or prompt."""
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         assert bank.trainable == ("shared_tokens", "attention") and bank.use_attention
         calls = {"cost": 0, "encode": 0, "attention": 0}
 
@@ -364,14 +367,14 @@ class TestBatchLossAndGrads:
                             counted("attention", trainer_mod.attention_backward))
         monkeypatch.setattr(FrozenEncoder, "encode_backward",
                             counted("encode", FrozenEncoder.encode_backward))
-        batch_loss_and_grads(batch * 3, bank, ccfg, encoder, solver)
+        batch_loss_and_grads(batch * 3, bank, ccfg, encoder)
         assert calls == {"cost": 2, "encode": 2, "attention": 1}
 
     def test_zero_gamma_skips_path(self, gradcheck_instance):
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import dataclasses
         only_ds = dataclasses.replace(ccfg, gamma_cs=0.0)
-        _, grads, _ = batch_loss_and_grads(batch, bank, only_ds, encoder, solver)
+        _, grads, _ = batch_loss_and_grads(batch, bank, only_ds, encoder)
         # the class path never runs, so the adapter receives no gradient
         for key in ("attention.w_query", "attention.w_key", "attention.w_value"):
             assert not grads[key].any()
@@ -379,22 +382,22 @@ class TestBatchLossAndGrads:
 
     def test_frozen_path_still_routes_trainable_gradient(self, gradcheck_instance):
         """Both paths run, and only the trainable group's gradient returns."""
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import copy
         import dataclasses
         half = dataclasses.replace(ccfg, gamma_cs=0.5, gamma_ds=0.5)
         shared_only = copy.deepcopy(bank)
         shared_only.trainable = ("shared_tokens",)
-        _, full, _ = batch_loss_and_grads(batch, bank, half, encoder, solver)
-        _, grads, _ = batch_loss_and_grads(batch, shared_only, half, encoder, solver)
+        _, full, _ = batch_loss_and_grads(batch, bank, half, encoder)
+        _, grads, _ = batch_loss_and_grads(batch, shared_only, half, encoder)
         assert set(grads) == {"shared_tokens"}
         np.testing.assert_array_equal(grads["shared_tokens"], full["shared_tokens"])
 
     def test_trainable_group_on_inactive_path_gets_zeros(self, gradcheck_instance):
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import dataclasses
         only_cs = dataclasses.replace(ccfg, gamma_ds=0.0)
-        _, grads, _ = batch_loss_and_grads(batch, bank, only_cs, encoder, solver)
+        _, grads, _ = batch_loss_and_grads(batch, bank, only_cs, encoder)
         assert "shared_tokens" in bank.trainable
         assert grads["shared_tokens"].shape == bank.shared_tokens.shape
         assert not grads["shared_tokens"].any()
@@ -409,7 +412,7 @@ class TestBankArrays:
 
     def test_checkpoint_lists_bank_then_encoder_then_moments(self, gradcheck_instance,
                                                              tmp_path):
-        bank, encoder, _, _, _ = gradcheck_instance
+        bank, encoder, _, _ = gradcheck_instance
         import copy
         state = init_state(copy.deepcopy(bank), encoder)
         path = tmp_path / "x.ckpt"
@@ -425,39 +428,39 @@ class TestBankArrays:
 
 class TestTrainStep:
     def setup_state(self, gradcheck_instance):
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import copy
         state = init_state(copy.deepcopy(bank), encoder)
-        return state, batch, ccfg, solver
+        return state, batch, ccfg
 
     def test_updates_every_trainable_group(self, gradcheck_instance):
-        state, batch, ccfg, solver = self.setup_state(gradcheck_instance)
+        state, batch, ccfg = self.setup_state(gradcheck_instance)
         before = {k: p.copy() for k, p in _trainable_arrays(state.bank).items()}
         cfg = TrainConfig(seed=0)
-        state, loss = train_step(batch, state, cfg, ccfg, solver)
+        state, loss = train_step(batch, state, cfg, ccfg)
         assert math.isfinite(loss) and loss > 0
         assert state.step == 1
         for key, p in _trainable_arrays(state.bank).items():
             assert not np.array_equal(p, before[key]), key
 
     def test_empty_batch_rejected(self, gradcheck_instance):
-        state, _, ccfg, solver = self.setup_state(gradcheck_instance)
+        state, _, ccfg = self.setup_state(gradcheck_instance)
         with pytest.raises(ValueError, match="empty batch"):
-            train_step([], state, TrainConfig(), ccfg, solver)
+            train_step([], state, TrainConfig(), ccfg)
 
     def test_divergence_raises_and_preserves_params(self, gradcheck_instance, monkeypatch):
-        state, batch, ccfg, solver = self.setup_state(gradcheck_instance)
+        state, batch, ccfg = self.setup_state(gradcheck_instance)
         before = {k: p.copy() for k, p in _trainable_arrays(state.bank).items()}
         monkeypatch.setattr(trainer_mod, "batch_loss_and_grads",
                             lambda *a, **kw: (math.nan, {}, None))
         with pytest.raises(RuntimeError, match="divergence"):
-            train_step(batch, state, TrainConfig(), ccfg, solver)
+            train_step(batch, state, TrainConfig(), ccfg)
         for key, p in _trainable_arrays(state.bank).items():
             np.testing.assert_array_equal(p, before[key])
         assert state.step == 0
 
     def test_solver_failure_names_the_instance(self, gradcheck_instance, monkeypatch):
-        state, batch, ccfg, solver = self.setup_state(gradcheck_instance)
+        state, batch, ccfg = self.setup_state(gradcheck_instance)
 
         def broken_batch(problems, config=None):
             return [TransportPlan(coupling=np.zeros(p.shape), u=np.zeros(p.shape[0]),
@@ -467,7 +470,7 @@ class TestTrainStep:
 
         monkeypatch.setattr("uotalign.classifier.solve_uot_batch", broken_batch)
         with pytest.raises(NumericalBlowupError) as err:
-            train_step(batch, state, TrainConfig(), ccfg, solver)
+            train_step(batch, state, TrainConfig(), ccfg)
         msg = str(err.value)
         assert "sample 's0'" in msg and "class 'a'" in msg and "path" in msg
 
@@ -718,15 +721,15 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_state_resumes_training(self, gradcheck_instance, tmp_path):
-        bank, encoder, batch, ccfg, solver = gradcheck_instance
+        bank, encoder, batch, ccfg = gradcheck_instance
         import copy
         state = init_state(copy.deepcopy(bank), encoder)
-        state, _ = train_step(batch, state, TrainConfig(seed=0), ccfg, solver)
+        state, _ = train_step(batch, state, TrainConfig(seed=0), ccfg)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(state, path)
         resumed = load_checkpoint(path)
-        state, l1 = train_step(batch, state, TrainConfig(seed=0), ccfg, solver)
-        resumed, l2 = train_step(batch, resumed, TrainConfig(seed=0), ccfg, solver)
+        state, l1 = train_step(batch, state, TrainConfig(seed=0), ccfg)
+        resumed, l2 = train_step(batch, resumed, TrainConfig(seed=0), ccfg)
         assert l1 == l2
         for key, p in _trainable_arrays(state.bank).items():
             np.testing.assert_array_equal(p, _trainable_arrays(resumed.bank)[key])
@@ -803,7 +806,7 @@ class TestCheckpoint:
                                       "shape_not_a_list", "negative_shape",
                                       "no_classes_key"])
     def test_rejects_malformed_header(self, gradcheck_instance, tmp_path, case):
-        bank, encoder, _, _, _ = gradcheck_instance
+        bank, encoder, _, _ = gradcheck_instance
         import copy
         import re
         path = tmp_path / "x.ckpt"
@@ -836,7 +839,7 @@ class TestCheckpoint:
             assert str(err.value).endswith("lacks 'classes'")
 
     def test_rejects_moment_key_mismatch(self, gradcheck_instance, tmp_path):
-        bank, encoder, _, _, _ = gradcheck_instance
+        bank, encoder, _, _ = gradcheck_instance
         import copy
         state = init_state(copy.deepcopy(bank), encoder)
         state.m = {}

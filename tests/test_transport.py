@@ -32,6 +32,18 @@ def random_problem(rng, shape, lam, rho1, rho2, balanced=False):
     return TransportProblem(C, n, m, lam=lam, rho1=rho1, rho2=rho2)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kw, match", [
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"dual_tolerance": 0.0}, "dual_tolerance"),
+        ({"dual_tolerance": math.inf}, "dual_tolerance must be positive and finite"),
+        ({"dual_tolerance": math.nan}, "dual_tolerance must be positive and finite"),
+    ])
+    def test_rejects_bad_fields(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kw)
+
+
 class TestSolveBasics:
     def test_1x1_pinned(self):
         p = TransportProblem([[0.5]], [1.0], [1.0], lam=0.1, rho1=INF, rho2=INF)

@@ -47,7 +47,6 @@ from .transport import (  # noqa: F401
 
 __all__ = [
     "ClassifierConfig",
-    "AlignmentScore",
     "Forward",
     "cost_matrix",
     "cost_matrix_backward",
@@ -68,9 +67,9 @@ class ClassifierConfig:
     lam, rho1 and rho2 set each problem, solver the iteration cap and
     dual tolerance. rho1 = rho2 = INF pins both marginals, so the solves
     are balanced entropic transport: the "plain OT" ablation. A path
-    weight of exactly 0 disables that path entirely: no solve is run, the
-    path has no entry in forward's dicts, and score reports its distance
-    as 0 and its coupling as None. At least one weight must be positive.
+    weight of exactly 0 disables that path entirely: no solve is run and
+    the path has no key in the dicts of forward's (and score's) Forward.
+    At least one weight must be positive.
     """
 
     tau: float = 0.01
@@ -93,21 +92,8 @@ class ClassifierConfig:
         for name, rho in (("rho1", self.rho1), ("rho2", self.rho2)):
             if not (rho > 0):
                 raise ValueError(f"{name} must be positive (or INF)")
-
-
-@dataclass
-class AlignmentScore:
-    """Per-class alignment result: both path distances and couplings.
-
-    d_total = gamma_cs * d_cs + gamma_ds * d_ds by construction. Each
-    (P, M) coupling has one column per token of the sample, as heatmaps need.
-    """
-
-    d_cs: float
-    d_ds: float
-    d_total: float
-    coupling_cs: np.ndarray | None
-    coupling_ds: np.ndarray | None
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError("solver must be a SolverConfig")
 
 
 def _unit_rows(features, prompts):
@@ -245,17 +231,9 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
-          encoder: FrozenEncoder, cfg: ClassifierConfig) -> AlignmentScore:
-    """Alignment of one sample against one class: forward() at B = K = 1.
-
-    A disabled path (weight 0) reports distance 0 and no coupling.
-    """
-    fw = forward([fs], bank, encoder, cfg, classes=[class_id])
-    d = {tag: float(D[0, 0]) for tag, D in fw.d_path.items()}
-    W = {tag: stacks[0][0] for tag, stacks in fw.couplings.items()}
-    return AlignmentScore(d_cs=d.get("cs", 0.0), d_ds=d.get("ds", 0.0),
-                          d_total=float(fw.d[0, 0]),
-                          coupling_cs=W.get("cs"), coupling_ds=W.get("ds"))
+          encoder: FrozenEncoder, cfg: ClassifierConfig) -> Forward:
+    """Alignment of one sample against one class: forward() at B = K = 1."""
+    return forward([fs], bank, encoder, cfg, classes=[class_id])
 
 
 def likelihood(scores, tau: float) -> np.ndarray:

@@ -390,23 +390,19 @@ def cmd_heatmap(args) -> int:
                           sample_id=record.sample_id, label=record.label)
     cfg, ccfg, _ = load_config(args.config)
     ccfg, _ = apply_variant(cfg.variant, ccfg)
-    result = score(fs, args.class_id, state.bank, state.encoder, ccfg)
+    fw = score(fs, args.class_id, state.bank, state.encoder, ccfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for path_name, W in (("cs", result.coupling_cs), ("ds", result.coupling_ds)):
-        if W is None:
-            continue
-        write_csv(out / f"heatmap_{path_name}.csv", W)
-        written[path_name] = list(W.shape)
+    for tag, stacks in fw.couplings.items():
+        write_csv(out / f"heatmap_{tag}.csv", stacks[0][0])
     write_json(out / "summary.json", {
         "sample_id": args.sample_id,
         "class_id": args.class_id,
-        "d_cs": result.d_cs,
-        "d_ds": result.d_ds,
-        "d_total": result.d_total,
-        "heatmaps": written,
+        "d_cs": 0.0, "d_ds": 0.0,  # a disabled path's distance
+        **{f"d_{tag}": float(D[0, 0]) for tag, D in fw.d_path.items()},
+        "d_total": float(fw.d[0, 0]),
+        "heatmaps": {tag: list(W[0][0].shape) for tag, W in fw.couplings.items()},
     })
     return EXIT_OK
 

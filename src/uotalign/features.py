@@ -290,8 +290,8 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
     """
     if not (0 <= drop_prob < 1):
         raise ValueError("drop_prob must be in [0, 1)")
-    if jitter_sigma < 0:
-        raise ValueError("jitter_sigma must be >= 0")
+    if not (0 <= jitter_sigma < math.inf):
+        raise ValueError("jitter_sigma must be finite and >= 0")
     rng = np.random.default_rng(rng_seed)
     F = fs.features
     if jitter_sigma > 0:

@@ -39,6 +39,7 @@ __all__ = [
     "PathEncoding",
     "build_prompt_bank",
     "encode_classes",
+    "encode_classes_backward",
     "render_description_prompt",
     "synth_description_texts",
     "DESCRIPTION_SYSTEM_PROMPT",
@@ -286,6 +287,19 @@ class PromptBank:
         if unknown:
             raise ValueError(f"unknown trainable groups: {sorted(unknown)}")
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array by its attribute path, in checkpoint order. A name's
+        group is its first dotted part; class_words is in none. These are
+        the live parameters, not copies: Adam updates them in place."""
+        att = self.attention
+        return {"shared_tokens": self.shared_tokens, "class_tokens": self.class_tokens,
+                "class_words": self.class_words, "attention.w_query": att.w_query,
+                "attention.w_key": att.w_key, "attention.w_value": att.w_value}
+
+    def trainable_arrays(self) -> dict[str, np.ndarray]:
+        return {name: a for name, a in self.arrays().items()
+                if name.split(".")[0] in self.trainable}
+
 
 def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2,
                       num_class_prompts: int | None = None, context_length: int = 8,
@@ -403,6 +417,36 @@ def encode_classes(bank: PromptBank, class_ids, encoder: FrozenEncoder,
         tokens = _append_class_words(bank.shared_tokens, words)
         out["ds"] = PathEncoding(encoder.encode(tokens).reshape(shape), tokens)
     return out
+
+
+def encode_classes_backward(bank: PromptBank, encoder: FrozenEncoder,
+                            encoding: dict[str, PathEncoding],
+                            grad_g: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gradients of sum_tag <grad_g[tag], encoding[tag].g>, keyed like bank.arrays().
+
+    The twin of encode_classes, whose output for all bank classes in bank
+    order `encoding` must be; grad_g holds (K, P, d) upstreams for some of
+    its paths. The shared tokens' gradient sums over classes; class words
+    get none. Each path makes one backward call per layer.
+    """
+    grads = {}
+    for tag, upstream in grad_g.items():
+        enc = encoding[tag]
+        K, P, d = enc.g.shape
+        stack = enc.tokens if enc.adapter_input is None else enc.adapter_input
+        if not np.array_equal(stack[::P, -1], bank.class_words):
+            raise ValueError("encoding must cover all bank classes in bank order")
+        rows = encoder.encode_backward(enc.tokens, upstream.reshape(-1, d))
+        if enc.adapter_input is not None:
+            rows, *dw = attention_backward(stack, bank.attention, rows)
+            grads.update(zip(("attention.w_query", "attention.w_key", "attention.w_value"), dw))
+        # [..., :-1, :] drops the class-word row
+        rows = rows.reshape(K, P, *rows.shape[1:])[..., :-1, :]
+        if tag == "ds":
+            grads["shared_tokens"] = rows.sum(axis=0)
+        else:
+            grads["class_tokens"] = rows
+    return grads
 
 
 _ADJECTIVES = ["fluffy", "sleek", "striped", "spotted", "glossy", "stocky",

@@ -44,8 +44,8 @@ from .prompts import (
     AttentionParams,
     FrozenEncoder,
     PromptBank,
-    attention_backward,
     build_prompt_bank,
+    encode_classes_backward,
 )
 # solve_uot_batch is unused here; bench/test_bench.py checks it stays bound
 from .transport import INF, solve_uot_batch  # noqa: F401
@@ -127,24 +127,8 @@ class TrainState:
     history: list[dict] = field(default_factory=list)
 
 
-def _bank_arrays(bank: PromptBank) -> dict[str, np.ndarray]:
-    """Every bank array by its CKP1 name, in file order. A name's
-    parameter group is its first dotted part; class_words is in none.
-    The arrays are the live parameters, not copies: Adam updates them
-    in place."""
-    att = bank.attention
-    return {"shared_tokens": bank.shared_tokens, "class_tokens": bank.class_tokens,
-            "class_words": bank.class_words, "attention.w_query": att.w_query,
-            "attention.w_key": att.w_key, "attention.w_value": att.w_value}
-
-
-def _trainable_arrays(bank: PromptBank) -> dict[str, np.ndarray]:
-    return {name: a for name, a in _bank_arrays(bank).items()
-            if name.split(".")[0] in bank.trainable}
-
-
 def init_state(bank: PromptBank, encoder: FrozenEncoder) -> TrainState:
-    params = _trainable_arrays(bank)
+    params = bank.trainable_arrays()
     return TrainState(
         bank=bank,
         encoder=encoder,
@@ -226,10 +210,10 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     # dL/dd with the softmax and the 1/B mean folded in
     coeff = (probs - Y) * (-1.0 / ccfg.tau) / len(batch)
 
-    grads = {}
     # the batch's feature rows, sample s at rows offsets[s]:offsets[s + 1]
     feats = np.concatenate([fs.features for fs in batch])
     offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
+    grad_g = {}
     for path, gamma in fw.paths:
         enc = fw.encoding[path]
         # cost_matrix_backward is linear in the upstream: each sample
@@ -237,22 +221,12 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
         upstream = np.empty((*enc.g.shape[:2], len(feats)))
         for s, W in enumerate(fw.couplings[path]):
             upstream[..., offsets[s]:offsets[s + 1]] = coeff[s, :, None, None] * gamma * W
-        grad_G = cost_matrix_backward(feats, enc.g, upstream)
-        rows = encoder.encode_backward(enc.tokens, grad_G.reshape(-1, enc.g.shape[-1]))
-        if enc.adapter_input is not None:
-            rows, gq, gk, gv = attention_backward(enc.adapter_input, bank.attention, rows)
-            grads.update({"attention.w_query": gq, "attention.w_key": gk,
-                          "attention.w_value": gv})
-        # forward() ran over all bank classes, so axis 0 is bank.classes;
-        # [..., :-1, :] drops the class-word row, which never trains
-        rows = rows.reshape(*enc.g.shape[:2], *rows.shape[1:])[..., :-1, :]
-        if path == "ds":
-            grads["shared_tokens"] = rows.sum(axis=0)
-        else:
-            grads["class_tokens"] = rows
+        grad_g[path] = cost_matrix_backward(feats, enc.g, upstream)
+    # forward() ran over all bank classes, as encode_classes_backward needs
+    grads = encode_classes_backward(bank, encoder, fw.encoding, grad_g)
     # a trainable group that no active path feeds gets zeros
     return loss, {name: grads.get(name, np.zeros_like(a))
-                  for name, a in _trainable_arrays(bank).items()}, probs
+                  for name, a in bank.trainable_arrays().items()}, probs
 
 
 def train_step(batch: list[FeatureSet], state: TrainState, cfg: TrainConfig,
@@ -266,7 +240,7 @@ def train_step(batch: list[FeatureSet], state: TrainState, cfg: TrainConfig,
         raise RuntimeError(
             f"divergence: non-finite loss at epoch {state.epoch}, "
             f"step {state.step} (state left at last finite parameters)")
-    adam_update(_trainable_arrays(state.bank), grads, state.m, state.v,
+    adam_update(state.bank.trainable_arrays(), grads, state.m, state.v,
                 cfg.learning_rate, state.step + 1)
     state.step += 1
     return state, loss
@@ -388,7 +362,7 @@ def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
 
 
 def _checkpoint_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
-    return [*_bank_arrays(state.bank).items(),
+    return [*state.bank.arrays().items(),
             ("encoder.projection", state.encoder.projection),
             ("encoder.bias", state.encoder.bias),
             *((f"m.{k}", state.m[k]) for k in sorted(state.m)),
@@ -481,6 +455,8 @@ def load_checkpoint(path) -> TrainState:
         a = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(shape)
         arrays[name] = a.astype(np.float64)  # own the memory, drop readonly
         offset += size
+    if len(arrays) < len(specs):
+        raise ValueError(f"corrupt file: {path} lists an array name twice")
     if any(not np.all(np.isfinite(a)) for a in arrays.values()):
         raise ValueError(f"invalid payload: non-finite values in {path}")
 
@@ -503,9 +479,15 @@ def load_checkpoint(path) -> TrainState:
         raise ValueError(f"corrupt file: {path} {e}") from e
     m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
     v = {name[2:]: a for name, a in arrays.items() if name.startswith("v.")}
-    expected = set(_trainable_arrays(bank))
-    if set(m) != expected or set(v) != expected:
+    expected = bank.trainable_arrays()
+    if set(m) != set(expected) or set(v) != set(expected):
         raise ValueError(f"corrupt file: {path} moment keys do not match "
                          f"the trainable groups")
+    if any(mom[k].shape != p.shape for mom in (m, v) for k, p in expected.items()):
+        raise ValueError(f"corrupt file: {path} moment shapes do not match the parameters")
+    unknown = set(arrays) - {*bank.arrays(), "encoder.projection", "encoder.bias",
+                             *(f"{mv}.{k}" for mv in "mv" for k in expected)}
+    if unknown:
+        raise ValueError(f"corrupt file: {path} has unknown arrays {sorted(unknown)}")
     return TrainState(bank=bank, encoder=encoder, m=m, v=v, step=header["step"],
                       epoch=header["epoch"], history=header["history"])

@@ -60,9 +60,7 @@ def build_gradcheck_instance():
 
 def count_trainable(bank) -> int:
     """Number of scalars the optimizer updates for this bank."""
-    from uotalign.trainer import _trainable_arrays
-
-    return sum(a.size for a in _trainable_arrays(bank).values())
+    return sum(a.size for a in bank.trainable_arrays().values())
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from uotalign.prompts import AttentionParams, FrozenEncoder, attention_backward,
 from uotalign.trainer import (
     TrainConfig,
     batch_loss_and_grads,
-    _trainable_arrays,
     evaluate,
     save_checkpoint,
     train,
@@ -195,7 +194,7 @@ def test_gradient_correctness():
 
     bank, enc, batch, ccfg = build_gradcheck_instance()
     _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, enc)
-    params_live = _trainable_arrays(bank)
+    params_live = bank.trainable_arrays()
     for key in sorted(grads):
         p = params_live[key]
         orig = p.copy()

@@ -90,6 +90,11 @@ class TestClassifierConfig:
         with pytest.raises(ValueError, match="finite"):
             ClassifierConfig(**{field: value})
 
+    @pytest.mark.parametrize("solver", [None, {"max_iterations": 5}])
+    def test_solver_must_be_a_solver_config(self, solver):
+        with pytest.raises(ValueError, match="^solver must be a SolverConfig$"):
+            ClassifierConfig(solver=solver)
+
 
 class TestCostMatrix:
     def test_exact_corners(self):
@@ -217,30 +222,32 @@ class TestScore:
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
         cfg = ClassifierConfig(gamma_cs=0.7, gamma_ds=0.3)
-        s = score(fs, "cat", bank, enc, cfg)
-        assert s.d_total == pytest.approx(0.7 * s.d_cs + 0.3 * s.d_ds, abs=1e-12)
-        assert s.coupling_cs.shape == (bank.class_tokens.shape[1], fs.num_tokens)
-        assert s.coupling_ds.shape == (bank.shared_tokens.shape[0], fs.num_tokens)
-        assert s.d_cs > 0 and s.d_ds > 0
+        fw = score(fs, "cat", bank, enc, cfg)
+        d_cs, d_ds = fw.d_path["cs"][0, 0], fw.d_path["ds"][0, 0]
+        assert fw.d[0, 0] == pytest.approx(0.7 * d_cs + 0.3 * d_ds, abs=1e-12)
+        assert fw.couplings["cs"][0][0].shape == (bank.class_tokens.shape[1], fs.num_tokens)
+        assert fw.couplings["ds"][0][0].shape == (bank.shared_tokens.shape[0], fs.num_tokens)
+        assert d_cs > 0 and d_ds > 0
 
     def test_single_path_exact(self):
         rng = np.random.default_rng(6)
         bank = make_bank(["cat", "dog"])
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
-        s = score(fs, "dog", bank, enc, ClassifierConfig(gamma_cs=1.0, gamma_ds=0.0))
-        assert s.d_total == s.d_cs
-        assert s.d_ds == 0.0
-        assert s.coupling_ds is None
+        fw = score(fs, "dog", bank, enc, ClassifierConfig(gamma_cs=1.0, gamma_ds=0.0))
+        assert fw.d[0, 0] == fw.d_path["cs"][0, 0]
+        # the disabled path has no distance and no coupling
+        assert "ds" not in fw.d_path
+        assert "ds" not in fw.couplings
 
     def test_source_marginal_conserved(self):
         # rho1 = INF pins prompt-side row sums at 1/P
         rng = np.random.default_rng(7)
         bank = make_bank(["cat"])
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
-        s = score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
+        fw = score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
         P = bank.class_tokens.shape[1]
-        assert np.allclose(s.coupling_cs.sum(axis=1), 1.0 / P, atol=1e-6)
+        assert np.allclose(fw.couplings["cs"][0][0].sum(axis=1), 1.0 / P, atol=1e-6)
 
     def test_zero_cost_gives_zero_total(self):
         # both paths encode to the same vector as every feature row
@@ -260,8 +267,8 @@ class TestScore:
             use_attention=False,
         )
         fs = FeatureSet(features=np.tile(t, (4, 1)), weights=np.full(4, 0.25))
-        s = score(fs, "a", bank, enc, ClassifierConfig())
-        assert abs(s.d_total) < 1e-12
+        fw = score(fs, "a", bank, enc, ClassifierConfig())
+        assert abs(fw.d[0, 0]) < 1e-12
 
     def test_balanced_mode_matches_direct_solve(self):
         rng = np.random.default_rng(9)
@@ -269,13 +276,13 @@ class TestScore:
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fs = make_sample(rng)
         cfg = ClassifierConfig(rho1=INF, rho2=INF, lam=0.05)
-        s = score(fs, "cat", bank, enc, cfg)
+        fw = score(fs, "cat", bank, enc, cfg)
 
         g_cs = encode_classes(bank, ["cat"], enc)["cs"].g[0]
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
-        assert np.array_equal(s.coupling_cs, direct.coupling)
-        assert s.d_cs == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
+        assert np.array_equal(fw.couplings["cs"][0][0], direct.coupling)
+        assert fw.d_path["cs"][0, 0] == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
 
     def test_unknown_class(self):
         rng = np.random.default_rng(11)
@@ -353,7 +360,8 @@ class TestForward:
         for s, fs in enumerate(samples):
             for k, c in enumerate(classes):
                 one = score(fs, c, bank, enc, cfg)
-                for tag, P, W in (("cs", 2, one.coupling_cs), ("ds", 3, one.coupling_ds)):
+                for tag, P in (("cs", 2), ("ds", 3)):
+                    W = one.couplings[tag][0][0]
                     stack = fw.couplings[tag][s]
                     assert stack.shape == (len(classes), P, fs.num_tokens)
                     assert stack[k].tobytes() == W.tobytes()
@@ -421,7 +429,7 @@ class TestSeparableScoring:
             samples.extend(load_split(manifest, split))
         wins = 0
         for fs in samples:
-            d_by_class = [score(fs, c, bank, enc, cfg).d_total
+            d_by_class = [score(fs, c, bank, enc, cfg).d[0, 0]
                           for c in manifest.classes]
             true_idx = manifest.classes.index(fs.label)
             if all(d_by_class[true_idx] < d_by_class[j]

@@ -332,3 +332,11 @@ class TestAugment:
             augment(fs, 0.1, 1.0, 0)
         with pytest.raises(ValueError, match="jitter_sigma"):
             augment(fs, -0.1, 0.0, 0)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.1])
+    def test_rejects_non_finite_or_negative_jitter(self, jitter):
+        # NaN fails both `< 0` and `> 0`, so it would skip the jitter silently
+        rng = np.random.default_rng(49)
+        fs = FeatureSet(unit_rows(rng, 4, 8), np.full(4, 0.25), sample_id="x")
+        with pytest.raises(ValueError, match="^jitter_sigma must be finite and >= 0$"):
+            augment(fs, jitter, 0.0, [1])

@@ -6,6 +6,7 @@ import pytest
 
 import uotalign.prompts as prompts_mod
 from conftest import count_trainable
+from oracle import finite_diff_grad
 from uotalign.prompts import (
     AttentionParams,
     FrozenEncoder,
@@ -13,6 +14,7 @@ from uotalign.prompts import (
     attention_forward,
     build_prompt_bank,
     encode_classes,
+    encode_classes_backward,
     load_description_manifest,
     parse_descriptions,
     render_description_prompt,
@@ -422,6 +424,62 @@ class TestPromptBank:
         with pytest.raises(ValueError, match="schema violation: duplicate class 'cat'"):
             build_prompt_bank(["cat", "dog", "cat"], None, token_dim=8,
                               context_length=4, gpt_init=gpt_init)
+
+
+class TestEncodeClassesBackward:
+    CLASSES = ["cat", "dog", "owl"]
+
+    def setup_case(self, use_attention, paths):
+        bank = make_bank(self.CLASSES, seed=3, context_length=3, token_dim=6,
+                         use_attention=use_attention)
+        encoder = FrozenEncoder.seeded(6, 5, seed=4)
+        rng = np.random.default_rng(57)
+        encoding = encode_classes(bank, self.CLASSES, encoder, paths)
+        grad_g = {tag: rng.standard_normal(enc.g.shape) for tag, enc in encoding.items()}
+        return bank, encoder, encoding, grad_g
+
+    @pytest.mark.parametrize("paths", [("cs", "ds"), ("cs",), ("ds",)])
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_matches_finite_differences(self, use_attention, paths):
+        """Central differences of sum_tag <grad_g[tag], g[tag]>, every returned array."""
+        bank, encoder, encoding, grad_g = self.setup_case(use_attention, paths)
+        grads = encode_classes_backward(bank, encoder, encoding, grad_g)
+        want = set()
+        if "cs" in paths:
+            want |= {"class_tokens"}
+            if use_attention:
+                want |= {"attention.w_query", "attention.w_key", "attention.w_value"}
+        if "ds" in paths:
+            want |= {"shared_tokens"}
+        assert set(grads) == want
+        arrays = bank.arrays()
+        for name, grad in grads.items():
+            p = arrays[name]
+            orig = p.copy()
+            assert grad.shape == p.shape
+
+            def objective(x):
+                p[...] = x
+                try:
+                    encoded = encode_classes(bank, self.CLASSES, encoder, paths)
+                    return sum(float(np.sum(up * encoded[tag].g))
+                               for tag, up in grad_g.items())
+                finally:
+                    p[...] = orig
+
+            fd = finite_diff_grad(objective, orig, step=1e-6)
+            rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+            assert rel < 1e-6, f"{name}: relative gradient error {rel:.2e}"
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    @pytest.mark.parametrize("classes", [["cat", "dog"], ["dog", "cat", "owl"]])
+    def test_encoding_must_cover_bank_classes_in_order(self, use_attention, classes):
+        bank, encoder, _, _ = self.setup_case(use_attention, ("cs", "ds"))
+        encoding = encode_classes(bank, classes, encoder)
+        grad_g = {tag: np.ones(enc.g.shape) for tag, enc in encoding.items()}
+        for tag in encoding:
+            with pytest.raises(ValueError, match="cover all bank classes in bank order"):
+                encode_classes_backward(bank, encoder, encoding, {tag: grad_g[tag]})
 
 
 class TestSynthDescriptions:

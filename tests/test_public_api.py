@@ -12,6 +12,9 @@ A name that a module of `src/uotalign/` or `tests/` imports must be
 read in that module or listed in its `__all__`. An import statement
 whose first line carries `noqa: F401` is exempt: it binds a name on
 purpose, for code that looks it up on the module.
+
+Only `prompts.py` branches on a prompt path's tag ("cs" or "ds"): how
+each path is built and backpropagated is known there alone.
 """
 
 import ast
@@ -80,3 +83,16 @@ def test_every_import_is_used():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == [], f"imported names never used: {unused}"
+
+
+def test_only_prompts_compares_path_tags():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "prompts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(operand, ast.Constant) and operand.value in ("cs", "ds")
+                    for operand in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"path-tag comparisons outside prompts.py: {found}"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import uotalign.prompts as prompts_mod
 import uotalign.trainer as trainer_mod
 from conftest import count_trainable
 from oracle import finite_diff_grad
@@ -44,7 +45,6 @@ from uotalign.trainer import (
     CKP1_MAGIC,
     VARIANTS,
     TrainConfig,
-    _trainable_arrays,
     adam_update,
     apply_variant,
     batch_loss_and_grads,
@@ -275,7 +275,7 @@ class TestBatchLossAndGrads:
         """Frozen-coupling analytic gradients vs re-solving FD, all groups."""
         bank, encoder, batch, ccfg = gradcheck_instance
         _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
-        params = _trainable_arrays(bank)
+        params = bank.trainable_arrays()
         assert set(grads) == {"shared_tokens", "attention.w_query",
                               "attention.w_key", "attention.w_value"}
         for key in sorted(grads):
@@ -331,7 +331,7 @@ class TestBatchLossAndGrads:
                         d[s, k] += gamma * float(np.sum(W * cost_matrix(F, G)))
             return ce_loss(likelihood(d, ccfg.tau), Y)
 
-        params = _trainable_arrays(bank)
+        params = bank.trainable_arrays()
         assert set(grads) == set(params)
         for key in sorted(grads):
             p = params[key]
@@ -363,8 +363,8 @@ class TestBatchLossAndGrads:
 
         monkeypatch.setattr(trainer_mod, "cost_matrix_backward",
                             counted("cost", trainer_mod.cost_matrix_backward))
-        monkeypatch.setattr(trainer_mod, "attention_backward",
-                            counted("attention", trainer_mod.attention_backward))
+        monkeypatch.setattr(prompts_mod, "attention_backward",
+                            counted("attention", prompts_mod.attention_backward))
         monkeypatch.setattr(FrozenEncoder, "encode_backward",
                             counted("encode", FrozenEncoder.encode_backward))
         batch_loss_and_grads(batch * 3, bank, ccfg, encoder)
@@ -407,7 +407,7 @@ class TestBatchLossAndGrads:
 class TestBankArrays:
     def test_every_param_group_owns_an_array(self, gradcheck_instance):
         bank = gradcheck_instance[0]
-        groups = {name.split(".")[0] for name in trainer_mod._bank_arrays(bank)}
+        groups = {name.split(".")[0] for name in bank.arrays()}
         assert set(PARAM_GROUPS) <= groups
 
     def test_checkpoint_lists_bank_then_encoder_then_moments(self, gradcheck_instance,
@@ -420,8 +420,8 @@ class TestBankArrays:
         raw = path.read_bytes()
         hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
         names = [name for name, _ in json.loads(raw[8:8 + hlen].decode())["arrays"]]
-        moments = sorted(_trainable_arrays(bank))
-        assert names == [*trainer_mod._bank_arrays(bank),
+        moments = sorted(bank.trainable_arrays())
+        assert names == [*bank.arrays(),
                          "encoder.projection", "encoder.bias",
                          *(f"m.{k}" for k in moments), *(f"v.{k}" for k in moments)]
 
@@ -435,12 +435,12 @@ class TestTrainStep:
 
     def test_updates_every_trainable_group(self, gradcheck_instance):
         state, batch, ccfg = self.setup_state(gradcheck_instance)
-        before = {k: p.copy() for k, p in _trainable_arrays(state.bank).items()}
+        before = {k: p.copy() for k, p in state.bank.trainable_arrays().items()}
         cfg = TrainConfig(seed=0)
         state, loss = train_step(batch, state, cfg, ccfg)
         assert math.isfinite(loss) and loss > 0
         assert state.step == 1
-        for key, p in _trainable_arrays(state.bank).items():
+        for key, p in state.bank.trainable_arrays().items():
             assert not np.array_equal(p, before[key]), key
 
     def test_empty_batch_rejected(self, gradcheck_instance):
@@ -450,12 +450,12 @@ class TestTrainStep:
 
     def test_divergence_raises_and_preserves_params(self, gradcheck_instance, monkeypatch):
         state, batch, ccfg = self.setup_state(gradcheck_instance)
-        before = {k: p.copy() for k, p in _trainable_arrays(state.bank).items()}
+        before = {k: p.copy() for k, p in state.bank.trainable_arrays().items()}
         monkeypatch.setattr(trainer_mod, "batch_loss_and_grads",
                             lambda *a, **kw: (math.nan, {}, None))
         with pytest.raises(RuntimeError, match="divergence"):
             train_step(batch, state, TrainConfig(), ccfg)
-        for key, p in _trainable_arrays(state.bank).items():
+        for key, p in state.bank.trainable_arrays().items():
             np.testing.assert_array_equal(p, before[key])
         assert state.step == 0
 
@@ -731,8 +731,8 @@ class TestCheckpoint:
         state, l1 = train_step(batch, state, TrainConfig(seed=0), ccfg)
         resumed, l2 = train_step(batch, resumed, TrainConfig(seed=0), ccfg)
         assert l1 == l2
-        for key, p in _trainable_arrays(state.bank).items():
-            np.testing.assert_array_equal(p, _trainable_arrays(resumed.bank)[key])
+        for key, p in state.bank.trainable_arrays().items():
+            np.testing.assert_array_equal(p, resumed.bank.trainable_arrays()[key])
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -838,6 +838,32 @@ class TestCheckpoint:
         if case == "no_classes_key":
             assert str(err.value).endswith("lacks 'classes'")
 
+    @pytest.mark.parametrize("name,message", [
+        ("junk", "has unknown arrays ['junk']"),
+        ("encoder.scale", "has unknown arrays ['encoder.scale']"),
+        ("shared_tokens", "lists an array name twice"),
+        ("m.shared_tokens", "lists an array name twice")])
+    def test_rejects_arrays_save_checkpoint_does_not_write(self, gradcheck_instance,
+                                                            tmp_path, name, message):
+        bank, encoder, _, _ = gradcheck_instance
+        import copy
+        import re
+        path = tmp_path / "x.ckpt"
+        state = init_state(copy.deepcopy(bank), encoder)
+        save_checkpoint(state, path)
+        # the file as written loads; one more listed array must not
+        load_checkpoint(path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        header = json.loads(raw[8:8 + hlen].decode())
+        shape = dict(header["arrays"]).get(name, [2])
+        header["arrays"].append([name, shape])
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob
+                         + raw[8 + hlen:] + np.ones(shape).tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"corrupt file: {path} {message}")):
+            load_checkpoint(path)
+
     def test_rejects_moment_key_mismatch(self, gradcheck_instance, tmp_path):
         bank, encoder, _, _ = gradcheck_instance
         import copy
@@ -847,6 +873,19 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         save_checkpoint(state, path)
         with pytest.raises(ValueError, match="moment keys"):
+            load_checkpoint(path)
+
+    def test_rejects_moment_shape_mismatch(self, gradcheck_instance, tmp_path):
+        # a (d_tok,) moment broadcasts against the parameter, so Adam would not fail on it
+        bank, encoder, _, _ = gradcheck_instance
+        import copy
+        import re
+        state = init_state(copy.deepcopy(bank), encoder)
+        state.m["shared_tokens"] = np.zeros(bank.shared_tokens.shape[-1])
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(state, path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt file: {path} moment shapes do not match the parameters")):
             load_checkpoint(path)
 
 

@@ -477,6 +477,10 @@ def load_checkpoint(path) -> TrainState:
         raise ValueError(f"corrupt file: {path} lacks {e.args[0]!r}") from None
     except ValueError as e:
         raise ValueError(f"corrupt file: {path} {e}") from e
+    d_tok, d = bank.shared_tokens.shape[2], encoder.projection.shape[1]
+    if encoder.projection.shape[0] != d_tok:
+        raise ValueError(f"corrupt file: {path} encoder.projection has shape "
+                         f"{encoder.projection.shape}, expected ({d_tok}, {d})")
     m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
     v = {name[2:]: a for name, a in arrays.items() if name.startswith("v.")}
     expected = bank.trainable_arrays()

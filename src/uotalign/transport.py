@@ -40,6 +40,19 @@ is absorbed into a rebuilt kernel; a contraction that leaves float range
 is redone for its instance in log space, so small lam does not
 underflow. A marginal sum below 1e-300 is clamped and flagged rather
 than crashing; a log-coupling past 709 marks the instance as blown up.
+
+With pinned rows (rho1 = inf) an instance still running after
+_NEWTON_AFTER = 30 scaling iterations switches to damped Newton steps on
+the dual reduced to u, v being the exact v half-step (Brauer, Clason,
+Lorenz and Wirth, Sinkhorn-Newton, 2017; Tang et al., ICLR 2024): plain
+scaling converges linearly, and at small lam or with both marginals
+pinned one slow instance would keep its batch iterating to the cap. The
+steps run in log space; each is one batched solve of a P x P system and
+an Armijo line search per instance, and an instance whose step fails
+takes a plain u half-step instead. Near a vertex coupling the Hessian
+is near-singular and u drifts along flat directions, so a Newton-phase
+instance converges on its row-marginal error rather than on its
+potential move. A finite rho1 keeps the scaling iteration throughout.
 """
 
 from __future__ import annotations
@@ -88,6 +101,11 @@ _ABSORB, _LOG_TINY = 50.0, math.log(1e-280)
 # over-relaxation factor omega of every half-step; _BETA = omega - 1
 _OMEGA = 1.4
 _BETA = _OMEGA - 1.0
+
+# scaling iterations before an instance with pinned rows switches to
+# Newton steps, and the step halvings its line search tries before a
+# scaling step is taken instead
+_NEWTON_AFTER, _HALVINGS = 30, 10
 
 
 class NumericalBlowupError(RuntimeError):
@@ -153,9 +171,17 @@ class TransportPlan:
 
     `coupling` is exp of the last log kernel of the potentials (u, v),
     all NaN when `error` names a blowup; (u, v) is the last iterate,
-    except that a converged plan's v is its last plain half-step. `converged` is False when the
-    iteration cap was hit first, `clamped` when a marginal sum fell
-    below the log-space floor at some iteration. A plan from
+    except that a converged plan's v is its last plain half-step, and in
+    the Newton tail v is always the exact v half-step of u. `iterations`
+    counts scaling iterations plus Newton steps, a fallback half-step
+    counting as a step. `converged` is False when the iteration cap was
+    hit first. A scaling iteration converges when neither potential
+    moves by tol = dual_tolerance or more; an instance in the Newton tail
+    converges when its row-marginal L1 error |W1 - n|_1 is below tol and
+    its last step did not halve it, so the error sits at the floor the
+    steps can reach.
+    `clamped` is set when a marginal sum fell below the log-space floor
+    at some iteration. A plan from
     solve_uot_batch holds a view of that call's (B, P, M) coupling
     buffer, so keeping any one plan keeps the whole call's couplings
     alive; copy the coupling to keep it alone.
@@ -331,6 +357,87 @@ def _relax(T, old, lo, hi, plain):
     return R, move
 
 
+def _newton_tail(U, C, n, log_m, lam, rho2, tol, k, last):
+    """Damped Newton steps on the dual reduced to u, rows pinned.
+
+    v is the exact v half-step of u and W the coupling of (u, v). The
+    reduced dual F has gradient g = W1 - n and Hessian (diag(r) - (1 - a)
+    W diag(1/c) W^T) / lam, with r = W1, c = W^T 1, a = lam / (lam + rho2).
+    The step solves it scaled by diag(r)^-1/2 on both sides, I - (1 - a)
+    Q Q^T with Q = diag(r)^-1/2 W diag(c)^-1/2, whose eigenvalues lie in
+    [a, 1]; when a = 0 a gauge term s s^T / |s|^2, s = sqrt(r), lifts the
+    zero one along s to 1. A Levenberg-Marquardt term e^2 + 1e-13 on the
+    diagonal, e the row L1 error over sum(n), keeps every matrix
+    nonsingular and shortens steps far from the solution. The step halves
+    until the Armijo test holds on the exact change of F; an instance
+    whose step is not finite or fails the test _HALVINGS times takes a
+    plain u half-step instead. An instance has converged once its row L1
+    error is below tol and its last step did not halve it; it also stops
+    on blowup or at iteration `last`, counting on from k. Returns U, V, W,
+    iteration counts and converged and blown-up masks, row for row.
+    """
+    a = lam / (lam + rho2)
+    fac = _factor(lam, rho2)
+    B, P, _ = C.shape
+    out_U, out_V, out_W = np.empty_like(U), np.empty_like(log_m), np.empty_like(C)
+    its, done, bad = np.empty(B, dtype=int), np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
+    rows, prev, eye = np.arange(B), np.full(B, INF), np.eye(P)
+    while True:
+        V = fac * (log_m - logsumexp_axis((U[:, :, None] - C) / lam, axis=1))
+        L = _log_kernel(U, V, C, lam)
+        W = np.exp(L)
+        r, c = W.sum(axis=2), W.sum(axis=1)
+        g = r - n
+        err = np.abs(g).sum(axis=1)
+        blown = ~(np.max(L, axis=(1, 2)) <= _LOG_HUGE)
+        met = ~blown & (err < tol) & (err >= 0.5 * prev)
+        stop = blown | met | (k == last)
+        if stop.any():
+            i = rows[stop]
+            out_U[i], out_V[i], out_W[i] = U[stop], V[stop], W[stop]
+            its[i], done[i], bad[i] = k, met[stop], blown[stop]
+            go = ~stop
+            if not go.any():
+                return out_U, out_V, out_W, its, done, bad
+            rows, U, C, n, log_m, L, W, r, c, g, err = (
+                x[go] for x in (rows, U, C, n, log_m, L, W, r, c, g, err))
+        prev = err
+        s = np.sqrt(r)
+        Q = W / (s[:, :, None] * np.sqrt(c)[:, None, :])
+        ridge = 1e-13 + (err / n.sum(axis=1)) ** 2
+        H = (1.0 + ridge)[:, None, None] * eye - (1.0 - a) * (Q @ Q.transpose(0, 2, 1))
+        if a == 0:
+            H += s[:, :, None] * s[:, None, :] / r.sum(axis=1)[:, None, None]
+        ok = np.all(r > 0, axis=1) & np.all(np.isfinite(H), axis=(1, 2))
+        H[~ok] = eye
+        d = lam * np.linalg.solve(H, (g / s)[:, :, None])[:, :, 0] / s
+        ok &= np.all(np.isfinite(d), axis=1)
+        # F(u - t d) - F(u) without cancellation: with x = -t d / lam, log c_j
+        # moves by x_h + log1p(sum_i W_ij / c_j expm1(x_i - x_h)), h the row
+        # holding most of column j, so the log1p argument stays above 1/P - 1
+        gd, dn, Wc = (g * d).sum(axis=1), (d * n).sum(axis=1), W / c[:, None, :]
+        top = np.argmax(Wc, axis=1)
+        t, todo = np.ones(rows.size), np.flatnonzero(ok)
+        for _ in range(_HALVINGS):
+            if not todo.size:
+                break
+            x = -t[todo, None] * d[todo] / lam
+            xh = np.take_along_axis(x, top[todo], axis=1)
+            E = np.expm1(x[:, :, None] - xh[:, None, :])
+            dlc = xh + np.log1p((Wc[todo] * E).sum(axis=1))
+            jump = lam * dlc if a == 0 else lam / a * np.expm1(a * dlc)
+            dF = t[todo] * dn[todo] + (c[todo] * jump).sum(axis=1)
+            fail = ~(dF <= -1e-4 * t[todo] * gd[todo])
+            t[todo[fail]] *= 0.5
+            todo = todo[fail]
+        ok[todo] = False
+        U_new = U - t[:, None] * d
+        if not ok.all():
+            U_new[~ok] = U[~ok] + lam * (np.log(n[~ok]) - logsumexp_axis(L[~ok], axis=2))
+        U = U_new
+        k += 1
+
+
 def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | None = None) -> list[TransportPlan]:
     """Solve a batch of same-shape, same-parameter instances together.
 
@@ -339,11 +446,12 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     instances still running: one that converges or blows up leaves the
     loop, its potentials and its coupling (exp of its last log kernel)
     are written back and the arrays shrink to the rest. Each decision
-    (fallback, clamp, relaxation, absorption, blowup) reads only its
-    instance's data, and batch-wide gates skip only work that would
-    change nothing, so each result is identical to an independent single
-    solve. An instance that blows up is marked via its plan's `error`
-    field instead of aborting the batch. Each plan's coupling is a view
+    (fallback, clamp, relaxation, absorption, blowup, and in the Newton
+    tail the step, line search and fallback) reads only its instance's
+    data, and batch-wide gates skip only work that would change nothing,
+    so each result is identical to an independent single solve. An
+    instance that blows up is marked via its plan's `error` field
+    instead of aborting the batch. Each plan's coupling is a view
     of one (B, P, M) buffer for the whole call, which stays alive while
     any plan does.
     """
@@ -361,6 +469,10 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     fac1, fac2 = _factor(lam, p0.rho1), _factor(lam, p0.rho2)
     (lo1, hi1), (lo2, hi2) = _relax_interval(lam, p0.rho1), _relax_interval(lam, p0.rho2)
     tol = config.dual_tolerance
+    # pinned rows: the scaling iteration hands its tail to _newton_tail
+    scaling = config.max_iterations
+    if math.isinf(p0.rho1):
+        scaling = min(scaling, _NEWTON_AFTER)
 
     # per-instance results, indexed by position in `problems`
     U_out = np.zeros((B, n_rows))
@@ -409,7 +521,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         absorb(slice(None), U, V)
-        for k in range(config.max_iterations):
+        for k in range(scaling):
             T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
                 lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2))
@@ -458,8 +570,17 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = (
                 x[keep] for x in (C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
         else:
-            U_out[live], V_out[live] = U, V
-            coupling[live] = np.exp(_log_kernel(U, V, C, lam, K), out=K)
+            if scaling < config.max_iterations:
+                n = np.stack([problems[i].row_marginal for i in live])
+                U_out[live], V_out[live], coupling[live], iterations[live], \
+                    converged[live], bad = _newton_tail(
+                        U, C, n, log_m, lam, p0.rho2, tol, scaling, config.max_iterations)
+                coupling[live[bad]] = np.nan
+                for i in live[bad]:
+                    failed[i] = f"numerical blowup at iteration {iterations[i]}"
+            else:
+                U_out[live], V_out[live] = U, V
+                coupling[live] = np.exp(_log_kernel(U, V, C, lam, K), out=K)
 
     return [TransportPlan(
         coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),

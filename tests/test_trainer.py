@@ -864,6 +864,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"corrupt file: {path} {message}")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,message", [
+        ("projection", "encoder.projection has shape (9, 8), expected (8, 8)"),
+        ("bias", "bias length must match projection output dim")])
+    def test_rejects_encoder_not_matching_the_bank(self, gradcheck_instance, tmp_path,
+                                                    name, message):
+        # a projection with a row too many would fail only at the first
+        # encode, in a bare matmul that names neither the file nor the array
+        bank, encoder, _, _ = gradcheck_instance
+        import copy
+        import re
+        d_tok, d = bank.shared_tokens.shape[2], encoder.projection.shape[1]
+        assert (d_tok, d) == (8, 8)
+        encoder = copy.deepcopy(encoder)
+        if name == "projection":
+            encoder.projection = np.vstack([encoder.projection, encoder.projection[:1]])
+        else:
+            encoder.bias = np.append(encoder.bias, 0.0)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(init_state(copy.deepcopy(bank), encoder), path)
+        with pytest.raises(ValueError, match=re.escape(f"corrupt file: {path} {message}")):
+            load_checkpoint(path)
+
     def test_rejects_moment_key_mismatch(self, gradcheck_instance, tmp_path):
         bank, encoder, _, _ = gradcheck_instance
         import copy

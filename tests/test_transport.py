@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracle import log_domain_solve_uot_batch, recover_coupling, uot_primal_value
+from uotalign import transport
 from uotalign.classifier import ClassifierConfig, cost_matrix, prompt_marginal
+from uotalign.numerics import logsumexp_axis
 from uotalign.transport import (
     INF,
     NumericalBlowupError,
@@ -15,11 +17,13 @@ from uotalign.transport import (
     solve_entropic_ot,
     solve_uot,
     solve_uot_batch,
+    _NEWTON_AFTER,
     _OMEGA,
     _relax_interval,
 )
 
 TIGHT = SolverConfig(max_iterations=20000, dual_tolerance=1e-12)
+BENCHMARK_SHAPES = ((4, 16), (4, 49), (4, 196))
 
 
 def random_problem(rng, shape, lam, rho1, rho2, balanced=False):
@@ -30,6 +34,23 @@ def random_problem(rng, shape, lam, rho1, rho2, balanced=False):
         n /= n.sum()
         m /= m.sum()
     return TransportProblem(C, n, m, lam=lam, rho1=rho1, rho2=rho2)
+
+
+def benchmark_problems(shape, pinned):
+    """The classifier's solves: cosine costs of unit rows, lam = 0.01, the
+    relaxed column marginal or both pinned, a batch of 128."""
+    ccfg = ClassifierConfig()
+    rho1, rho2 = (INF, INF) if pinned else (ccfg.rho1, ccfg.rho2)
+    rng = np.random.default_rng([31, *shape, pinned])
+    rows, cols = shape
+
+    def unit(k):
+        a = rng.standard_normal((k, 64))
+        return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    return [TransportProblem(cost_matrix(unit(cols), unit(rows)), prompt_marginal(rows),
+                             np.full(cols, 1 / cols), lam=ccfg.lam, rho1=rho1, rho2=rho2)
+            for _ in range(128)]
 
 
 class TestSolverConfig:
@@ -184,6 +205,20 @@ class TestDualValue:
                 traj.append(dual_value(plan.u, plan.v, p))
             assert np.all(np.diff(traj) <= 1e-9)
 
+    def test_monotone_decrease_through_the_newton_tail(self):
+        # pinned rows: the scaling iterates, then (u, exact v half-step of
+        # u) along the Newton tail
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            p = random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
+            full = solve_uot(p)
+            assert full.converged and full.iterations > _NEWTON_AFTER + 2
+            traj = []
+            for k in range(1, full.iterations + 1):
+                plan = solve_uot(p, SolverConfig(max_iterations=k))
+                traj.append(dual_value(plan.u, plan.v, p))
+            assert np.all(np.diff(traj) <= 1e-12)
+
     def test_primal_dual_relation_at_convergence(self):
         rng = np.random.default_rng(10)
         # finite rho: primal = -dual + rho1*sum(n) + rho2*sum(m)
@@ -276,9 +311,10 @@ class TestBatch:
         # instances leave the batch at different iterations and for
         # different reasons; each must come out as if solved alone
         rng = np.random.default_rng(22)
-        # the six random instances converge after 62 to 145 iterations, so
-        # a cap of 120 stops the slowest and lets the others finish apart
-        cfg = SolverConfig(max_iterations=120, dual_tolerance=1e-10)
+        # the six random instances converge in the Newton tail after 34 to
+        # 38 iterations, so a cap of 37 stops the slowest and lets the
+        # others finish apart
+        cfg = SolverConfig(max_iterations=37, dual_tolerance=1e-10)
         problems = [self._at_optimum(0.02, INF, (3, 5))]
         problems += [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
                      for _ in range(6)]
@@ -286,10 +322,11 @@ class TestBatch:
         huge = 8.5e307
         problems.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [huge, 1, 1],
                                          [huge, 1, 1, 1, 1], lam=0.02))
-        # shifted costs: the first marginal sums fall below the clamp
-        first = problems[1]
-        problems.append(TransportProblem(first.cost + 14.3, first.row_marginal,
-                                         first.col_marginal, lam=0.02))
+        # shifted costs: the first marginal sums fall below the clamp; the
+        # base instance converges after 34 iterations, within the cap
+        base = problems[6]
+        problems.append(TransportProblem(base.cost + 14.3, base.row_marginal,
+                                         base.col_marginal, lam=0.02))
         plans = self._assert_each_as_if_alone(problems, cfg)
         for problem, plan in zip(problems, plans):
             if plan.error is None:
@@ -323,6 +360,40 @@ class TestBatch:
         assert plans[0].iterations == 1 and plans[0].converged
         assert plans[1].error == "numerical blowup at iteration 9"
         assert plans[2].clamped and not plans[1].clamped
+
+    def test_newton_tail_matches_single(self, monkeypatch):
+        # pinned instances that leave before the Newton tail, leave it after
+        # different numbers of steps, fall back to a plain half-step or run
+        # to the cap; each must come out as if solved alone
+        rng = np.random.default_rng(516)
+        pool = [random_problem(rng, (4, 16), lam=0.05, rho1=INF, rho2=INF, balanced=True)
+                for _ in range(35)]
+        problems = [self._at_optimum(0.05, INF, (4, 16))] + [pool[i] for i in (17, 0, 2, 3, 34)]
+        # unequal masses: the pinned rows are never met
+        problems.append(random_problem(rng, (4, 16), lam=0.05, rho1=INF, rho2=INF))
+        cfg = SolverConfig(max_iterations=60)
+        fallbacks = []
+
+        def counting(a, axis):
+            # in the Newton tail only the fallback half-step reduces rows
+            if axis == 2:
+                fallbacks.append(a.shape[0])
+            return logsumexp_axis(a, axis)
+
+        monkeypatch.setattr(transport, "logsumexp_axis", counting)
+        plans = self._assert_each_as_if_alone(problems, cfg)
+        # one fallback in the batch and one in its single solve: instance 5's
+        # last line search reads rounding noise at the error floor
+        assert fallbacks == [1, 1]
+        fallbacks.clear()
+        solve_uot_batch(problems[5:6], cfg)
+        assert fallbacks == [1]
+        its = [plan.iterations for plan in plans]
+        assert its[0] == 1 and 1 < its[1] < _NEWTON_AFTER
+        assert len(set(its[2:6])) > 2 and min(its[2:6]) > _NEWTON_AFTER
+        assert all(plan.converged for plan in plans[:6])
+        assert its[6] == cfg.max_iterations and not plans[6].converged
+        assert plans[6].error is None
 
     def test_shape_mismatch_rejected(self):
         a = TransportProblem([[1.0]], [1.0], [1.0], lam=0.1)
@@ -391,22 +462,9 @@ class TestLogDomainReference:
         ((4, 16), True), ((4, 49), True),
     ])
     def test_benchmark_shapes(self, shape, pinned):
-        # the classifier's solves: cosine costs of unit rows, lam = 0.01,
-        # relaxed column marginal or both pinned, batches of 128; five
-        # pinned 4x16 instances that the reference caps converge here
-        newly_converged = (10, 19, 42, 56, 76) if shape == (4, 16) and pinned else ()
-        ccfg = ClassifierConfig()
-        rho1, rho2 = (INF, INF) if pinned else (ccfg.rho1, ccfg.rho2)
-        rng = np.random.default_rng([31, *shape, pinned])
-        rows, cols = shape
-
-        def unit(k):
-            a = rng.standard_normal((k, 64))
-            return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-        problems = [TransportProblem(cost_matrix(unit(cols), unit(rows)), prompt_marginal(rows),
-                                     np.full(cols, 1 / cols), lam=ccfg.lam, rho1=rho1, rho2=rho2)
-                    for _ in range(128)]
+        # six pinned 4x16 instances that the reference caps converge here
+        newly_converged = (6, 10, 19, 42, 56, 76) if shape == (4, 16) and pinned else ()
+        problems = benchmark_problems(shape, pinned)
         plans, refs, checked = self._assert_matches_reference(
             problems, SolverConfig(), f"{shape} {'pinned' if pinned else 'relaxed'}",
             newly_converged)
@@ -417,8 +475,10 @@ class TestLogDomainReference:
     def test_small_lambda(self, rho):
         # exp(-C / lam) underflows on every entry at the start, so the
         # first half-step runs in log space and clamps every instance;
-        # pinned, most hit the cap, and instance 21 converges only here
-        newly_converged = (21,) if math.isinf(rho) else ()
+        # pinned, the reference caps all but instances 13 and 23, and the
+        # Newton tail converges every instance to rounding level
+        pinned = math.isinf(rho)
+        newly_converged = tuple(i for i in range(32) if i not in (13, 23)) if pinned else ()
         rng = np.random.default_rng(32)
         problems = [TransportProblem(rng.uniform(0.7, 2.0, (4, 16)), np.full(4, 0.25),
                                      np.full(16, 1 / 16), lam=1e-3, rho1=rho, rho2=rho)
@@ -428,6 +488,12 @@ class TestLogDomainReference:
         ours, theirs = sum(p.converged for p in plans), sum(r.converged for r in refs)
         print(f"small lam, rho {rho}: {ours} of 32 converged; reference {theirs}")
         assert all(ref.clamped for ref in refs) and ours >= theirs > 0
+        if pinned:
+            assert ours == 32
+            for problem, plan in zip(problems, plans):
+                W = plan.coupling
+                assert np.abs(W.sum(axis=1) - problem.row_marginal).sum() <= 1e-12
+                assert np.abs(W.sum(axis=0) - problem.col_marginal).sum() <= 1e-12
 
     def test_capped_clamped_and_blown_up(self):
         # the constructions of TestBatch, each among ordinary instances
@@ -446,7 +512,7 @@ class TestLogDomainReference:
                                  lam=lam, rho1=rho, rho2=rho)]
         weak += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho) for _ in range(4)]
         refs, plans = [], []
-        for name, problems, flips in (("pinned", pinned, (5,)), ("relaxed", relaxed, ()),
+        for name, problems, flips in (("pinned", pinned, (4, 5)), ("relaxed", relaxed, ()),
                                       ("weak", weak, ())):
             ours, theirs, _ = self._assert_matches_reference(problems, cfg, name, flips)
             plans += ours
@@ -455,6 +521,16 @@ class TestLogDomainReference:
             assert any(not o.converged and o.error is None for o in outcomes)
             assert sum(o.clamped for o in outcomes) >= 3
             assert sum(o.error is not None for o in outcomes) == 2
+
+
+class TestNewtonTail:
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+    def test_relaxed_benchmark_shapes_end_before_the_newton_tail(self, shape):
+        # training and evaluation solve these; while they converge in fewer
+        # than _NEWTON_AFTER iterations their outputs do not depend on it
+        plans = solve_uot_batch(benchmark_problems(shape, pinned=False))
+        assert all(plan.converged for plan in plans)
+        assert max(plan.iterations for plan in plans) < _NEWTON_AFTER
 
 
 class TestOverRelaxation:

@@ -106,7 +106,7 @@ def _unit_rows(features, prompts):
                          f"columns, features have {F.shape[1]}")
     nf = np.linalg.norm(F, axis=1)
     ng = np.linalg.norm(G, axis=-1)
-    if np.any(ng < 1e-300) or np.any(nf < 1e-300):
+    if (ng < 1e-300).any() or (nf < 1e-300).any():
         raise ValueError("degenerate embedding: zero-norm row")
     return F / nf[:, None], G / ng[..., None], nf, ng
 
@@ -124,7 +124,7 @@ def cost_matrix(features, prompts) -> np.ndarray:
     """
     Fh, Gh, nf, ng = _unit_rows(features, prompts)
     for name, norms in (("features", nf), ("prompts", ng)):
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        if (np.abs(norms - 1.0) > _UNIT_TOL).any():
             warnings.warn(f"cost_matrix: {name} rows are not unit-norm")
     return 1.0 - Gh @ Fh.T
 

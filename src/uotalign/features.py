@@ -6,9 +6,9 @@ payload. Storage is float32; all in-memory math is float64 and rows are
 re-normalized on load so the unit-norm invariant survives the cast.
 
 Augmentation is an embedding-space proxy for image augmentation: row
-jitter stands in for photometric noise, row dropout for cutout. A
-dropped token leaves the sample, so every FeatureSet has only positive
-weights.
+jitter stands in for photometric noise, and dropping a fixed count of
+rows for cutout, which removes a region of fixed size. A dropped token
+leaves the sample, so every FeatureSet has only positive weights.
 `jitter_sigma` is the expected L2 magnitude of the perturbation of a
 row (noise components are drawn at sigma/sqrt(d)), which keeps the
 perturbation scale independent of the embedding width.
@@ -284,9 +284,11 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
             rng_seed: int | list[int]) -> FeatureSet:
     """Jitter rows and drop whole rows, deterministically per seed.
 
-    The survivors' weights are renormalised to sum to 1. At least one
-    token always survives: if every row is drawn out, the heaviest
-    original token (lowest index on ties) is kept.
+    drop_prob is the fraction of rows dropped: exactly
+    min(round(drop_prob * M), M - 1) of the M rows, drawn without
+    replacement after the jitter, so samples with the same token count
+    keep the same number of rows and at least one row survives. The
+    survivors' weights are renormalised to sum to 1.
     """
     if not (0 <= drop_prob < 1):
         raise ValueError("drop_prob must be in [0, 1)")
@@ -305,9 +307,9 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
         F = F.copy()
     w = fs.weights.copy()
     if drop_prob > 0:
-        keep = rng.random(fs.num_tokens) >= drop_prob
-        if not keep.any():
-            keep[int(np.argmax(w))] = True
+        M = fs.num_tokens
+        keep = np.ones(M, dtype=bool)
+        keep[rng.choice(M, min(round(drop_prob * M), M - 1), replace=False)] = False
         # renormalise over the full-width vector, then drop: summing the
         # survivors alone can round differently in the last bit
         w = np.where(keep, w, 0.0)

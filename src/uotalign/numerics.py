@@ -26,7 +26,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -46,7 +46,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -84,8 +84,10 @@ _EVAL_CHUNK = 8
 class TrainConfig:
     """Optimization hyperparameters and the ablation variant switch.
 
-    augmentation is (jitter_sigma, drop_prob); both zero keeps training
-    bitwise deterministic with no embedding noise at all.
+    augmentation is (jitter_sigma, drop_prob); drop_prob is the fraction
+    of rows dropped, exactly min(round(drop_prob * M), M - 1) of a
+    sample's M rows. Both zero keeps training bitwise deterministic with
+    no embedding noise at all.
     """
 
     learning_rate: float = 2e-3

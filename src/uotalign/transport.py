@@ -152,7 +152,7 @@ class TransportProblem:
             raise ValueError(
                 f"col_marginal has length {self.col_marginal.shape[0]}, expected {n_cols}"
             )
-        if np.any(self.row_marginal <= 0) or np.any(self.col_marginal <= 0):
+        if (self.row_marginal <= 0).any() or (self.col_marginal <= 0).any():
             raise ValueError("zero marginal mass: marginals must be strictly positive")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")

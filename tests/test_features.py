@@ -274,6 +274,20 @@ class TestAugment:
             assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert 1 <= out.num_tokens <= 4
 
+    @pytest.mark.parametrize("drop", [0.0, 0.05, 0.1, 0.3, 0.5, 0.95])
+    def test_drops_a_fixed_count_of_rows(self, drop):
+        # round half to even: 0.5 * 49 = 24.5 drops 24 rows, 0.5 * 5 drops 2
+        for M in range(1, 61):
+            rng = np.random.default_rng([50, M])
+            fs = FeatureSet(unit_rows(rng, M, 4), np.full(M, 1 / M), sample_id="x")
+            for seed in range(3):
+                out = augment(fs, jitter_sigma=0.0, drop_prob=drop, rng_seed=[M, seed])
+                assert out.num_tokens == M - min(round(drop * M), M - 1), (M, seed)
+                # the survivors are rows of the input, in their original order
+                rows = [int(np.flatnonzero((fs.features == r).all(axis=1))[0])
+                        for r in out.features]
+                assert rows == sorted(set(rows))
+
     def test_jitter_keeps_rows_close(self):
         rng = np.random.default_rng(45)
         fs = FeatureSet(unit_rows(rng, 10000, 32), np.full(10000, 1e-4),
@@ -309,9 +323,8 @@ class TestAugment:
         ref_rng = np.random.default_rng([seed, 3])
         F = fs.features + jitter / np.sqrt(16) * ref_rng.standard_normal((M, 16))
         F = F / np.linalg.norm(F, axis=1)[:, None]
-        keep = ref_rng.random(M) >= drop
-        if not keep.any():
-            keep[int(np.argmax(fs.weights))] = True
+        keep = np.ones(M, dtype=bool)
+        keep[ref_rng.choice(M, round(drop * M), replace=False)] = False
         w = np.where(keep, fs.weights, 0.0)
         w = w / float(w.sum())
         assert np.array_equal(out.features, F[w > 0])

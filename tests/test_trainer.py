@@ -22,7 +22,6 @@ from uotalign.features import (
     DatasetManifest,
     FeatureSet,
     SampleRecord,
-    augment,
     load_split,
     synth_dataset,
 )
@@ -40,6 +39,7 @@ from uotalign.transport import (
     TransportPlan,
     TransportProblem,
     solve_uot,
+    solve_uot_batch,
 )
 from uotalign.trainer import (
     CKP1_MAGIC,
@@ -474,6 +474,29 @@ class TestTrainStep:
         msg = str(err.value)
         assert "sample 's0'" in msg and "class 'a'" in msg and "path" in msg
 
+    @pytest.mark.parametrize("variant", ["full", "no_csc", "no_sc"])
+    def test_dropout_makes_one_solve_per_active_path(self, manifest, variant, monkeypatch):
+        # every sample has 6 tokens and keeps 4 of them; the class path has
+        # 3 prompts and the shared path 2, so the two paths' shapes differ
+        ccfg, bank_kw = apply_variant(variant, ClassifierConfig())
+        classes = manifest.classes
+        bank = build_prompt_bank(classes, synth_description_texts(classes, seed=1, count=3),
+                                 num_shared_prompts=2, num_class_prompts=3,
+                                 context_length=4, token_dim=16, seed=1, **bank_kw)
+        state = init_state(bank, FrozenEncoder.seeded(16, 16, 1))
+        batch = load_split(manifest, "train")
+        assert {fs.num_tokens for fs in batch} == {6}
+        shapes = []
+
+        def counted_batch(problems, config=None):
+            shapes.append({p.shape for p in problems})
+            return solve_uot_batch(problems, config)
+
+        monkeypatch.setattr("uotalign.classifier.solve_uot_batch", counted_batch)
+        train_step(batch, state, TrainConfig(seed=2, augmentation=(0.05, 0.3)), ccfg)
+        assert shapes == {"full": [{(3, 4)}, {(2, 4)}], "no_csc": [{(2, 4)}],
+                          "no_sc": [{(3, 4)}]}[variant]
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_state(self, manifest):
@@ -578,11 +601,16 @@ class TestEvaluate:
 
     def test_matches_per_problem_reference(self, manifest, trained):
         # more samples than one evaluation chunk, a candidate subset, and
-        # dropped tokens so that the problems come in several shapes
+        # samples cut to their first 4, 5 or 6 tokens so that the problems
+        # come in several shapes
         classes = ["class_0", "class_2"]
-        samples = [augment(fs, 0.0, 0.3, [5, s]) for s, fs in enumerate(
-            fs for split in ("train", "val", "test")
-            for fs in load_split(manifest, split) if fs.label in classes)]
+        pool = [fs for split in ("train", "val", "test")
+                for fs in load_split(manifest, split) if fs.label in classes]
+        samples = []
+        for s, fs in enumerate(pool):
+            n = fs.num_tokens - s % 3
+            samples.append(FeatureSet(fs.features[:n], np.full(n, 1 / n),
+                                      sample_id=fs.sample_id, label=fs.label))
         assert len(samples) > trainer_mod._EVAL_CHUNK
         assert len({fs.num_tokens for fs in samples}) > 1
         ccfg = ClassifierConfig()

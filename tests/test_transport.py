@@ -65,6 +65,46 @@ class TestSolverConfig:
             SolverConfig(**kw)
 
 
+def _replace_entry(a, value):
+    a = np.array(a, dtype=np.float64)
+    a.flat[1] = value
+    return a
+
+
+_ZERO_MASS = "^zero marginal mass: marginals must be strictly positive$"
+_GOOD = dict(cost=np.full((2, 3), 0.5), row_marginal=[0.5, 0.5],
+             col_marginal=[0.25, 0.25, 0.5])
+
+
+class TestTransportProblemRejects:
+    @pytest.mark.parametrize("field, value, message", [
+        ("cost", _replace_entry(_GOOD["cost"], math.nan), "^cost contains non-finite entries$"),
+        ("cost", _replace_entry(_GOOD["cost"], INF), "^cost contains non-finite entries$"),
+        ("cost", _replace_entry(_GOOD["cost"], -INF), "^cost contains non-finite entries$"),
+        ("cost", [0.5, 0.5, 0.5], "^cost must be 2-dimensional, got ndim=1$"),
+        ("cost", np.zeros((0, 3)), "^cost must be non-empty$"),
+        *((name, _replace_entry(_GOOD[name], bad), message)
+          for name in ("row_marginal", "col_marginal")
+          for bad, message in (
+              (math.nan, f"^{name} contains non-finite entries$"),
+              (INF, f"^{name} contains non-finite entries$"),
+              (0.0, _ZERO_MASS),
+              (-0.25, _ZERO_MASS))),
+        ("row_marginal", [[0.5, 0.5]], "^row_marginal must be 1-dimensional, got ndim=2$"),
+        ("col_marginal", 0.5, "^col_marginal must be 1-dimensional, got ndim=0$"),
+        ("row_marginal", [], "^row_marginal must be non-empty$"),
+        ("col_marginal", [], "^col_marginal must be non-empty$"),
+        ("row_marginal", [1.0], "^row_marginal has length 1, expected 2$"),
+        ("col_marginal", [0.5, 0.5], "^col_marginal has length 2, expected 3$"),
+    ])
+    def test_bad_input_names_what_is_wrong(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TransportProblem(**{**_GOOD, field: value})
+
+    def test_good_input_passes(self):
+        assert TransportProblem(**_GOOD).shape == (2, 3)
+
+
 class TestSolveBasics:
     def test_1x1_pinned(self):
         p = TransportProblem([[0.5]], [1.0], [1.0], lam=0.1, rho1=INF, rho2=INF)
@@ -501,19 +541,24 @@ class TestLogDomainReference:
         cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
         pinned = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
                   for _ in range(6)]
-        relaxed = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF)
-                   for _ in range(3)]
-        relaxed += [TransportProblem(p.cost + 14.3, p.row_marginal, p.col_marginal, lam=0.02)
-                    for p in relaxed]
-        relaxed.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [8.5e307, 1, 1],
-                                        [8.5e307, 1, 1, 1, 1], lam=0.02))
+        # pinned (rho1 = rho2 = INF) with marginals that do not sum to 1
+        unnormalised = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF)
+                        for _ in range(3)]
+        unnormalised += [TransportProblem(p.cost + 14.3, p.row_marginal, p.col_marginal,
+                                          lam=0.02)
+                         for p in unnormalised]
+        unnormalised.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [8.5e307, 1, 1],
+                                             [8.5e307, 1, 1, 1, 1], lam=0.02))
         lam, rho = 5e-4, 3e-3
         weak = [TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
                                  lam=lam, rho1=rho, rho2=rho)]
         weak += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho) for _ in range(4)]
+        # an ordinary relaxed instance, drawn last so that no other one moves
+        relaxed = [random_problem(rng, (3, 5), lam=0.02, rho1=0.5, rho2=0.5)]
         refs, plans = [], []
-        for name, problems, flips in (("pinned", pinned, (4, 5)), ("relaxed", relaxed, ()),
-                                      ("weak", weak, ())):
+        for name, problems, flips in (("pinned", pinned, (4, 5)),
+                                      ("unnormalised pinned", unnormalised, ()),
+                                      ("weak", weak, ()), ("relaxed", relaxed, ())):
             ours, theirs, _ = self._assert_matches_reference(problems, cfg, name, flips)
             plans += ours
             refs += theirs

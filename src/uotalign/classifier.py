@@ -96,19 +96,17 @@ class ClassifierConfig:
             raise ValueError("solver must be a SolverConfig")
 
 
-def _unit_rows(features, prompts):
-    """Validated features (N, d) and prompts (P, d) or (K, P, d), their
+def _unit_rows(F, G):
+    """Validated features (..., M, d) and prompts (..., P, d) with their
     rows normalised, plus both norms. A zero row has no direction."""
-    F = as_matrix(features, "features")
-    G = as_stack(prompts, "prompts", "(P, d) or (K, P, d)")
-    if F.shape[1] != G.shape[-1]:
+    if F.shape[-1] != G.shape[-1]:
         raise ValueError(f"dimension mismatch: prompts have {G.shape[-1]} "
-                         f"columns, features have {F.shape[1]}")
-    nf = np.linalg.norm(F, axis=1)
+                         f"columns, features have {F.shape[-1]}")
+    nf = np.linalg.norm(F, axis=-1)
     ng = np.linalg.norm(G, axis=-1)
     if (ng < 1e-300).any() or (nf < 1e-300).any():
         raise ValueError("degenerate embedding: zero-norm row")
-    return F / nf[:, None], G / ng[..., None], nf, ng
+    return F / nf[..., None], G / ng[..., None], nf, ng
 
 
 def cost_matrix(features, prompts) -> np.ndarray:
@@ -116,17 +114,27 @@ def cost_matrix(features, prompts) -> np.ndarray:
 
     Rows of `prompts` index the source side (one row per prompt), rows
     of `features` the target side, so the result is (P, M), or (K, P, M)
-    for a (K, P, d) stack whose slices equal single-matrix calls bitwise.
-    Entries lie in [0, 2] up to roundoff. Rows are normalised here, and
-    a zero row is rejected. Inputs are expected unit-norm;
-    anything else gets a warning because the rest of the pipeline
-    assumes the cosine and the dot product agree.
+    for a (K, P, d) stack of prompts. Features may be an (S, M, d) stack
+    of samples with a common token count; the result then gains a
+    leading sample axis, (S, P, M) or (S, K, P, M). Every (sample, class)
+    slice equals the single-matrix call bitwise: the product runs one
+    (P, d) @ (d, M) matmul per slice, on the transposed view of the
+    sample's rows as F.T is. Entries lie in [0, 2] up to roundoff. Rows
+    are normalised here, and a zero row is rejected. Inputs are expected
+    unit-norm; anything else gets a warning because the rest of the
+    pipeline assumes the cosine and the dot product agree.
     """
-    Fh, Gh, nf, ng = _unit_rows(features, prompts)
+    F = as_stack(features, "features", "(M, d) or (S, M, d)")
+    G = as_stack(prompts, "prompts", "(P, d) or (K, P, d)")
+    Fh, Gh, nf, ng = _unit_rows(F if F.ndim == 3 else F[None], G)
     for name, norms in (("features", nf), ("prompts", ng)):
         if (np.abs(norms - 1.0) > _UNIT_TOL).any():
             warnings.warn(f"cost_matrix: {name} rows are not unit-norm")
-    return 1.0 - Gh @ Fh.T
+    # a sample axis in front of the class axis, if any
+    Ft = np.expand_dims(Fh.transpose(0, 2, 1), tuple(range(1, Gh.ndim - 1)))
+    C = np.matmul(Gh[None], Ft)
+    np.subtract(1.0, C, out=C)
+    return C if F.ndim == 3 else C[0]
 
 
 def cost_matrix_backward(features, prompts, upstream) -> np.ndarray:
@@ -138,7 +146,8 @@ def cost_matrix_backward(features, prompts, upstream) -> np.ndarray:
     (fhat - cos * ghat) / |g|, and the cost negates it. The cosine
     matrix is never formed: sum_n D_pn cos_pn = ghat_p . (D fhat)_p.
     """
-    Fh, Gh, _, ng = _unit_rows(features, prompts)
+    Fh, Gh, _, ng = _unit_rows(as_matrix(features, "features"),
+                               as_stack(prompts, "prompts", "(P, d) or (K, P, d)"))
     want = (*Gh.shape[:-1], Fh.shape[0])
     D = as_stack(upstream, "upstream", "(P, N) or (K, P, N)")
     if D.shape != want:
@@ -182,9 +191,12 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     """Score every sample against every class along both prompt paths.
 
     All classes are encoded at once, along the paths with a positive
-    weight only, and each (sample, path) makes one cost_matrix call.
-    A problem's columns are the sample's tokens and its column marginal
-    their weights. Problems are grouped by shape and each group goes
+    weight only. Samples with a common token count M share one
+    cost_matrix call per path, over their stacked feature rows, and
+    TransportProblem.batch builds that call's problems from the checked
+    cost stack. A problem's columns are the sample's tokens and its
+    column marginal their weights. Problems are grouped by shape, in the
+    order of samples, then paths, then classes, and each group goes
     through one solve_uot_batch call, whose results equal one-at-a-time
     solves bitwise. `classes` defaults to the whole bank.
     """
@@ -193,20 +205,24 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
     encoding = encode_classes(bank, classes, encoder, tuple(tag for tag, _ in paths))
-    marginals = {tag: prompt_marginal(enc.g.shape[1]) for tag, enc in encoding.items()}
 
-    costs = {tag: [] for tag in encoding}
+    by_count = {}
+    for s, fs in enumerate(samples):
+        by_count.setdefault(fs.num_tokens, []).append(s)
+    # costs[tag][s] is sample s's (K, P, M) stack, problems[tag][s] its K problems
+    costs = {tag: [None] * len(samples) for tag in encoding}
+    problems = {tag: [None] * len(samples) for tag in encoding}
+    for members in by_count.values():
+        for tag, enc in encoding.items():
+            _build_problems(samples, members, enc.g, cfg, costs[tag], problems[tag])
+
     groups = {}
     for s, fs in enumerate(samples):
         for tag, enc in encoding.items():
-            costs[tag].append(cost_matrix(fs.features, enc.g))
-            for k, cost in enumerate(costs[tag][s]):
-                problem = TransportProblem(
-                    cost=cost, row_marginal=marginals[tag], col_marginal=fs.weights,
-                    lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
-                groups.setdefault(problem.shape, []).append(((s, k, tag), problem))
+            groups.setdefault((enc.g.shape[1], fs.num_tokens), []).extend(
+                ((s, k, tag), problem) for k, problem in enumerate(problems[tag][s]))
 
-    per_class = {tag: [[None] * len(C) for C in stacks] for tag, stacks in costs.items()}
+    per_class = {tag: [[None] * len(classes) for _ in samples] for tag in encoding}
     unconverged = clamped = 0
     for entries in groups.values():
         solved = solve_uot_batch([problem for _, problem in entries], cfg.solver)
@@ -228,6 +244,21 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     d = sum(gamma * d_path[tag] for tag, gamma in paths)
     return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
                    couplings=couplings, unconverged=unconverged, clamped=clamped)
+
+
+def _build_problems(samples, members, g, cfg, costs, problems):
+    """Fill costs[s] and problems[s] for the samples `members`, which share
+    a token count, against one path's (K, P, d) prompts: one cost_matrix
+    call and one TransportProblem.batch. The stacked feature rows live
+    only for the call, so they are gone before any solve."""
+    K, P = g.shape[:2]
+    C = cost_matrix(np.stack([samples[s].features for s in members]), g)
+    weights = np.stack([samples[s].weights for s in members])
+    batch = TransportProblem.batch(C.reshape(-1, *C.shape[2:]), prompt_marginal(P), weights,
+                                   lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
+    for i, s in enumerate(members):
+        costs[s] = C[i]
+        problems[s] = batch[i * K:(i + 1) * K]
 
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "as_array",
     "as_matrix",
     "as_stack",
     "as_vector",
@@ -19,16 +20,23 @@ __all__ = [
 ]
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a finite float64 2-D array."""
+def as_array(x, name: str, ndim: int, stacked: bool = False) -> np.ndarray:
+    """Validate and convert to a finite, non-empty float64 array of `ndim`
+    dimensions, or with `stacked` to a stack of them along one leading
+    axis. Messages name the rank of one instance either way."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
+    if a.ndim != ndim + stacked:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={a.ndim - stacked}")
     if a.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a finite float64 2-D array."""
+    return as_array(x, name, 2)
 
 
 def as_stack(x, name: str, layouts: str) -> np.ndarray:
@@ -41,14 +49,7 @@ def as_stack(x, name: str, layouts: str) -> np.ndarray:
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and convert to a finite float64 1-D array."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
-    if a.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return as_array(x, name, 1)
 
 
 def logsumexp_axis(a: np.ndarray, axis: int) -> np.ndarray:

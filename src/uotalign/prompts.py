@@ -115,19 +115,29 @@ def _word_vector(word: str, d_tok: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def tokenize(text: str, d_tok: int, L: int, seed: int) -> np.ndarray:
+def _memo_vector(word: str, d_tok: int, seed: int, vectors: dict) -> np.ndarray:
+    key = word.lower()
+    if key not in vectors:
+        vectors[key] = _word_vector(word, d_tok, seed)
+    return vectors[key]
+
+
+def tokenize(text: str, d_tok: int, L: int, seed: int, *,
+             vectors: dict | None = None) -> np.ndarray:
     """Map text to an (L, d_tok) matrix of hashed word vectors.
 
     Whitespace tokenization, lowercased hashing, truncation past L,
-    padding with a fixed pad vector below L.
+    padding with a fixed pad vector below L. `vectors` memoizes word
+    vectors by lowercased word for this d_tok and seed; callers that
+    tokenize many texts pass one dict to compute each word once.
     """
+    vectors = {} if vectors is None else vectors
     words = text.lower().split()
     if not words:
         raise ValueError("empty text")
-    rows = [_word_vector(w, d_tok, seed) for w in words[:L]]
+    rows = [_memo_vector(w, d_tok, seed, vectors) for w in words[:L]]
     if len(rows) < L:
-        pad = _word_vector(_PAD_WORD, d_tok, seed)
-        rows.extend([pad] * (L - len(rows)))
+        rows.extend([_memo_vector(_PAD_WORD, d_tok, seed, vectors)] * (L - len(rows)))
     return np.array(rows)
 
 
@@ -330,7 +340,9 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
     shared = rng.standard_normal((num_shared_prompts, context_length, token_dim))
     shared /= np.linalg.norm(shared, axis=2, keepdims=True)
 
-    class_words = np.array([_word_vector(c, token_dim, seed) for c in classes])
+    # one vector per distinct lowercased word, kept for this bank only
+    vectors = {}
+    class_words = np.array([_memo_vector(c, token_dim, seed, vectors) for c in classes])
 
     if gpt_init:
         if descriptions is None:
@@ -347,7 +359,7 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
             raise ValueError(f"schema violation: num_class_prompts is {num_class_prompts}, "
                              f"but each class has {count} descriptions")
         class_tokens = np.array([
-            [tokenize(t, token_dim, context_length, seed)
+            [tokenize(t, token_dim, context_length, seed, vectors=vectors)
              for t in descriptions[c].descriptions]
             for c in classes
         ])

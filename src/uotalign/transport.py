@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, generalized_kl, logsumexp_axis
+from .numerics import as_array, as_matrix, as_vector, generalized_kl, logsumexp_axis
 
 __all__ = [
     "INF",
@@ -124,12 +124,40 @@ class SolverConfig:
             raise ValueError("dual_tolerance must be positive and finite")
 
 
+def _validated(cost, row_marginal, col_marginal, lam, rho1, rho2, stacked=False):
+    """The rules of a transport problem, for one instance or, with
+    `stacked`, for stacks of costs and column marginals along a leading
+    axis, whose instances share row_marginal, lam, rho1 and rho2; the
+    column marginals must divide the costs into equal runs. Returns the
+    validated (cost, row_marginal, col_marginal) arrays."""
+    cost = as_array(cost, "cost", 2, stacked)
+    row_marginal = as_array(row_marginal, "row_marginal", 1)
+    col_marginal = as_array(col_marginal, "col_marginal", 1, stacked)
+    n_rows, n_cols = cost.shape[-2:]
+    if row_marginal.shape != (n_rows,):
+        raise ValueError(f"row_marginal has length {row_marginal.shape[0]}, expected {n_rows}")
+    if col_marginal.shape[-1] != n_cols:
+        raise ValueError(f"col_marginal has length {col_marginal.shape[-1]}, expected {n_cols}")
+    if stacked and len(cost) % len(col_marginal):
+        raise ValueError(f"{len(col_marginal)} col_marginals for {len(cost)} costs")
+    # min, not (x <= 0).any(): cheaper, and the entries are finite here
+    if row_marginal.min() <= 0 or col_marginal.min() <= 0:
+        raise ValueError("zero marginal mass: marginals must be strictly positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("lam must be positive and finite")
+    for name, rho in (("rho1", rho1), ("rho2", rho2)):
+        if not (rho > 0):
+            raise ValueError(f"{name} must be positive (or INF)")
+    return cost, row_marginal, col_marginal
+
+
 @dataclass
 class TransportProblem:
     """One transport instance: cost matrix, marginals, regularization.
 
     rho1/rho2 control how strongly the row/column marginals are
-    enforced; INF pins the corresponding marginal exactly.
+    enforced; INF pins the corresponding marginal exactly. batch builds
+    one instance per slice of a cost stack, checking the stack once.
     """
 
     cost: np.ndarray
@@ -140,25 +168,32 @@ class TransportProblem:
     rho2: float = INF
 
     def __post_init__(self):
-        self.cost = as_matrix(self.cost, "cost")
-        self.row_marginal = as_vector(self.row_marginal, "row_marginal")
-        self.col_marginal = as_vector(self.col_marginal, "col_marginal")
-        n_rows, n_cols = self.cost.shape
-        if self.row_marginal.shape != (n_rows,):
-            raise ValueError(
-                f"row_marginal has length {self.row_marginal.shape[0]}, expected {n_rows}"
-            )
-        if self.col_marginal.shape != (n_cols,):
-            raise ValueError(
-                f"col_marginal has length {self.col_marginal.shape[0]}, expected {n_cols}"
-            )
-        if (self.row_marginal <= 0).any() or (self.col_marginal <= 0).any():
-            raise ValueError("zero marginal mass: marginals must be strictly positive")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError("lam must be positive and finite")
-        for name, rho in (("rho1", self.rho1), ("rho2", self.rho2)):
-            if not (rho > 0):
-                raise ValueError(f"{name} must be positive (or INF)")
+        self.cost, self.row_marginal, self.col_marginal = _validated(
+            self.cost, self.row_marginal, self.col_marginal, self.lam, self.rho1, self.rho2)
+
+    @classmethod
+    def batch(cls, costs, row_marginal, col_marginals, lam: float = 0.1,
+              rho1: float = INF, rho2: float = INF) -> list[TransportProblem]:
+        """One problem per slice of a (B, P, M) cost stack, all sharing
+        row_marginal and the regularization. col_marginals is (B / K, M):
+        row i is the column marginal of the K consecutive problems from
+        i * K, as for one sample's K classes. The constructor's rules run
+        once over the stacks, with its messages; the instances hold views
+        of the validated stacks and are not checked again."""
+        costs, row_marginal, col_marginals = _validated(
+            costs, row_marginal, col_marginals, lam, rho1, rho2, stacked=True)
+        K = len(costs) // len(col_marginals)
+        cols = list(col_marginals)
+        problems = []
+        for b, cost in enumerate(costs):
+            # set in field order, so instances keep CPython's compact
+            # attribute storage, as constructed ones do
+            problem = object.__new__(cls)
+            problem.cost, problem.row_marginal = cost, row_marginal
+            problem.col_marginal = cols[b // K]
+            problem.lam, problem.rho1, problem.rho2 = lam, rho1, rho2
+            problems.append(problem)
+        return problems
 
     @property
     def shape(self) -> tuple[int, int]:

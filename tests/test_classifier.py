@@ -17,7 +17,7 @@ from uotalign.classifier import (
     prompt_marginal,
     score,
 )
-from uotalign.features import FeatureSet, load_split, synth_dataset
+from uotalign.features import FeatureSet, augment, load_split, synth_dataset
 from uotalign.prompts import (
     AttentionParams,
     DescriptionFile,
@@ -153,6 +153,29 @@ class TestCostMatrix:
         stacked = np.matmul(G[None], F.transpose(0, 2, 1))
         for s in range(S):
             assert stacked[s].tobytes() == (G @ F[s].T).tobytes(), s
+
+    @pytest.mark.parametrize("P", [2, 4])
+    @pytest.mark.parametrize("S, M", [(32, 44), (8, 44), (8, 49), (8, 196)])
+    def test_sample_stack_equals_per_sample_calls(self, P, S, M):
+        """The product forward runs: at the benchmark's shapes (10 classes x
+        2 or 4 prompts, d = 64; a training batch of 32 after dropout, an
+        evaluation chunk of 8), the (S, M, d) stack's cost slices equal
+        single-sample calls bitwise."""
+        rng = np.random.default_rng([19, P, S, M])
+        G = unit_rows(rng, (10 * P, 64)).reshape(10, P, 64)
+        F = unit_rows(rng, (S * M, 64)).reshape(S, M, 64)
+        C = cost_matrix(F, G)
+        assert C.shape == (S, 10, P, M)
+        for s in range(S):
+            assert C[s].tobytes() == cost_matrix(F[s], G).tobytes(), s
+        assert cost_matrix(F, G[0])[1].tobytes() == cost_matrix(F[1], G[0]).tobytes()
+
+    def test_sample_stack_rejects_other_ranks(self):
+        rng = np.random.default_rng(20)
+        F = unit_rows(rng, (12, 6)).reshape(1, 2, 6, 6)
+        with pytest.raises(ValueError, match=r"^features must be \(M, d\) or \(S, M, d\), "
+                                             r"got ndim=4$"):
+            cost_matrix(F, unit_rows(rng, (2, 6)))
 
     def test_four_dimensional_prompts_rejected(self):
         rng = np.random.default_rng(17)
@@ -384,6 +407,39 @@ class TestForward:
                     assert stack[k].tobytes() == W.tobytes()
                     C = cost_matrix(fs.features, fw.encoding[tag].g[k])
                     assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))
+
+    def test_one_cost_call_per_token_count_and_path(self, monkeypatch):
+        import uotalign.classifier as classifier_mod
+        import uotalign.transport as transport_mod
+
+        rng = np.random.default_rng(21)
+        bank = make_bank(["cat", "dog", "owl"])
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
+        mixed = [make_sample(rng, M=M) for M in (4, 5, 6, 5, 4)]
+        # a training batch: fixed-count dropout leaves 5 of 6 tokens each
+        batch = [augment(make_sample(rng, M=6), 0.05, 0.1, [21, i]) for i in range(4)]
+        calls, checks = [], []
+        cost, validated = classifier_mod.cost_matrix, transport_mod._validated
+
+        def counted(features, prompts):
+            calls.append(np.shape(features))
+            return cost(features, prompts)
+
+        def counted_checks(*args, **kwargs):
+            checks.append(kwargs.get("stacked", False))
+            return validated(*args, **kwargs)
+
+        monkeypatch.setattr(classifier_mod, "cost_matrix", counted)
+        monkeypatch.setattr(transport_mod, "_validated", counted_checks)
+        for cfg, paths in ((ClassifierConfig(), 2), (ClassifierConfig(gamma_cs=0.0), 1)):
+            for samples, want in ((mixed, [(2, 4, 6), (2, 5, 6), (1, 6, 6)]),
+                                  (batch, [(4, 5, 6)])):
+                calls.clear()
+                checks.clear()
+                forward(samples, bank, enc, cfg)
+                assert sorted(calls) == sorted(want * paths)
+                # the problems of a cost call are checked once, as a stack
+                assert checks == [True] * len(calls)
 
     @pytest.mark.parametrize("lam, cap", [(1.5e-3, 2000), (1e-2, 20)])
     def test_counts_unconverged_and_clamped_solves(self, monkeypatch, lam, cap):

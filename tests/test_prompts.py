@@ -419,6 +419,41 @@ class TestPromptBank:
         assert build_prompt_bank(classes, None, gpt_init=False,
                                  **sizes).class_tokens.shape[1] == 4
 
+    def test_one_word_vector_per_distinct_word(self, monkeypatch):
+        # class names recur in their texts and differ in case from them;
+        # short texts pad, long ones truncate past context_length
+        classes = ["Owl", "cat"]
+        descs = {"Owl": prompts_mod.DescriptionFile("Owl", ["an owl at night", "OWL"]),
+                 "cat": prompts_mod.DescriptionFile(
+                     "cat", ["a Cat on a mat near a small owl", "the cat"])}
+        sizes = dict(context_length=4, token_dim=8, seed=3)
+        calls = []
+        word_vector = prompts_mod._word_vector
+
+        def counted(word, d_tok, seed):
+            calls.append(word.lower())
+            return word_vector(word, d_tok, seed)
+
+        monkeypatch.setattr(prompts_mod, "_word_vector", counted)
+        bank = build_prompt_bank(classes, descs, **sizes)
+        monkeypatch.undo()
+        # "mat" and what follows it lie past context_length
+        words = {"owl", "cat", "an", "at", "night", "a", "on", "the", prompts_mod._PAD_WORD}
+        assert sorted(calls) == sorted(words)
+        # bitwise what computing every word position afresh gives
+        def fresh(text):
+            words = (text.lower().split() + [prompts_mod._PAD_WORD] * 4)[:4]
+            return [prompts_mod._word_vector(w, 8, 3) for w in words]
+
+        want_tokens = np.array([[fresh(t) for t in descs[c].descriptions] for c in classes])
+        want_words = np.array([prompts_mod._word_vector(c, 8, 3) for c in classes])
+        assert bank.class_tokens.tobytes() == want_tokens.tobytes()
+        assert bank.class_words.tobytes() == want_words.tobytes()
+        # the memo lives for one call: a second bank computes its words again
+        monkeypatch.setattr(prompts_mod, "_word_vector", counted)
+        build_prompt_bank(classes, descs, **sizes)
+        assert len(calls) == 2 * len(words)
+
     @pytest.mark.parametrize("gpt_init", [True, False])
     def test_duplicate_class_rejected(self, gpt_init):
         with pytest.raises(ValueError, match="schema violation: duplicate class 'cat'"):

@@ -76,6 +76,23 @@ _GOOD = dict(cost=np.full((2, 3), 0.5), row_marginal=[0.5, 0.5],
              col_marginal=[0.25, 0.25, 0.5])
 
 
+def _stacks_around(field, value):
+    """TransportProblem.batch arguments whose instance 1 of 3 has `value` as
+    its `field` and the others are good. A bad row marginal is the shared
+    one; a per-instance value that cannot stack with good ones (another
+    shape) fills the whole stack."""
+    stacks = {name: [np.asarray(_GOOD[name], dtype=np.float64)] * 3
+              for name in ("cost", "col_marginal")}
+    row = _GOOD["row_marginal"]
+    if field == "row_marginal":
+        row = value
+    else:
+        bad, good = np.asarray(value, dtype=np.float64), stacks[field][0]
+        stacks[field] = [good, bad, good] if bad.shape == good.shape else [bad] * 3
+    return dict(costs=np.stack(stacks["cost"]), row_marginal=row,
+                col_marginals=np.stack(stacks["col_marginal"]))
+
+
 class TestTransportProblemRejects:
     @pytest.mark.parametrize("field, value, message", [
         ("cost", _replace_entry(_GOOD["cost"], math.nan), "^cost contains non-finite entries$"),
@@ -97,12 +114,40 @@ class TestTransportProblemRejects:
         ("row_marginal", [1.0], "^row_marginal has length 1, expected 2$"),
         ("col_marginal", [0.5, 0.5], "^col_marginal has length 2, expected 3$"),
     ])
-    def test_bad_input_names_what_is_wrong(self, field, value, message):
+    @pytest.mark.parametrize("build", ["constructor", "batch"])
+    def test_bad_input_names_what_is_wrong(self, build, field, value, message):
         with pytest.raises(ValueError, match=message):
-            TransportProblem(**{**_GOOD, field: value})
+            if build == "constructor":
+                TransportProblem(**{**_GOOD, field: value})
+            else:
+                TransportProblem.batch(**_stacks_around(field, value))
 
     def test_good_input_passes(self):
         assert TransportProblem(**_GOOD).shape == (2, 3)
+
+    @pytest.mark.parametrize("lam, rho1, rho2", [(0.1, INF, INF), (0.01, INF, 0.04)])
+    @pytest.mark.parametrize("runs", [6, 2, 1])
+    def test_batch_instances_equal_constructed_ones(self, lam, rho1, rho2, runs):
+        # `runs` column marginals, each shared by 6 / runs consecutive costs
+        rng = np.random.default_rng(41)
+        costs = rng.uniform(0, 2, (6, 2, 3))
+        cols = rng.uniform(0.2, 1.0, (runs, 3))
+        row = [0.25, 0.75]
+        got = TransportProblem.batch(costs, row, cols, lam=lam, rho1=rho1, rho2=rho2)
+        assert len(got) == 6
+        for b, p in enumerate(got):
+            want = TransportProblem(costs[b], row, cols[b // (6 // runs)],
+                                    lam=lam, rho1=rho1, rho2=rho2)
+            for name in ("cost", "row_marginal", "col_marginal"):
+                assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
+                assert getattr(p, name).shape == getattr(want, name).shape, name
+            assert (p.lam, p.rho1, p.rho2, p.shape) == (lam, rho1, rho2, (2, 3))
+
+    @pytest.mark.parametrize("costs, runs", [(3, 2), (4, 3), (2, 4)])
+    def test_batch_col_marginals_must_divide_costs_into_runs(self, costs, runs):
+        with pytest.raises(ValueError, match=f"^{runs} col_marginals for {costs} costs$"):
+            TransportProblem.batch(np.full((costs, 2, 3), 0.5), _GOOD["row_marginal"],
+                                   np.full((runs, 3), 1 / 3))
 
 
 class TestSolveBasics:

@@ -5,7 +5,9 @@ gen-descriptions, synth. Couplings and heatmaps interchange as
 headerless full-precision CSV (one row per line, repr round-trip
 floats); bulk embeddings as EMB1; everything else as strict JSON with
 sorted keys, an undefined (NaN) metric written as null. Identical
-inputs and seeds produce identical bytes.
+inputs and seeds produce identical bytes at a fixed BLAS thread count;
+matrix products may round differently with another count, so set
+OPENBLAS_NUM_THREADS=1 where outputs must match across machines.
 
 Exit codes are a stable contract: 0 success, 1 error, 2 solver hit its
 iteration cap, 3 some classes of gen-descriptions failed. Config files

@@ -75,9 +75,10 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# samples per forward() call in evaluate: bounds the arrays of one
-# batched solve; each chunk encodes all classes in one call per path
-_EVAL_CHUNK = 8
+# token rows per forward() call in evaluate, 8 samples of 196 tokens:
+# bounds the arrays of one batched solve, while samples with few tokens
+# share a call; each chunk encodes all classes in one call per path
+_EVAL_ROWS = 1568
 
 
 @dataclass(frozen=True)
@@ -309,21 +310,36 @@ def evaluate(samples: list[FeatureSet], state: TrainState,
 
     `classes` restricts the candidate set (base-to-new evaluation
     scores held-out classes only); by default all bank classes compete.
+    Samples are scored in consecutive chunks of at most _EVAL_ROWS token
+    rows (see _row_chunks); a sample's scores do not depend on its chunk.
     """
     if not samples:
         raise ValueError("empty split")
     classes = list(classes) if classes is not None else list(state.bank.classes)
     Y = _one_hot(samples, classes)
     probs = np.zeros_like(Y)
-    for lo in range(0, len(samples), _EVAL_CHUNK):
-        d = forward(samples[lo:lo + _EVAL_CHUNK], state.bank, state.encoder,
-                    ccfg, classes).d
-        probs[lo:lo + len(d)] = likelihood(d, ccfg.tau)
+    for lo, hi in _row_chunks(samples, _EVAL_ROWS):
+        d = forward(samples[lo:hi], state.bank, state.encoder, ccfg, classes).d
+        probs[lo:hi] = likelihood(d, ccfg.tau)
     hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
     per_class = {c: (int(h) / int(t) if t else math.nan)
                  for c, h, t in zip(classes, hits @ Y, Y.sum(axis=0))}
     return {"accuracy": int(hits.sum()) / len(samples), "per_class": per_class,
             "mean_loss": ce_loss(probs, Y), "count": len(samples)}
+
+
+def _row_chunks(samples: list[FeatureSet], rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive runs of samples, filled greedily in
+    order: a run takes the next sample while its token rows stay within
+    `rows`, and holds at least one sample, however long."""
+    bounds, lo, used = [], 0, 0
+    for i, fs in enumerate(samples):
+        if i > lo and used + fs.num_tokens > rows:
+            bounds.append((lo, i))
+            lo, used = i, 0
+        used += fs.num_tokens
+    bounds.append((lo, len(samples)))
+    return bounds
 
 
 def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,

@@ -217,9 +217,11 @@ class TransportPlan:
     steps can reach.
     `clamped` is set when a marginal sum fell below the log-space floor
     at some iteration. A plan from
-    solve_uot_batch holds a view of that call's (B, P, M) coupling
-    buffer, so keeping any one plan keeps the whole call's couplings
-    alive; copy the coupling to keep it alone.
+    solve_uot_batch holds views of that call's arrays: u and v are rows
+    of its (B, P) and (B, M) potentials, as the coupling is a row of the
+    array shared by the instances that finished at the same iteration.
+    Keeping any one plan keeps those arrays alive; copy a field to keep
+    it alone.
     """
 
     coupling: np.ndarray
@@ -486,9 +488,11 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     data, and batch-wide gates skip only work that would change nothing,
     so each result is identical to an independent single solve. An
     instance that blows up is marked via its plan's `error` field
-    instead of aborting the batch. Each plan's coupling is a view
-    of one (B, P, M) buffer for the whole call, which stays alive while
-    any plan does.
+    instead of aborting the batch. Working rows shrink in place, and the
+    couplings of the instances finishing at one iteration form one
+    array, made in the working kernel itself when every live instance
+    finishes; plans hold row views of these arrays and of the call's
+    potentials (see TransportPlan).
     """
     if config is None:
         config = SolverConfig()
@@ -516,7 +520,8 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     clamped = np.zeros(B, dtype=bool)
     failed: list[str | None] = [None] * B
     iterations = np.full(B, config.max_iterations, dtype=int)
-    coupling = np.empty((B, n_rows, n_cols))
+    # each instance's coupling, a row of the array made when it finished
+    coupling: list[np.ndarray | None] = [None] * B
 
     # working arrays over the live instances only; live[i] is the batch
     # position of working row i. U and V are the over-relaxed iterates; Vp,
@@ -529,14 +534,25 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     C = np.stack([p.cost for p in problems])
     log_n = np.log(np.stack([p.row_marginal for p in problems]))
     log_m = np.log(np.stack([p.col_marginal for p in problems]))
-    U, Ua, An, la = (np.zeros((B, n_rows)) for _ in range(4))
-    V, Vb, Bm, lb = (np.zeros((B, n_cols)) for _ in range(4))
-    K, Kmax = np.empty_like(C), np.empty(B)
+    U, Ua, la = (np.zeros((B, n_rows)) for _ in range(3))
+    V, Vb, lb = (np.zeros((B, n_cols)) for _ in range(3))
+    An, Bm = Ua + log_n, Vb + log_m
     # batch-wide bounds on the scalings that gate the per-instance checks
     # (la_lo .. lb_hi); each covers 0, a rebuilt row's, and lags outward
     la_lo = lb_lo = 0.0
 
     def absorb(rows, U, V):
+        # fold U and V into the kernel of the masked rows; with every live
+        # row masked, K and the rest are rebuilt in place, without copies
+        if rows.all():
+            Kmax[:] = np.max(_log_kernel(U, V, C, lam, K), axis=(1, 2))
+            np.exp(K, out=K)
+            np.divide(U, lam, out=Ua)
+            np.divide(V, lam, out=Vb)
+            np.add(Ua, log_n, out=An)
+            np.add(Vb, log_m, out=Bm)
+            la[:], lb[:] = 0.0, 0.0
+            return
         S = _log_kernel(U[rows], V[rows], C[rows], lam)
         Kmax[rows] = np.max(S, axis=(1, 2))
         K[rows] = np.exp(S, out=S)
@@ -554,8 +570,17 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             absorb(rows & np.all(np.isfinite(l), axis=1), U, V)
         return lo, hi
 
+    def put(rows, W):
+        # row views of W, the couplings of the batch positions `rows`
+        for b, w in zip(rows.tolist(), W):
+            coupling[b] = w
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        absorb(slice(None), U, V)
+        # the kernel of the zero potentials, (0 - C) / lam, built in place
+        K = np.subtract(0.0, C)
+        K /= lam
+        Kmax = np.max(K, axis=(1, 2))
+        np.exp(K, out=K)
         for k in range(scaling):
             T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
@@ -575,17 +600,21 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
 
             # an instance whose coupling would leave float range is dead even
             # though the iteration stays finite; its exact log kernel is
-            # checked only where Kmax + la + lb reaches _LOG_BOUND or is not finite
-            bad = np.zeros(live.size, dtype=bool)
+            # checked only where Kmax + la + lb reaches _LOG_BOUND or is not
+            # finite, and `bad` stays False while no check runs
+            bad = False
             if not (Kmax.max() + la_hi + lb_hi < _LOG_BOUND and la_lo > -INF and lb_lo > -INF):
                 s = ~((Kmax + np.max(la, axis=1) + np.max(lb, axis=1) < _LOG_BOUND)
                       & np.all(np.isfinite(la), axis=1) & np.all(np.isfinite(lb), axis=1))
+                bad = np.zeros(live.size, dtype=bool)
                 bad[s] = ((np.max(_log_kernel(U[s], V[s], C[s], lam), axis=(1, 2)) > _LOG_HUGE)
                           | ~(np.isfinite(U[s]).all(axis=1) & np.isfinite(V[s]).all(axis=1)))
             elif not (du.min() < tol and dv.min() < tol):
                 continue
-            done = ~bad & (du < tol) & (dv < tol)
-            finished = bad | done
+            done = (du < tol) & (dv < tol)
+            if bad is not False:
+                done &= ~bad
+            finished = done | bad
             if not finished.any():
                 continue
             ended = live[finished]
@@ -593,35 +622,47 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             V_out[live[done]] = Vp[done]  # an exact block minimizer
             iterations[ended] = k + 1
             converged[live[done]] = True
-            # finite wherever not bad, and in the old operation order
-            coupling[live[done]] = np.exp(_log_kernel(U[done], Vp[done], C[done], lam))
-            coupling[live[bad]] = np.nan
-            for i in live[bad]:
-                failed[i] = f"numerical blowup at iteration {k + 1}"
-            keep = ~finished
-            live = live[keep]
-            if live.size == 0:
+            if bad is not False:
+                for i in live[bad]:
+                    failed[i] = f"numerical blowup at iteration {k + 1}"
+            if finished.all():
+                # the couplings of every live row, made in K in the old
+                # operation order
+                W = np.exp(_log_kernel(U, Vp, C, lam, K), out=K)
+                if bad is not False:
+                    W[bad] = np.nan
+                put(live, W)
                 break
-            C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = (
-                x[keep] for x in (C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
+            # finite wherever not bad, and in the old operation order
+            put(live[done], np.exp(_log_kernel(U[done], Vp[done], C[done], lam)))
+            if bad is not False:
+                put(live[bad], np.full((np.count_nonzero(bad), n_rows, n_cols), np.nan))
+            # shrink in place: the rows still running past the new count fill
+            # the finished rows below it, and each array keeps a leading view
+            rest = live.size - ended.size
+            to, fro = np.flatnonzero(finished[:rest]), rest + np.flatnonzero(~finished[rest:])
+            work = (live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb)
+            for x in work:
+                x[to] = x[fro]
+            live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = (
+                x[:rest] for x in work)
         else:
             if scaling < config.max_iterations:
                 n = np.stack([problems[i].row_marginal for i in live])
-                U_out[live], V_out[live], coupling[live], iterations[live], \
-                    converged[live], bad = _newton_tail(
-                        U, C, n, log_m, lam, p0.rho2, tol, scaling, config.max_iterations)
-                coupling[live[bad]] = np.nan
+                U_out[live], V_out[live], W, iterations[live], converged[live], bad = \
+                    _newton_tail(U, C, n, log_m, lam, p0.rho2, tol, scaling,
+                                 config.max_iterations)
+                W[bad] = np.nan
+                put(live, W)
                 for i in live[bad]:
                     failed[i] = f"numerical blowup at iteration {iterations[i]}"
             else:
                 U_out[live], V_out[live] = U, V
-                coupling[live] = np.exp(_log_kernel(U, V, C, lam, K), out=K)
+                put(live, np.exp(_log_kernel(U, V, C, lam, K), out=K))
 
-    return [TransportPlan(
-        coupling=coupling[b], u=U_out[b].copy(), v=V_out[b].copy(),
-        iterations=int(iterations[b]), converged=bool(converged[b]),
-        clamped=bool(clamped[b]), error=failed[b],
-    ) for b in range(B)]
+    return [TransportPlan(*fields) for fields in zip(
+        coupling, U_out, V_out, iterations.tolist(), converged.tolist(), clamped.tolist(),
+        failed)]
 
 
 def solve_uot(problem: TransportProblem, config: SolverConfig | None = None) -> TransportPlan:

@@ -137,30 +137,13 @@ class TestCostMatrix:
         for k in range(5):
             assert C[k].tobytes() == cost_matrix(F, G[k]).tobytes()
 
-    @pytest.mark.parametrize("KP", [20, 40])
-    @pytest.mark.parametrize("S, M", [(32, 44), (8, 44), (8, 49), (8, 196)])
-    def test_one_product_over_samples_equals_per_sample_products(self, KP, S, M):
-        """At the benchmark's shapes (10 classes x 2 or 4 prompts, d = 64; a
-        training batch of 32 after dropout, an evaluation chunk of 8), one
-        (1, K*P, d) @ (S, d, M) matmul gives each sample's G @ F[s].T
-        bitwise. The (S, d, M) operand is the transposed view of the
-        stacked (S, M, d) rows, as F[s].T is of F[s]; a C-contiguous copy
-        of it can take another BLAS path and differ in the last bits.
-        """
-        rng = np.random.default_rng([18, KP, S, M])
-        G = unit_rows(rng, (KP, 64))
-        F = unit_rows(rng, (S * M, 64)).reshape(S, M, 64)
-        stacked = np.matmul(G[None], F.transpose(0, 2, 1))
-        for s in range(S):
-            assert stacked[s].tobytes() == (G @ F[s].T).tobytes(), s
-
     @pytest.mark.parametrize("P", [2, 4])
-    @pytest.mark.parametrize("S, M", [(32, 44), (8, 44), (8, 49), (8, 196)])
+    @pytest.mark.parametrize("S, M", [(32, 44), (32, 49), (8, 44), (8, 49), (8, 196)])
     def test_sample_stack_equals_per_sample_calls(self, P, S, M):
         """The product forward runs: at the benchmark's shapes (10 classes x
-        2 or 4 prompts, d = 64; a training batch of 32 after dropout, an
-        evaluation chunk of 8), the (S, M, d) stack's cost slices equal
-        single-sample calls bitwise."""
+        2 or 4 prompts, d = 64; a training batch of 32 after dropout, the
+        evaluation chunks of 32 x 49 and 8 x 196 tokens), the (S, M, d)
+        stack's cost slices equal single-sample calls bitwise."""
         rng = np.random.default_rng([19, P, S, M])
         G = unit_rows(rng, (10 * P, 64)).reshape(10, P, 64)
         F = unit_rows(rng, (S * M, 64)).reshape(S, M, 64)

@@ -116,6 +116,12 @@ def reference_probs(samples, bank, encoder, ccfg, classes):
     return np.vstack(rows)
 
 
+def first_tokens(fs, n):
+    """The sample cut to its first n tokens, with uniform weights."""
+    return FeatureSet(fs.features[:n], np.full(n, 1 / n), sample_id=fs.sample_id,
+                      label=fs.label)
+
+
 def one_hot(samples, classes):
     Y = np.zeros((len(samples), len(classes)))
     for s, fs in enumerate(samples):
@@ -599,19 +605,18 @@ class TestEvaluate:
         assert 0 <= metrics["accuracy"] <= 1
         assert math.isfinite(metrics["mean_loss"])
 
-    def test_matches_per_problem_reference(self, manifest, trained):
-        # more samples than one evaluation chunk, a candidate subset, and
+    def test_matches_per_problem_reference(self, manifest, trained, monkeypatch):
+        # more token rows than one evaluation chunk (the budget is cut to
+        # 30 rows, so chunks hold 5 to 7 samples), a candidate subset, and
         # samples cut to their first 4, 5 or 6 tokens so that the problems
         # come in several shapes
+        monkeypatch.setattr(trainer_mod, "_EVAL_ROWS", 30)
         classes = ["class_0", "class_2"]
         pool = [fs for split in ("train", "val", "test")
                 for fs in load_split(manifest, split) if fs.label in classes]
-        samples = []
-        for s, fs in enumerate(pool):
-            n = fs.num_tokens - s % 3
-            samples.append(FeatureSet(fs.features[:n], np.full(n, 1 / n),
-                                      sample_id=fs.sample_id, label=fs.label))
-        assert len(samples) > trainer_mod._EVAL_CHUNK
+        samples = [first_tokens(fs, fs.num_tokens - s % 3) for s, fs in enumerate(pool)]
+        assert sum(fs.num_tokens for fs in samples) > trainer_mod._EVAL_ROWS
+        assert len(trainer_mod._row_chunks(samples, trainer_mod._EVAL_ROWS)) > 1
         assert len({fs.num_tokens for fs in samples}) > 1
         ccfg = ClassifierConfig()
         got = evaluate(samples, trained, ccfg, classes=classes)
@@ -628,6 +633,53 @@ class TestEvaluate:
             "count": len(samples),
         }
 
+    @pytest.mark.parametrize("rows", [1, 10**9])
+    def test_chunking_changes_no_bit(self, manifest, trained, monkeypatch, rows):
+        # one sample per chunk, or all samples in one, against the default
+        pool = [fs for split in ("train", "val", "test") for fs in load_split(manifest, split)]
+        samples = [first_tokens(fs, fs.num_tokens - s % 3) for s, fs in enumerate(pool)]
+        seen = []
+
+        def recorded(d, tau):
+            seen.append(likelihood(d, tau))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer_mod, "likelihood", recorded)
+        want = evaluate(samples, trained, ClassifierConfig())
+        want_probs = np.concatenate(seen)
+        seen.clear()
+        monkeypatch.setattr(trainer_mod, "_EVAL_ROWS", rows)
+        got = evaluate(samples, trained, ClassifierConfig())
+        assert len(seen) == (len(samples) if rows == 1 else 1)
+        assert got == want
+        assert np.concatenate(seen).tobytes() == want_probs.tobytes()
+
+    def test_forty_short_samples_make_two_chunks(self, manifest, monkeypatch):
+        # 40 samples of 49 tokens: chunks of 32 and 8, and one solve call
+        # per chunk and path, whose prompt counts (3 and 2) differ
+        classes = manifest.classes
+        bank = build_prompt_bank(classes, synth_description_texts(classes, seed=1, count=3),
+                                 num_shared_prompts=2, num_class_prompts=3,
+                                 context_length=4, token_dim=16, seed=1)
+        state = init_state(bank, FrozenEncoder.seeded(16, 16, 1))
+        rng = np.random.default_rng(5)
+        samples = []
+        for s in range(40):
+            F = rng.standard_normal((49, 16))
+            samples.append(FeatureSet(F / np.linalg.norm(F, axis=1, keepdims=True),
+                                      np.full(49, 1 / 49), sample_id=f"s{s}",
+                                      label=classes[s % len(classes)]))
+        batches = []
+
+        def counted_batch(problems, config=None):
+            batches.append(len(problems))
+            return solve_uot_batch(problems, config)
+
+        monkeypatch.setattr("uotalign.classifier.solve_uot_batch", counted_batch)
+        evaluate(samples, state, ClassifierConfig())
+        K = len(classes)
+        assert batches == [32 * K, 32 * K, 8 * K, 8 * K]
+
     def test_candidate_subset_restricts_scoring(self, manifest, trained):
         subset = [fs for fs in load_split(manifest, "test")
                   if fs.label in ("class_0", "class_1")]
@@ -642,6 +694,33 @@ class TestEvaluate:
 def ablation_rows(manifest):
     cfg = TrainConfig(epochs=2, seed=1)
     return run_ablation(manifest, cfg, ClassifierConfig(), **BANK_KW)
+
+
+def _samples_of(counts):
+    # one-dimensional unit rows: only the token counts matter here
+    return [FeatureSet(np.ones((n, 1)), np.full(n, 1 / n), sample_id=f"s{i}")
+            for i, n in enumerate(counts)]
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("count, tokens, bounds", [
+        (20, 196, [(0, 8), (8, 16), (16, 20)]),
+        (40, 49, [(0, 32), (32, 40)]),
+        (8, 196, [(0, 8)]),
+        (1, 5000, [(0, 1)]),
+    ])
+    def test_equal_counts(self, count, tokens, bounds):
+        samples = _samples_of([tokens] * count)
+        assert trainer_mod._row_chunks(samples, trainer_mod._EVAL_ROWS) == bounds
+
+    def test_sample_longer_than_the_budget_gets_its_own_chunk(self):
+        samples = _samples_of([3, 12, 2, 2, 11])
+        assert trainer_mod._row_chunks(samples, 10) == [(0, 1), (1, 2), (2, 4), (4, 5)]
+
+    def test_greedy_cuts_over_mixed_counts(self):
+        # 4 + 5 fits and 2 more does not; 2 + 6 fits; 6 + 1 + 3 fills 10
+        samples = _samples_of([4, 5, 2, 6, 6, 1, 3, 1])
+        assert trainer_mod._row_chunks(samples, 10) == [(0, 2), (2, 4), (4, 7), (7, 8)]
 
 
 class TestRunAblation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +37,9 @@ def random_problem(rng, shape, lam, rho1, rho2, balanced=False):
     return TransportProblem(C, n, m, lam=lam, rho1=rho1, rho2=rho2)
 
 
-def benchmark_problems(shape, pinned):
+def benchmark_problems(shape, pinned, count=128):
     """The classifier's solves: cosine costs of unit rows, lam = 0.01, the
-    relaxed column marginal or both pinned, a batch of 128."""
+    relaxed column marginal or both pinned, a batch of `count`."""
     ccfg = ClassifierConfig()
     rho1, rho2 = (INF, INF) if pinned else (ccfg.rho1, ccfg.rho2)
     rng = np.random.default_rng([31, *shape, pinned])
@@ -50,7 +51,7 @@ def benchmark_problems(shape, pinned):
 
     return [TransportProblem(cost_matrix(unit(cols), unit(rows)), prompt_marginal(rows),
                              np.full(cols, 1 / cols), lam=ccfg.lam, rho1=rho1, rho2=rho2)
-            for _ in range(128)]
+            for _ in range(count)]
 
 
 class TestSolverConfig:
@@ -385,12 +386,13 @@ class TestBatch:
         return plans
 
     @staticmethod
-    def _at_optimum(lam, rho, shape):
+    def _at_optimum(lam, rho, shape, rho1=None):
         # exp(-C/lam) already has the marginals n and m, so zero
-        # potentials are optimal and the solve stops after one iteration
+        # potentials are optimal and the solve stops after one iteration;
+        # rho1 defaults to rho
         n, m = np.full(shape[0], 1 / shape[0]), np.full(shape[1], 1 / shape[1])
         return TransportProblem(-lam * np.log(np.outer(n, m)), n, m,
-                                lam=lam, rho1=rho, rho2=rho)
+                                lam=lam, rho1=rho if rho1 is None else rho1, rho2=rho)
 
     def test_every_way_of_finishing_matches_single(self):
         # instances leave the batch at different iterations and for
@@ -479,6 +481,36 @@ class TestBatch:
         assert all(plan.converged for plan in plans[:6])
         assert its[6] == cfg.max_iterations and not plans[6].converged
         assert plans[6].error is None
+
+    def test_finishing_together_matches_single(self):
+        # every instance converges at the same iteration, so the batch's
+        # couplings are made in its working kernel in one pass
+        problems = benchmark_problems((4, 44), pinned=False, count=64)
+        plans = self._assert_each_as_if_alone(problems, SolverConfig())
+        assert len({plan.iterations for plan in plans}) == 1
+        assert all(plan.converged for plan in plans)
+        for problem, plan in zip(problems, plans):
+            assert plan.coupling.tobytes() == recover_coupling(
+                plan.u, plan.v, problem.cost, problem.lam).tobytes()
+
+    @pytest.mark.parametrize("together", [True, False])
+    def test_plans_view_the_call_arrays(self, together):
+        # three instances that finish together, or one of them replaced by
+        # an instance at its optimum, which finishes first
+        problems = benchmark_problems((4, 44), pinned=False, count=3)
+        if not together:
+            p = problems[0]
+            problems[0] = self._at_optimum(p.lam, p.rho2, (4, 44), rho1=p.rho1)
+        plans = solve_uot_batch(problems)
+        finished_at = {plan.iterations for plan in plans}
+        assert (len(finished_at) == 1) == together
+        for name in ("u", "v"):
+            base = getattr(plans[0], name).base
+            assert base is not None
+            assert all(getattr(plan, name).base is base for plan in plans)
+        # one coupling array per iteration at which instances finished
+        assert all(plan.coupling.base is not None for plan in plans)
+        assert len({id(plan.coupling.base) for plan in plans}) == len(finished_at)
 
     def test_shape_mismatch_rejected(self):
         a = TransportProblem([[1.0]], [1.0], [1.0], lam=0.1)
@@ -611,6 +643,24 @@ class TestLogDomainReference:
             assert any(not o.converged and o.error is None for o in outcomes)
             assert sum(o.clamped for o in outcomes) >= 3
             assert sum(o.error is not None for o in outcomes) == 2
+
+
+class TestMemory:
+    def test_finishing_together_holds_at_most_six_batch_arrays(self):
+        # a training call's shape, 320 problems of 4 x 44, here ones that
+        # all converge at the same iteration; the cost stack, the kernel
+        # and the couplings made in it are the batch-sized arrays, besides
+        # (B, P) and (B, M) ones
+        problems = benchmark_problems((4, 44), pinned=False, count=320)
+        solve_uot_batch(problems[:2])  # first-call caches
+        tracemalloc.start()
+        try:
+            plans = solve_uot_batch(problems)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({plan.iterations for plan in plans}) == 1
+        assert peak <= 6 * 320 * 4 * 44 * 8, peak / (320 * 4 * 44 * 8)
 
 
 class TestNewtonTail:

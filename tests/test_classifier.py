@@ -1,5 +1,6 @@
 """Alignment scoring, likelihood, loss and baseline behaviour."""
 
+import dataclasses
 import math
 import warnings
 
@@ -40,12 +41,13 @@ def unit_rows(rng, shape):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def make_bank(classes, seed=0, d_tok=12, L=4):
+def make_bank(classes, seed=0, d_tok=12, L=4, shared=2):
+    # two descriptions per class, so P_cs = 2; P_ds = shared
     descs = {
         c: DescriptionFile(c, [f"the {c} up close", f"a distant {c} outline"])
         for c in classes
     }
-    return build_prompt_bank(classes, descs, num_shared_prompts=2,
+    return build_prompt_bank(classes, descs, num_shared_prompts=shared,
                              context_length=L, token_dim=d_tok, seed=seed)
 
 
@@ -333,6 +335,36 @@ class TestScore:
 
 
 class TestForward:
+    def test_solver_error_names_sample_class_and_path(self, monkeypatch):
+        # one failed problem among 4 samples x 3 classes x 2 paths: the
+        # second class of the fourth sample, second of its token count
+        import uotalign.classifier as classifier_mod
+
+        rng = np.random.default_rng(16)
+        classes = ["cat", "dog", "owl"]
+        bank = make_bank(classes)
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
+        samples = [FeatureSet(features=unit_rows(rng, (M, 6)), weights=np.full(M, 1 / M),
+                              sample_id=f"img{s}") for s, M in enumerate((4, 6, 4, 6))]
+        target = cost_matrix(samples[3].features, encode_classes(bank, classes, enc)["ds"].g[1])
+        failed = []
+        solve = classifier_mod.solve_uot_batch
+
+        def failing(problems, config=None):
+            plans = solve(problems, config)
+            for i, p in enumerate(problems):
+                if np.array_equal(p.cost, target):
+                    failed.append(p)
+                    plans[i] = dataclasses.replace(
+                        plans[i], error="numerical blowup: coupling overflow")
+            return plans
+
+        monkeypatch.setattr(classifier_mod, "solve_uot_batch", failing)
+        with pytest.raises(NumericalBlowupError,
+                           match="sample 'img3', class 'dog', ds path: numerical blowup"):
+            forward(samples, bank, enc, ClassifierConfig())
+        assert len(failed) == 1
+
     @pytest.mark.parametrize("gamma_cs, gamma_ds", [(0.0, 1.0), (1.0, 0.0)])
     def test_encodes_only_paths_that_score(self, monkeypatch, gamma_cs, gamma_ds):
         import uotalign.prompts as prompts_mod
@@ -367,8 +399,10 @@ class TestForward:
         # the path that is kept scores exactly as it does next to the other
         np.testing.assert_array_equal(fw.d_path[tag], both.d_path[tag])
 
-    def test_coupling_stacks_match_single_scores(self):
-        # mixed token counts put the samples in different solve groups
+    # mixed token counts put the samples in different solve calls; with
+    # interleaved counts a sample put back at the wrong position fails
+    @pytest.mark.parametrize("counts", [(3, 5, 5), (4, 6, 4, 6)])
+    def test_coupling_stacks_match_single_scores(self, counts):
         rng = np.random.default_rng(14)
         classes = ["cat", "dog", "owl"]
         descs = {c: DescriptionFile(c, [f"the {c} up close", f"a distant {c} outline"])
@@ -376,7 +410,7 @@ class TestForward:
         bank = build_prompt_bank(classes, descs, num_shared_prompts=3,
                                  context_length=4, token_dim=12, seed=0)
         enc = FrozenEncoder.seeded(12, 6, 9)
-        samples = [make_sample(rng, M=M) for M in (3, 5, 5)]
+        samples = [make_sample(rng, M=M) for M in counts]
         cfg = ClassifierConfig()
         fw = forward(samples, bank, enc, cfg)
         assert set(fw.couplings) == {"cs", "ds"}
@@ -391,18 +425,22 @@ class TestForward:
                     C = cost_matrix(fs.features, fw.encoding[tag].g[k])
                     assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))
 
-    def test_one_cost_call_per_token_count_and_path(self, monkeypatch):
+    # P_ds = 2 equals P_cs, so both paths' problems have one shape and
+    # still make a solve call each
+    @pytest.mark.parametrize("shared", [2, 3])
+    def test_one_cost_call_per_token_count_and_path(self, monkeypatch, shared):
         import uotalign.classifier as classifier_mod
         import uotalign.transport as transport_mod
 
         rng = np.random.default_rng(21)
-        bank = make_bank(["cat", "dog", "owl"])
+        bank = make_bank(["cat", "dog", "owl"], shared=shared)
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         mixed = [make_sample(rng, M=M) for M in (4, 5, 6, 5, 4)]
         # a training batch: fixed-count dropout leaves 5 of 6 tokens each
         batch = [augment(make_sample(rng, M=6), 0.05, 0.1, [21, i]) for i in range(4)]
-        calls, checks = [], []
+        calls, checks, solves = [], [], []
         cost, validated = classifier_mod.cost_matrix, transport_mod._validated
+        solve = classifier_mod.solve_uot_batch
 
         def counted(features, prompts):
             calls.append(np.shape(features))
@@ -412,17 +450,27 @@ class TestForward:
             checks.append(kwargs.get("stacked", False))
             return validated(*args, **kwargs)
 
+        def counted_solves(problems, config=None):
+            solves.append((len(problems), *problems[0].shape))
+            return solve(problems, config)
+
         monkeypatch.setattr(classifier_mod, "cost_matrix", counted)
         monkeypatch.setattr(transport_mod, "_validated", counted_checks)
-        for cfg, paths in ((ClassifierConfig(), 2), (ClassifierConfig(gamma_cs=0.0), 1)):
+        monkeypatch.setattr(classifier_mod, "solve_uot_batch", counted_solves)
+        for cfg, prompts in ((ClassifierConfig(), (2, shared)),
+                             (ClassifierConfig(gamma_cs=0.0), (shared,))):
             for samples, want in ((mixed, [(2, 4, 6), (2, 5, 6), (1, 6, 6)]),
                                   (batch, [(4, 5, 6)])):
                 calls.clear()
                 checks.clear()
+                solves.clear()
                 forward(samples, bank, enc, cfg)
-                assert sorted(calls) == sorted(want * paths)
+                assert sorted(calls) == sorted(want * len(prompts))
                 # the problems of a cost call are checked once, as a stack
                 assert checks == [True] * len(calls)
+                # and solved in one call: 3 classes per sample
+                assert sorted(solves) == sorted((S * 3, P, M) for S, M, _ in want
+                                                for P in prompts)
 
     @pytest.mark.parametrize("lam, cap", [(1.5e-3, 2000), (1e-2, 20)])
     def test_counts_unconverged_and_clamped_solves(self, monkeypatch, lam, cap):

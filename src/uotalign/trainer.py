@@ -304,22 +304,20 @@ def _train_on(manifest, train_samples, cfg, ccfg, descriptions, bank_sizes):
     return state
 
 
-def evaluate(samples: list[FeatureSet], state: TrainState,
-             ccfg: ClassifierConfig, classes: list[str] | None = None) -> dict:
+def evaluate(samples: list[FeatureSet], state: TrainState, ccfg: ClassifierConfig) -> dict:
     """Deterministic accuracy/loss on a sample list, no augmentation.
 
-    `classes` restricts the candidate set (base-to-new evaluation
-    scores held-out classes only); by default all bank classes compete.
-    Samples are scored in consecutive chunks of at most _EVAL_ROWS token
-    rows (see _row_chunks); a sample's scores do not depend on its chunk.
+    Every bank class competes. Samples are scored in consecutive chunks
+    of at most _EVAL_ROWS token rows (see _row_chunks); a sample's scores
+    do not depend on its chunk.
     """
     if not samples:
         raise ValueError("empty split")
-    classes = list(classes) if classes is not None else list(state.bank.classes)
+    classes = list(state.bank.classes)
     Y = _one_hot(samples, classes)
     probs = np.zeros_like(Y)
     for lo, hi in _row_chunks(samples, _EVAL_ROWS):
-        d = forward(samples[lo:hi], state.bank, state.encoder, ccfg, classes).d
+        d = forward(samples[lo:hi], state.bank, state.encoder, ccfg).d
         probs[lo:hi] = likelihood(d, ccfg.tau)
     hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
     per_class = {c: (int(h) / int(t) if t else math.nan)

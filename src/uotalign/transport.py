@@ -214,14 +214,13 @@ class TransportPlan:
     moves by tol = dual_tolerance or more; an instance in the Newton tail
     converges when its row-marginal L1 error |W1 - n|_1 is below tol and
     its last step did not halve it, so the error sits at the floor the
-    steps can reach.
-    `clamped` is set when a marginal sum fell below the log-space floor
-    at some iteration. A plan from
-    solve_uot_batch holds views of that call's arrays: u and v are rows
-    of its (B, P) and (B, M) potentials, as the coupling is a row of the
-    array shared by the instances that finished at the same iteration.
-    Keeping any one plan keeps those arrays alive; copy a field to keep
-    it alone.
+    steps can reach. `clamped` is set when a marginal sum fell below the
+    log-space floor at some iteration. A plan from solve_uot_batch holds
+    views of that call's arrays, however its instance ended: u and v are
+    rows of its (B, P) and (B, M) potentials, as the coupling is a row of
+    the array shared by the instances that finished at the same
+    iteration. Keeping any one plan keeps those arrays alive; copy a
+    field to keep it alone.
     """
 
     coupling: np.ndarray
@@ -394,7 +393,18 @@ def _relax(T, old, lo, hi, plain):
     return R, move
 
 
-def _newton_tail(U, C, n, log_m, lam, rho2, tol, k, last):
+def _shrink(gone, arrays):
+    """Drop the rows of the mask `gone` from each array in place: the kept
+    rows past the new count move into the dropped rows below it. Returns
+    each array's leading view of the kept rows, all in one order."""
+    rest = gone.size - np.count_nonzero(gone)
+    to, fro = np.flatnonzero(gone[:rest]), rest + np.flatnonzero(~gone[rest:])
+    for x in arrays:
+        x[to] = x[fro]
+    return [x[:rest] for x in arrays]
+
+
+def _newton_tail(U, C, n, log_m, live, lam, rho2, tol, k, last, retire):
     """Damped Newton steps on the dual reduced to u, rows pinned.
 
     v is the exact v half-step of u and W the coupling of (u, v). The
@@ -410,15 +420,13 @@ def _newton_tail(U, C, n, log_m, lam, rho2, tol, k, last):
     whose step is not finite or fails the test _HALVINGS times takes a
     plain u half-step instead. An instance has converged once its row L1
     error is below tol and its last step did not halve it; it also stops
-    on blowup or at iteration `last`, counting on from k. Returns U, V, W,
-    iteration counts and converged and blown-up masks, row for row.
+    on blowup or at iteration `last`, counting on from k. The instances
+    that stop go to retire(at, U, V, W, k, done, bad), `at` their batch
+    positions from `live`, and _shrink drops their rows in place.
     """
     a = lam / (lam + rho2)
     fac = _factor(lam, rho2)
-    B, P, _ = C.shape
-    out_U, out_V, out_W = np.empty_like(U), np.empty_like(log_m), np.empty_like(C)
-    its, done, bad = np.empty(B, dtype=int), np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
-    rows, prev, eye = np.arange(B), np.full(B, INF), np.eye(P)
+    prev, eye = np.full(live.size, INF), np.eye(C.shape[1])
     while True:
         V = fac * (log_m - logsumexp_axis((U[:, :, None] - C) / lam, axis=1))
         L = _log_kernel(U, V, C, lam)
@@ -430,14 +438,11 @@ def _newton_tail(U, C, n, log_m, lam, rho2, tol, k, last):
         met = ~blown & (err < tol) & (err >= 0.5 * prev)
         stop = blown | met | (k == last)
         if stop.any():
-            i = rows[stop]
-            out_U[i], out_V[i], out_W[i] = U[stop], V[stop], W[stop]
-            its[i], done[i], bad[i] = k, met[stop], blown[stop]
-            go = ~stop
-            if not go.any():
-                return out_U, out_V, out_W, its, done, bad
-            rows, U, C, n, log_m, L, W, r, c, g, err = (
-                x[go] for x in (rows, U, C, n, log_m, L, W, r, c, g, err))
+            retire(live[stop], U[stop], V[stop], W[stop], k, met[stop], blown[stop])
+            if stop.all():
+                return
+            live, U, C, n, log_m, L, W, r, c, g, err = _shrink(
+                stop, (live, U, C, n, log_m, L, W, r, c, g, err))
         prev = err
         s = np.sqrt(r)
         Q = W / (s[:, :, None] * np.sqrt(c)[:, None, :])
@@ -454,7 +459,7 @@ def _newton_tail(U, C, n, log_m, lam, rho2, tol, k, last):
         # holding most of column j, so the log1p argument stays above 1/P - 1
         gd, dn, Wc = (g * d).sum(axis=1), (d * n).sum(axis=1), W / c[:, None, :]
         top = np.argmax(Wc, axis=1)
-        t, todo = np.ones(rows.size), np.flatnonzero(ok)
+        t, todo = np.ones(live.size), np.flatnonzero(ok)
         for _ in range(_HALVINGS):
             if not todo.size:
                 break
@@ -480,19 +485,20 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
 
     All instances must share (n_rows, n_cols, lam, rho1, rho2); costs
     and marginals may differ. The iteration is vectorised over the
-    instances still running: one that converges or blows up leaves the
-    loop, its potentials and its coupling (exp of its last log kernel)
-    are written back and the arrays shrink to the rest. Each decision
-    (fallback, clamp, relaxation, absorption, blowup, and in the Newton
-    tail the step, line search and fallback) reads only its instance's
-    data, and batch-wide gates skip only work that would change nothing,
-    so each result is identical to an independent single solve. An
-    instance that blows up is marked via its plan's `error` field
-    instead of aborting the batch. Working rows shrink in place, and the
-    couplings of the instances finishing at one iteration form one
-    array, made in the working kernel itself when every live instance
-    finishes; plans hold row views of these arrays and of the call's
-    potentials (see TransportPlan).
+    instances still running. Whether an instance converges or blows up,
+    in the scaling loop or the Newton tail, or reaches the iteration cap,
+    it ends through `retire`, which writes its potentials, flags and
+    coupling (exp of its last log kernel; all NaN with an `error` on
+    blowup, instead of aborting the batch), and _shrink then drops its
+    working rows in place. Each decision (fallback, clamp, relaxation,
+    absorption, blowup, and in the Newton tail the step, line search and
+    fallback) reads only its instance's data, and batch-wide gates skip
+    only work that would change nothing, so each result is identical to
+    an independent single solve. The couplings of the instances
+    finishing at one iteration form one array, made in the working
+    kernel itself when every live instance finishes a scaling iteration;
+    plans hold row views of these arrays and of the call's potentials
+    (see TransportPlan).
     """
     if config is None:
         config = SolverConfig()
@@ -513,15 +519,25 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     if math.isinf(p0.rho1):
         scaling = min(scaling, _NEWTON_AFTER)
 
-    # per-instance results, indexed by position in `problems`
-    U_out = np.zeros((B, n_rows))
-    V_out = np.zeros((B, n_cols))
-    converged = np.zeros(B, dtype=bool)
+    # per-instance results, indexed by position in `problems`; retire
+    # writes each instance's once, clamped accumulates while it runs
+    U_out, V_out = np.empty((B, n_rows)), np.empty((B, n_cols))
+    iterations, converged = np.empty(B, dtype=int), np.empty(B, dtype=bool)
     clamped = np.zeros(B, dtype=bool)
     failed: list[str | None] = [None] * B
-    iterations = np.full(B, config.max_iterations, dtype=int)
     # each instance's coupling, a row of the array made when it finished
     coupling: list[np.ndarray | None] = [None] * B
+
+    def retire(at, U, V, W, k, done, bad):
+        # the results of batch positions `at` after k iterations, from their
+        # rows of U, V and W (the couplings); NaN and an error where `bad`
+        U_out[at], V_out[at] = U, V
+        iterations[at], converged[at] = k, done
+        W[bad] = np.nan
+        for b, w in zip(at.tolist(), W):
+            coupling[b] = w
+        for b in at[bad].tolist():
+            failed[b] = f"numerical blowup at iteration {k}"
 
     # working arrays over the live instances only; live[i] is the batch
     # position of working row i. U and V are the over-relaxed iterates; Vp,
@@ -570,11 +586,6 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             absorb(rows & np.all(np.isfinite(l), axis=1), U, V)
         return lo, hi
 
-    def put(rows, W):
-        # row views of W, the couplings of the batch positions `rows`
-        for b, w in zip(rows.tolist(), W):
-            coupling[b] = w
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the kernel of the zero potentials, (0 - C) / lam, built in place
         K = np.subtract(0.0, C)
@@ -585,80 +596,53 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
                 lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2))
-            U_new, du = _relax(T, U, lo1, hi1, low_u)
-            la = U_new / lam - Ua
-            la_lo, la_hi = refold(la, fell, U_new, V)
+            U, du = _relax(T, U, lo1, hi1, low_u)
+            la = U / lam - Ua
+            la_lo, la_hi = refold(la, fell, U, V)
             Vp, fell, low_v = _half_step(
                 np.matmul(np.exp(la)[:, None, :], K)[:, 0, :], lb, lb_lo, Bm, fac2,
-                lambda r: logsumexp_axis(_log_kernel(U_new[r], V[r], C[r], lam), axis=1))
-            V_new, dv = _relax(Vp, V, lo2, hi2, low_v)
-            lb = V_new / lam - Vb
-            lb_lo, lb_hi = refold(lb, fell, U_new, V_new)
+                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=1))
+            V, dv = _relax(Vp, V, lo2, hi2, low_v)
+            lb = V / lam - Vb
+            lb_lo, lb_hi = refold(lb, fell, U, V)
             if low_u is not False or low_v is not False:
                 clamped[live] |= low_u | low_v
-            U, V = U_new, V_new
 
             # an instance whose coupling would leave float range is dead even
-            # though the iteration stays finite; its exact log kernel is
-            # checked only where Kmax + la + lb reaches _LOG_BOUND or is not
-            # finite, and `bad` stays False while no check runs
-            bad = False
-            if not (Kmax.max() + la_hi + lb_hi < _LOG_BOUND and la_lo > -INF and lb_lo > -INF):
+            # though the iteration stays finite; its exact log kernel is checked
+            # only where Kmax + la + lb reaches _LOG_BOUND or is not finite
+            check = not (Kmax.max() + la_hi + lb_hi < _LOG_BOUND and la_lo > -INF and lb_lo > -INF)
+            if not (check or (du.min() < tol and dv.min() < tol)):
+                continue
+            bad = np.zeros(live.size, dtype=bool)
+            if check:
                 s = ~((Kmax + np.max(la, axis=1) + np.max(lb, axis=1) < _LOG_BOUND)
                       & np.all(np.isfinite(la), axis=1) & np.all(np.isfinite(lb), axis=1))
-                bad = np.zeros(live.size, dtype=bool)
                 bad[s] = ((np.max(_log_kernel(U[s], V[s], C[s], lam), axis=(1, 2)) > _LOG_HUGE)
                           | ~(np.isfinite(U[s]).all(axis=1) & np.isfinite(V[s]).all(axis=1)))
-            elif not (du.min() < tol and dv.min() < tol):
-                continue
-            done = (du < tol) & (dv < tol)
-            if bad is not False:
-                done &= ~bad
+            done = (du < tol) & (dv < tol) & ~bad
             finished = done | bad
             if not finished.any():
                 continue
-            ended = live[finished]
-            U_out[ended], V_out[ended] = U[finished], V[finished]
-            V_out[live[done]] = Vp[done]  # an exact block minimizer
-            iterations[ended] = k + 1
-            converged[live[done]] = True
-            if bad is not False:
-                for i in live[bad]:
-                    failed[i] = f"numerical blowup at iteration {k + 1}"
-            if finished.all():
-                # the couplings of every live row, made in K in the old
-                # operation order
-                W = np.exp(_log_kernel(U, Vp, C, lam, K), out=K)
-                if bad is not False:
-                    W[bad] = np.nan
-                put(live, W)
+            # a converged plan reports Vp, an exact block minimizer, a blown-up
+            # one its last iterate; if every live row finishes, W is made in K
+            Vp[bad] = V[bad]
+            f, out = (slice(None), K) if finished.all() else (finished, None)
+            Uf, Vf = U[f], Vp[f]
+            retire(live[f], Uf, Vf, np.exp(_log_kernel(Uf, Vf, C[f], lam, out), out=out),
+                   k + 1, done[f], bad[f])
+            if out is K:
                 break
-            # finite wherever not bad, and in the old operation order
-            put(live[done], np.exp(_log_kernel(U[done], Vp[done], C[done], lam)))
-            if bad is not False:
-                put(live[bad], np.full((np.count_nonzero(bad), n_rows, n_cols), np.nan))
-            # shrink in place: the rows still running past the new count fill
-            # the finished rows below it, and each array keeps a leading view
-            rest = live.size - ended.size
-            to, fro = np.flatnonzero(finished[:rest]), rest + np.flatnonzero(~finished[rest:])
-            work = (live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb)
-            for x in work:
-                x[to] = x[fro]
-            live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = (
-                x[:rest] for x in work)
+            live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = _shrink(
+                finished, (live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
         else:
             if scaling < config.max_iterations:
                 n = np.stack([problems[i].row_marginal for i in live])
-                U_out[live], V_out[live], W, iterations[live], converged[live], bad = \
-                    _newton_tail(U, C, n, log_m, lam, p0.rho2, tol, scaling,
-                                 config.max_iterations)
-                W[bad] = np.nan
-                put(live, W)
-                for i in live[bad]:
-                    failed[i] = f"numerical blowup at iteration {iterations[i]}"
+                _newton_tail(U, C, n, log_m, live, lam, p0.rho2, tol, scaling,
+                             config.max_iterations, retire)
             else:
-                U_out[live], V_out[live] = U, V
-                put(live, np.exp(_log_kernel(U, V, C, lam, K), out=K))
+                no = np.zeros(live.size, dtype=bool)
+                retire(live, U, V, np.exp(_log_kernel(U, V, C, lam, K), out=K), scaling, no, no)
 
     return [TransportPlan(*fields) for fields in zip(
         coupling, U_out, V_out, iterations.tolist(), converged.tolist(), clamped.tolist(),

@@ -27,7 +27,7 @@ from uotalign.cli import (
     read_csv_matrix,
     write_csv,
 )
-from uotalign.features import load_manifest, load_split, read_embedding_file
+from uotalign.features import load_manifest, load_split, read_embedding_file, synth_dataset
 from uotalign.prompts import parse_descriptions, synth_description_texts
 from uotalign.trainer import VARIANTS, apply_variant, evaluate, load_checkpoint
 from uotalign.transport import INF, SolverConfig, solve_entropic_ot
@@ -413,6 +413,28 @@ class TestAblate:
             assert isinstance(row["test_accuracy"], float)
         lines = (out / "ablation.csv").read_text().strip().split("\n")
         assert all(line.split(",")[1] == "nan" for line in lines)
+
+    def test_no_test_split_writes_null_test_metrics(self, tmp_path):
+        # one sample per class leaves no test split: null in JSON, nan in CSV
+        synth_dataset(tmp_path / "d", num_classes=3, per_class=1, tokens=6, dim=16,
+                      separation=10.0, seed=3, shots=1)
+        (tmp_path / "c.json").write_text(json.dumps({"shots": 1}))
+        out = tmp_path / "abl"
+        code = main(["ablate", "--manifest", str(tmp_path / "d/manifest.json"),
+                     "--config", str(tmp_path / "c.json"), "--out", str(out)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((out / "ablation.json").read_text(), parse_constant=reject)
+        assert [row["variant"] for row in doc["rows"]] == list(VARIANTS)
+        for row in doc["rows"]:
+            assert "error" not in row, row
+            assert row["test_accuracy"] is None and row["test_loss"] is None
+            assert isinstance(row["train_accuracy"], float)
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        assert all(line.split(",")[2:4] == ["nan", "nan"] for line in lines)
 
 
 class TestHeatmap:

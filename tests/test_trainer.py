@@ -593,9 +593,13 @@ class TestEvaluate:
 
     def test_label_outside_candidates_rejected(self, manifest, trained):
         samples = load_split(manifest, "test")
-        with pytest.raises(ValueError, match="unknown class"):
-            evaluate(samples, trained, ClassifierConfig(),
-                     classes=["class_0", "class_1"])
+        stray = samples[1]
+        samples[1] = FeatureSet(stray.features, stray.weights, sample_id=stray.sample_id,
+                                label="class_9")
+        import re
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown class: sample {stray.sample_id!r} has label 'class_9'")):
+            evaluate(samples, trained, ClassifierConfig())
 
     def test_metrics_shape(self, manifest, trained):
         metrics = evaluate(load_split(manifest, "test"), trained,
@@ -607,19 +611,17 @@ class TestEvaluate:
 
     def test_matches_per_problem_reference(self, manifest, trained, monkeypatch):
         # more token rows than one evaluation chunk (the budget is cut to
-        # 30 rows, so chunks hold 5 to 7 samples), a candidate subset, and
-        # samples cut to their first 4, 5 or 6 tokens so that the problems
-        # come in several shapes
+        # 30 rows, so chunks hold 5 to 7 samples), and samples cut to their
+        # first 4, 5 or 6 tokens so that the problems come in several shapes
         monkeypatch.setattr(trainer_mod, "_EVAL_ROWS", 30)
-        classes = ["class_0", "class_2"]
-        pool = [fs for split in ("train", "val", "test")
-                for fs in load_split(manifest, split) if fs.label in classes]
+        classes = list(trained.bank.classes)
+        pool = [fs for split in ("train", "val", "test") for fs in load_split(manifest, split)]
         samples = [first_tokens(fs, fs.num_tokens - s % 3) for s, fs in enumerate(pool)]
         assert sum(fs.num_tokens for fs in samples) > trainer_mod._EVAL_ROWS
         assert len(trainer_mod._row_chunks(samples, trainer_mod._EVAL_ROWS)) > 1
         assert len({fs.num_tokens for fs in samples}) > 1
         ccfg = ClassifierConfig()
-        got = evaluate(samples, trained, ccfg, classes=classes)
+        got = evaluate(samples, trained, ccfg)
 
         probs = reference_probs(samples, trained.bank, trained.encoder, ccfg, classes)
         Y = one_hot(samples, classes)
@@ -679,15 +681,6 @@ class TestEvaluate:
         evaluate(samples, state, ClassifierConfig())
         K = len(classes)
         assert batches == [32 * K, 32 * K, 8 * K, 8 * K]
-
-    def test_candidate_subset_restricts_scoring(self, manifest, trained):
-        subset = [fs for fs in load_split(manifest, "test")
-                  if fs.label in ("class_0", "class_1")]
-        metrics = evaluate(subset, trained, ClassifierConfig(),
-                           classes=["class_0", "class_1"])
-        assert set(metrics["per_class"]) == {"class_0", "class_1"}
-        assert metrics["count"] == len(subset)
-        assert metrics["accuracy"] >= 0.5
 
 
 @pytest.fixture(scope="module")
@@ -770,6 +763,20 @@ class TestRunAblation:
             with pytest.raises(ValueError, match=f"corrupt file: {bad} split"):
                 run_ablation(manifest, TrainConfig(epochs=0, seed=1),
                              ClassifierConfig(), **BANK_KW)
+
+    def test_no_test_split_reports_nan(self, tmp_path):
+        # one sample per class is all training split: every variant trains,
+        # and there is no test accuracy or loss to report
+        manifest = synth_dataset(tmp_path / "d", num_classes=3, per_class=1, tokens=6,
+                                 dim=16, separation=10.0, seed=3, shots=1)
+        assert load_split(manifest, "test") == []
+        rows = run_ablation(manifest, TrainConfig(epochs=2, seed=1, shots=1),
+                            ClassifierConfig(), **BANK_KW)
+        assert [r["variant"] for r in rows] == list(VARIANTS)
+        for r in rows:
+            assert "error" not in r, r
+            assert math.isnan(r["test_accuracy"]) and math.isnan(r["test_loss"]), r
+            assert math.isfinite(r["train_accuracy"]) and math.isfinite(r["final_train_loss"])
 
     def test_variant_failures_are_isolated(self, manifest, tmp_path):
         cfg = TrainConfig(epochs=1, seed=1, shots=99)
@@ -857,6 +864,18 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         path.write_bytes(CKP1_MAGIC + np.array([999], dtype="<u4").tobytes() + b"{}")
         with pytest.raises(ValueError, match="corrupt file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"\xff\xfe{}", "has a bad header"),
+        (b"{not json", "has a bad header"),
+        (b"[1, 2]", "header is not an object"),
+    ])
+    def test_rejects_header_that_is_not_a_json_object(self, tmp_path, blob, message):
+        import re
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(CKP1_MAGIC + np.array([len(blob)], dtype="<u4").tobytes() + blob)
+        with pytest.raises(ValueError, match=re.escape(f"corrupt file: {path} {message}")):
             load_checkpoint(path)
 
     def test_rejects_unknown_version(self, trained, tmp_path):

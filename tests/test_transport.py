@@ -79,19 +79,21 @@ _GOOD = dict(cost=np.full((2, 3), 0.5), row_marginal=[0.5, 0.5],
 
 def _stacks_around(field, value):
     """TransportProblem.batch arguments whose instance 1 of 3 has `value` as
-    its `field` and the others are good. A bad row marginal is the shared
-    one; a per-instance value that cannot stack with good ones (another
-    shape) fills the whole stack."""
+    its `field` and the others are good. A bad row marginal or parameter
+    (lam, rho1, rho2) is the shared one; a per-instance value that cannot
+    stack with good ones (another shape) fills the whole stack."""
     stacks = {name: [np.asarray(_GOOD[name], dtype=np.float64)] * 3
               for name in ("cost", "col_marginal")}
-    row = _GOOD["row_marginal"]
+    row, params = _GOOD["row_marginal"], {}
     if field == "row_marginal":
         row = value
+    elif field in ("lam", "rho1", "rho2"):
+        params[field] = value
     else:
         bad, good = np.asarray(value, dtype=np.float64), stacks[field][0]
         stacks[field] = [good, bad, good] if bad.shape == good.shape else [bad] * 3
     return dict(costs=np.stack(stacks["cost"]), row_marginal=row,
-                col_marginals=np.stack(stacks["col_marginal"]))
+                col_marginals=np.stack(stacks["col_marginal"]), **params)
 
 
 class TestTransportProblemRejects:
@@ -114,6 +116,10 @@ class TestTransportProblemRejects:
         ("col_marginal", [], "^col_marginal must be non-empty$"),
         ("row_marginal", [1.0], "^row_marginal has length 1, expected 2$"),
         ("col_marginal", [0.5, 0.5], "^col_marginal has length 2, expected 3$"),
+        *(("lam", bad, "^lam must be positive and finite$")
+          for bad in (0.0, -1.0, INF, math.nan)),
+        *((name, bad, rf"^{name} must be positive \(or INF\)$")
+          for name in ("rho1", "rho2") for bad in (0.0, -1.0, math.nan)),
     ])
     @pytest.mark.parametrize("build", ["constructor", "batch"])
     def test_bad_input_names_what_is_wrong(self, build, field, value, message):
@@ -247,6 +253,12 @@ class TestPrimalValue:
             uot_primal_value([[0.5]], p)
         assert primal_value([[0.5]], p) == 0.5 + 0.5 * 0.5 * math.log(0.5)
 
+    def test_coupling_of_another_shape_rejected(self):
+        p = TransportProblem(**_GOOD)
+        with pytest.raises(ValueError,
+                           match=r"^coupling shape \(3, 2\) does not match cost \(2, 3\)$"):
+            primal_value(np.full((3, 2), 0.1), p)
+
     def test_equals_solver_value_bitwise(self):
         # on a solver's feasible coupling the checked oracle value and
         # primal_value are one computation, bit for bit
@@ -320,6 +332,11 @@ class TestDualValue:
         assert primal_value(plan2.coupling, p2) == pytest.approx(
             0.15 * p2.row_marginal.sum() - dv2, abs=1e-9
         )
+
+    @pytest.mark.parametrize("u, v", [(np.zeros(3), np.zeros(3)), (np.zeros(2), np.zeros(2))])
+    def test_potentials_of_another_length_rejected(self, u, v):
+        with pytest.raises(ValueError, match="^potential shapes do not match marginals$"):
+            dual_value(u, v, TransportProblem(**_GOOD))
 
     def test_overflow_raises(self):
         p = TransportProblem([[0.0]], [1.0], [1.0], lam=1e-3, rho1=INF, rho2=INF)
@@ -511,6 +528,32 @@ class TestBatch:
         # one coupling array per iteration at which instances finished
         assert all(plan.coupling.base is not None for plan in plans)
         assert len({id(plan.coupling.base) for plan in plans}) == len(finished_at)
+
+    def test_newton_tail_blowup_matches_single(self, monkeypatch):
+        # instances 17, 0, 2, 3 and 34 of the pool above, with the
+        # log-coupling ceiling lowered to the median of their largest
+        # log-couplings: instance 1 (pool[0]) is above it at the Newton
+        # tail's first check, at iteration 30, and ends there; instance 0,
+        # also above it, converges in the scaling loop, whose gate skips
+        # the check far below float range
+        rng = np.random.default_rng(516)
+        pool = [random_problem(rng, (4, 16), lam=0.05, rho1=INF, rho2=INF, balanced=True)
+                for _ in range(35)]
+        problems = [pool[i] for i in (17, 0, 2, 3, 34)]
+        cfg = SolverConfig(max_iterations=60)
+        tops = [np.log(plan.coupling).max() for plan in solve_uot_batch(problems, cfg)]
+        monkeypatch.setattr(transport, "_LOG_HUGE", float(np.median(tops)))
+        plans = self._assert_each_as_if_alone(problems, cfg)
+        assert plans[1].error == f"numerical blowup at iteration {_NEWTON_AFTER}"
+        assert plans[1].iterations == _NEWTON_AFTER and not plans[1].converged
+        assert np.all(np.isnan(plans[1].coupling))
+        others = plans[:1] + plans[2:]
+        assert [plan.iterations for plan in others] == [26, 34, 37, 34]
+        assert all(plan.converged and plan.error is None for plan in others)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^empty batch$"):
+            solve_uot_batch([])
 
     def test_shape_mismatch_rejected(self):
         a = TransportProblem([[1.0]], [1.0], [1.0], lam=0.1)

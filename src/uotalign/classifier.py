@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .features import FeatureSet
 from .numerics import as_matrix, as_stack, as_vector, logsumexp_axis
-from .prompts import FrozenEncoder, PathEncoding, PromptBank, encode_classes
+from .prompts import FrozenEncoder, PromptBank, encode_classes
 # solve_uot is unused here; bench/test_bench.py checks it stays bound
 from .transport import (  # noqa: F401
     INF,
@@ -167,14 +167,14 @@ def prompt_marginal(num_prompts: int) -> np.ndarray:
 class Forward:
     """Distances of samples to classes, plus what the backward pass needs.
 
-    d[s, k] is the weighted distance of sample s to requested class k,
+    d[s, k] is the weighted distance of sample s to bank class k,
     d_path[tag][s, k] one path's unweighted transported cost, encoding[tag]
-    the classes' encoding of a path and couplings[tag][s] its (K, P, M_s)
-    stack of couplings with sample s, one column per token. That stack is
-    a row view of one stack per (token count, path): the (S, K, P, M_s)
-    couplings of that solve call's S samples, so keeping one row keeps
-    the whole stack alive. Only paths with a positive weight appear in
-    `paths` and as keys of the dicts.
+    the path's (K, P, d) prompt rows (encode_classes) and couplings[tag][s]
+    its (K, P, M_s) stack of couplings with sample s, one column per
+    token. That stack is a row view of one stack per (token count, path):
+    the (S, K, P, M_s) couplings of that solve call's S samples, so
+    keeping one row keeps the whole stack alive. Only paths with a
+    positive weight appear in `paths` and as keys of the dicts.
     unconverged and clamped count the solves that hit the iteration cap
     and those whose marginal sums were clamped; their couplings are used
     all the same.
@@ -183,15 +183,15 @@ class Forward:
     d: np.ndarray
     d_path: dict[str, np.ndarray]
     paths: tuple[tuple[str, float], ...]
-    encoding: dict[str, PathEncoding]
+    encoding: dict[str, np.ndarray]
     couplings: dict[str, list[np.ndarray]]
     unconverged: int
     clamped: int
 
 
 def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
-            cfg: ClassifierConfig, classes: list[str] | None = None) -> Forward:
-    """Score every sample against every class along both prompt paths.
+            cfg: ClassifierConfig) -> Forward:
+    """Score every sample against every bank class along both prompt paths.
 
     All classes are encoded at once, along the paths with a positive
     weight only. Samples with a common token count M share one
@@ -200,15 +200,13 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     cost stack, in the order of samples, then classes. A problem's
     columns are the sample's tokens and its column marginal their
     weights. There is one solve_uot_batch call per (token count, path),
-    and its results equal one-at-a-time solves bitwise. `classes`
-    defaults to the whole bank.
+    and its results equal one-at-a-time solves bitwise.
     """
-    classes = list(bank.classes) if classes is None else list(classes)
     paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
-    encoding = encode_classes(bank, classes, encoder, tuple(tag for tag, _ in paths))
-    K = len(classes)
+    encoding = encode_classes(bank, encoder, tuple(tag for tag, _ in paths))
+    K = len(bank.classes)
 
     by_count = {}
     for s, fs in enumerate(samples):
@@ -217,9 +215,9 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     solved = []
     unconverged = clamped = 0
     for members in by_count.values():
-        for tag, enc in encoding.items():
+        for tag, G in encoding.items():
             # the stacked feature rows live only for the call, not the solve
-            C = cost_matrix(np.stack([samples[s].features for s in members]), enc.g)
+            C = cost_matrix(np.stack([samples[s].features for s in members]), G)
             problems = TransportProblem.batch(
                 C.reshape(-1, *C.shape[2:]), prompt_marginal(C.shape[2]),
                 np.stack([samples[s].weights for s in members]),
@@ -229,7 +227,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                 if plan.error is not None:
                     raise NumericalBlowupError(
                         f"solver failed for sample {samples[members[i // K]].sample_id!r}, "
-                        f"class {classes[i % K]!r}, {tag} path: {plan.error}")
+                        f"class {bank.classes[i % K]!r}, {tag} path: {plan.error}")
                 Ws.append(plan.coupling)
                 unconverged += not plan.converged
                 clamped += plan.clamped
@@ -252,8 +250,14 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
 
 def score(fs: FeatureSet, class_id: str, bank: PromptBank,
           encoder: FrozenEncoder, cfg: ClassifierConfig) -> Forward:
-    """Alignment of one sample against one class: forward() at B = K = 1."""
-    return forward([fs], bank, encoder, cfg, classes=[class_id])
+    """Alignment of one sample against one class: forward() at B = K = 1,
+    on a view of the bank that holds that class alone."""
+    if class_id not in bank.classes:
+        raise ValueError(f"unknown class: {class_id!r}")
+    k = bank.classes.index(class_id)
+    one = replace(bank, classes=[class_id], class_tokens=bank.class_tokens[k:k + 1],
+                  class_words=bank.class_words[k:k + 1])
+    return forward([fs], one, encoder, cfg)
 
 
 def likelihood(scores, tau: float) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "tokenize",
     "attention_forward",
     "attention_backward",
-    "PathEncoding",
     "build_prompt_bank",
     "encode_classes",
     "encode_classes_backward",
@@ -377,23 +376,6 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
                       trainable=tuple(trainable))
 
 
-@dataclass
-class PathEncoding:
-    """One prompt path of a class list, with what the backward pass needs.
-
-    g is (K, P, d): unit-norm rows, one per class and prompt. tokens is
-    the encoder's input, a class-major (K*P, L+1, d_tok) stack whose
-    matrices end in their class-word row. adapter_input is the class
-    path's stack before the attention adapter; it is None on the shared
-    path and when the adapter is off. encode_classes returns one per
-    requested path, keyed "cs" or "ds"; a path not requested has no key.
-    """
-
-    g: np.ndarray
-    tokens: np.ndarray
-    adapter_input: np.ndarray | None = None
-
-
 def _append_class_words(tokens: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(K, P, L, d_tok) prompts, or (P, L, d_tok) ones shared by all K
     classes, and (K, d_tok) words -> (K*P, L+1, d_tok) stack."""
@@ -404,53 +386,55 @@ def _append_class_words(tokens: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out.reshape(-1, L + 1, d_tok)
 
 
-def encode_classes(bank: PromptBank, class_ids, encoder: FrozenEncoder,
-                   paths: tuple[str, ...] = ("cs", "ds")) -> dict[str, PathEncoding]:
-    """Encode the requested prompt paths ("cs", "ds") for a list of classes.
+def _path_stacks(bank: PromptBank, tag: str):
+    """One prompt path's class-major token stacks over all bank classes,
+    as (the attention adapter's input or None, the encoder's input).
 
     Each class word is appended to each of that class's prompts. The
-    shared path encodes directly; the class path passes through
-    attention (when enabled), then encodes. Each path makes one call
-    per layer over all classes' prompts.
+    shared path ("ds") feeds the encoder directly; the class path ("cs")
+    passes through attention first when the adapter is on.
     """
-    unknown = [c for c in class_ids if c not in bank.classes]
-    if unknown:
-        raise ValueError(f"unknown class: {unknown[0]!r}")
-    idx = [bank.classes.index(c) for c in class_ids]
-    words = bank.class_words[idx]
-    shape = (len(idx), -1, encoder.bias.shape[0])
-    out = {}
-    if "cs" in paths:
-        stack = _append_class_words(bank.class_tokens[idx], words)
-        adapter_input = stack if bank.use_attention else None
-        tokens = attention_forward(stack, bank.attention) if bank.use_attention else stack
-        out["cs"] = PathEncoding(encoder.encode(tokens).reshape(shape), tokens, adapter_input)
-    if "ds" in paths:
-        tokens = _append_class_words(bank.shared_tokens, words)
-        out["ds"] = PathEncoding(encoder.encode(tokens).reshape(shape), tokens)
-    return out
+    if tag == "ds":
+        return None, _append_class_words(bank.shared_tokens, bank.class_words)
+    if tag != "cs":
+        raise ValueError(f"unknown prompt path: {tag!r}")
+    stack = _append_class_words(bank.class_tokens, bank.class_words)
+    if not bank.use_attention:
+        return None, stack
+    return stack, attention_forward(stack, bank.attention)
+
+
+def encode_classes(bank: PromptBank, encoder: FrozenEncoder,
+                   paths: tuple[str, ...] = ("cs", "ds")) -> dict[str, np.ndarray]:
+    """Encode every bank class along the requested prompt paths.
+
+    Returns {tag: (K, P, d)} unit-norm rows, one per bank class (in bank
+    order) and prompt, keyed in the order of `paths`. Each path makes one
+    call per layer over all classes' prompts.
+    """
+    shape = (len(bank.classes), -1, encoder.bias.shape[0])
+    return {tag: encoder.encode(_path_stacks(bank, tag)[1]).reshape(shape)
+            for tag in paths}
 
 
 def encode_classes_backward(bank: PromptBank, encoder: FrozenEncoder,
-                            encoding: dict[str, PathEncoding],
                             grad_g: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Gradients of sum_tag <grad_g[tag], encoding[tag].g>, keyed like bank.arrays().
+    """Gradients of sum_tag <grad_g[tag], encode_classes(bank, encoder)[tag]>,
+    keyed like bank.arrays().
 
-    The twin of encode_classes, whose output for all bank classes in bank
-    order `encoding` must be; grad_g holds (K, P, d) upstreams for some of
-    its paths. The shared tokens' gradient sums over classes; class words
-    get none. Each path makes one backward call per layer.
+    grad_g holds (K, P, d) upstreams for some of the paths; each path's
+    stacks are rebuilt from the bank, so the class path with the adapter
+    on runs attention_forward once more. The shared tokens' gradient
+    sums over classes; class words get none. Each path makes one
+    backward call per layer.
     """
     grads = {}
     for tag, upstream in grad_g.items():
-        enc = encoding[tag]
-        K, P, d = enc.g.shape
-        stack = enc.tokens if enc.adapter_input is None else enc.adapter_input
-        if not np.array_equal(stack[::P, -1], bank.class_words):
-            raise ValueError("encoding must cover all bank classes in bank order")
-        rows = encoder.encode_backward(enc.tokens, upstream.reshape(-1, d))
-        if enc.adapter_input is not None:
-            rows, *dw = attention_backward(stack, bank.attention, rows)
+        adapter_input, tokens = _path_stacks(bank, tag)
+        K, P, d = upstream.shape
+        rows = encoder.encode_backward(tokens, upstream.reshape(-1, d))
+        if adapter_input is not None:
+            rows, *dw = attention_backward(adapter_input, bank.attention, rows)
             grads.update(zip(("attention.w_query", "attention.w_key", "attention.w_value"), dw))
         # [..., :-1, :] drops the class-word row
         rows = rows.reshape(K, P, *rows.shape[1:])[..., :-1, :]

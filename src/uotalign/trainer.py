@@ -218,15 +218,14 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
     grad_g = {}
     for path, gamma in fw.paths:
-        enc = fw.encoding[path]
+        G = fw.encoding[path]
         # cost_matrix_backward is linear in the upstream: each sample
         # fills its columns for all classes, and one call sums the batch
-        upstream = np.empty((*enc.g.shape[:2], len(feats)))
+        upstream = np.empty((*G.shape[:2], len(feats)))
         for s, W in enumerate(fw.couplings[path]):
             upstream[..., offsets[s]:offsets[s + 1]] = coeff[s, :, None, None] * gamma * W
-        grad_g[path] = cost_matrix_backward(feats, enc.g, upstream)
-    # forward() ran over all bank classes, as encode_classes_backward needs
-    grads = encode_classes_backward(bank, encoder, fw.encoding, grad_g)
+        grad_g[path] = cost_matrix_backward(feats, G, upstream)
+    grads = encode_classes_backward(bank, encoder, grad_g)
     # a trainable group that no active path feeds gets zeros
     return loss, {name: grads.get(name, np.zeros_like(a))
                   for name, a in bank.trainable_arrays().items()}, probs

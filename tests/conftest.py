@@ -44,10 +44,10 @@ def build_gradcheck_instance():
                              context_length=3, token_dim=8, seed=seed)
     encoder = FrozenEncoder.seeded(8, 8, seed + 100)
     rng = np.random.default_rng(seed + 500)
-    enc = encode_classes(bank, classes, encoder)
+    enc = encode_classes(bank, encoder)
     batch = []
     for ci, c in enumerate(classes):
-        targets = np.vstack([enc["cs"].g[ci], enc["ds"].g[ci]])
+        targets = np.vstack([enc["cs"][ci], enc["ds"][ci]])
         F = targets + 0.4 * rng.standard_normal((4, 8))
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),

@@ -303,7 +303,7 @@ class TestScore:
         cfg = ClassifierConfig(rho1=INF, rho2=INF, lam=0.05)
         fw = score(fs, "cat", bank, enc, cfg)
 
-        g_cs = encode_classes(bank, ["cat"], enc)["cs"].g[0]
+        g_cs = encode_classes(bank, enc)["cs"][0]
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
         assert np.array_equal(fw.couplings["cs"][0][0], direct.coupling)
@@ -313,7 +313,7 @@ class TestScore:
         rng = np.random.default_rng(11)
         bank = make_bank(["cat"])
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
-        with pytest.raises(ValueError, match="unknown class"):
+        with pytest.raises(ValueError, match="^unknown class: 'ferret'$"):
             score(make_sample(rng), "ferret", bank, enc, ClassifierConfig())
 
     def test_solver_error_tagged_with_class_and_path(self, monkeypatch):
@@ -346,7 +346,7 @@ class TestForward:
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         samples = [FeatureSet(features=unit_rows(rng, (M, 6)), weights=np.full(M, 1 / M),
                               sample_id=f"img{s}") for s, M in enumerate((4, 6, 4, 6))]
-        target = cost_matrix(samples[3].features, encode_classes(bank, classes, enc)["ds"].g[1])
+        target = cost_matrix(samples[3].features, encode_classes(bank, enc)["ds"][1])
         failed = []
         solve = classifier_mod.solve_uot_batch
 
@@ -422,7 +422,7 @@ class TestForward:
                     stack = fw.couplings[tag][s]
                     assert stack.shape == (len(classes), P, fs.num_tokens)
                     assert stack[k].tobytes() == W.tobytes()
-                    C = cost_matrix(fs.features, fw.encoding[tag].g[k])
+                    C = cost_matrix(fs.features, fw.encoding[tag][k])
                     assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))
 
     # P_ds = 2 equals P_cs, so both paths' problems have one shape and

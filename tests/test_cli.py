@@ -463,6 +463,15 @@ class TestHeatmap:
         assert code == EXIT_ERROR
         assert "'ghost' not in manifest" in capsys.readouterr().err
 
+    def test_unknown_class_exits_1(self, workdir, tmp_path, capsys):
+        code = main(["heatmap", "--checkpoint", str(workdir / "run/checkpoint.ckpt"),
+                     "--manifest", str(workdir / "data/manifest.json"),
+                     "--sample-id", "class_0_000", "--class-id", "bird",
+                     "--config", str(workdir / "cfg.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert "error: unknown class: 'bird'" in capsys.readouterr().err
+
 
 class TestGenDescriptions:
     def test_offline_renders_system_prompt(self, tmp_path):

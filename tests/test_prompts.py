@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -319,57 +320,78 @@ class TestPromptBank:
     def test_embedding_shapes(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        e = encode_classes(bank, ["cat"], enc)
-        g_ds, g_cs = e["ds"].g[0], e["cs"].g[0]
-        assert g_ds.shape == (2, 16)
-        assert g_cs.shape == (4, 16)
-        np.testing.assert_allclose(np.linalg.norm(g_ds, axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(g_cs, axis=1), 1.0, atol=1e-12)
-
-    def test_unknown_class_raises(self):
-        bank = make_bank()
-        enc = FrozenEncoder.seeded(8, 16, seed=0)
-        with pytest.raises(ValueError, match="unknown class"):
-            encode_classes(bank, ["bird"], enc)
+        e = encode_classes(bank, enc)
+        g_ds, g_cs = e["ds"], e["cs"]
+        assert g_ds.shape == (2, 2, 16)
+        assert g_cs.shape == (2, 4, 16)
+        np.testing.assert_allclose(np.linalg.norm(g_ds, axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(g_cs, axis=2), 1.0, atol=1e-12)
 
     def test_shared_path_differs_only_by_class_word(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        g_cat = encode_classes(bank, ["cat"], enc)["ds"].g[0]
-        g_dog = encode_classes(bank, ["dog"], enc)["ds"].g[0]
+        g_cat, g_dog = encode_classes(bank, enc)["ds"]
         assert np.abs(g_cat - g_dog).max() > 1e-6
         # same class word would give identical embeddings
         bank.class_words[1] = bank.class_words[0]
-        g_dog2 = encode_classes(bank, ["dog"], enc)["ds"].g[0]
+        g_dog2 = encode_classes(bank, enc)["ds"][1]
         np.testing.assert_array_equal(g_cat, g_dog2)
 
     def test_attention_touches_only_class_path(self):
         bank = make_bank()
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        e1 = encode_classes(bank, ["cat"], enc)
+        e1 = encode_classes(bank, enc)
         bank.attention.w_query += 0.5
-        e2 = encode_classes(bank, ["cat"], enc)
-        np.testing.assert_array_equal(e1["ds"].g, e2["ds"].g)
-        assert np.abs(e1["cs"].g - e2["cs"].g).max() > 1e-9
+        e2 = encode_classes(bank, enc)
+        np.testing.assert_array_equal(e1["ds"], e2["ds"])
+        assert np.abs(e1["cs"] - e2["cs"]).max() > 1e-9
 
     @pytest.mark.parametrize("use_attention", [True, False])
-    def test_class_list_equals_each_class_alone(self, use_attention):
+    def test_one_class_view_equals_its_row_of_the_bank(self, use_attention):
         bank = make_bank(classes=("cat", "dog", "owl"), use_attention=use_attention)
         enc = FrozenEncoder.seeded(8, 16, seed=0)
-        order = ["owl", "cat", "dog"]
-        e = encode_classes(bank, order, enc)
-        cs, ds = e["cs"], e["ds"]
-        assert ds.g.shape == (3, 2, 16) and cs.g.shape == (3, 4, 16)
-        assert cs.tokens.shape == (12, 5, 8) and ds.tokens.shape == (6, 5, 8)
-        assert ds.adapter_input is None
-        assert (cs.adapter_input is None) == (not use_attention)
-        if use_attention:
-            assert cs.adapter_input.shape == (12, 5, 8)
-        for k, c in enumerate(order):
-            one = encode_classes(bank, [c], enc)
-            assert ds.g[k].tobytes() == one["ds"].g[0].tobytes()
-            assert cs.g[k].tobytes() == one["cs"].g[0].tobytes()
-            np.testing.assert_array_equal(cs.tokens[4 * k:4 * k + 4], one["cs"].tokens)
+        e = encode_classes(bank, enc)
+        assert e["ds"].shape == (3, 2, 16) and e["cs"].shape == (3, 4, 16)
+        for k, c in enumerate(bank.classes):
+            view = dataclasses.replace(bank, classes=[c],
+                                       class_tokens=bank.class_tokens[k:k + 1],
+                                       class_words=bank.class_words[k:k + 1])
+            one = encode_classes(view, enc)
+            for tag in ("cs", "ds"):
+                assert one[tag].shape == (1, *e[tag].shape[1:])
+                assert e[tag][k].tobytes() == one[tag][0].tobytes()
+
+    @pytest.mark.parametrize("paths", [("xs",), ("cs", "xs"), ("ds", "xs")])
+    def test_unknown_path_raises(self, paths):
+        bank = make_bank()
+        enc = FrozenEncoder.seeded(8, 16, seed=0)
+        with pytest.raises(ValueError, match="^unknown prompt path: 'xs'$"):
+            encode_classes(bank, enc, paths)
+
+    # each row changes the fields of a valid 2-class bank (d_tok = 8)
+    @pytest.mark.parametrize("change, message", [
+        (lambda b: {"shared_tokens": b.shared_tokens[0]}, "token tensors have wrong rank"),
+        (lambda b: {"class_tokens": b.class_tokens[0]}, "token tensors have wrong rank"),
+        (lambda b: {"class_words": b.class_words[:1]},
+         "class token count does not match class list"),
+        (lambda b: {"class_tokens": b.class_tokens[..., :7]},
+         "token dimension mismatch across the bank"),
+        (lambda b: {"class_words": b.class_words[:, :7]},
+         "token dimension mismatch across the bank"),
+        (lambda b: {"attention": AttentionParams.seeded(8, 4, 0)},
+         r"attention must be square \(d_k == d_tok\)"),
+        (lambda b: {"trainable": ("shared_tokens", "encoder")},
+         r"unknown trainable groups: \['encoder'\]"),
+    ])
+    def test_inconsistent_bank_rejected(self, change, message):
+        bank = make_bank()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(bank, **change(bank))
+
+    def test_non_square_attention_accepted_without_the_adapter(self):
+        bank = make_bank(use_attention=False)
+        narrow = AttentionParams.seeded(8, 4, 0)
+        assert dataclasses.replace(bank, attention=narrow).attention is narrow
 
     def test_random_init_same_shape(self):
         a = make_bank()
@@ -469,16 +491,16 @@ class TestEncodeClassesBackward:
                          use_attention=use_attention)
         encoder = FrozenEncoder.seeded(6, 5, seed=4)
         rng = np.random.default_rng(57)
-        encoding = encode_classes(bank, self.CLASSES, encoder, paths)
-        grad_g = {tag: rng.standard_normal(enc.g.shape) for tag, enc in encoding.items()}
-        return bank, encoder, encoding, grad_g
+        grad_g = {tag: rng.standard_normal(g.shape)
+                  for tag, g in encode_classes(bank, encoder, paths).items()}
+        return bank, encoder, grad_g
 
     @pytest.mark.parametrize("paths", [("cs", "ds"), ("cs",), ("ds",)])
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_matches_finite_differences(self, use_attention, paths):
         """Central differences of sum_tag <grad_g[tag], g[tag]>, every returned array."""
-        bank, encoder, encoding, grad_g = self.setup_case(use_attention, paths)
-        grads = encode_classes_backward(bank, encoder, encoding, grad_g)
+        bank, encoder, grad_g = self.setup_case(use_attention, paths)
+        grads = encode_classes_backward(bank, encoder, grad_g)
         want = set()
         if "cs" in paths:
             want |= {"class_tokens"}
@@ -496,8 +518,8 @@ class TestEncodeClassesBackward:
             def objective(x):
                 p[...] = x
                 try:
-                    encoded = encode_classes(bank, self.CLASSES, encoder, paths)
-                    return sum(float(np.sum(up * encoded[tag].g))
+                    encoded = encode_classes(bank, encoder, paths)
+                    return sum(float(np.sum(up * encoded[tag]))
                                for tag, up in grad_g.items())
                 finally:
                     p[...] = orig
@@ -506,15 +528,10 @@ class TestEncodeClassesBackward:
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel < 1e-6, f"{name}: relative gradient error {rel:.2e}"
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    @pytest.mark.parametrize("classes", [["cat", "dog"], ["dog", "cat", "owl"]])
-    def test_encoding_must_cover_bank_classes_in_order(self, use_attention, classes):
-        bank, encoder, _, _ = self.setup_case(use_attention, ("cs", "ds"))
-        encoding = encode_classes(bank, classes, encoder)
-        grad_g = {tag: np.ones(enc.g.shape) for tag, enc in encoding.items()}
-        for tag in encoding:
-            with pytest.raises(ValueError, match="cover all bank classes in bank order"):
-                encode_classes_backward(bank, encoder, encoding, {tag: grad_g[tag]})
+    def test_unknown_path_raises(self):
+        bank, encoder, grad_g = self.setup_case(True, ("cs", "ds"))
+        with pytest.raises(ValueError, match="^unknown prompt path: 'xs'$"):
+            encode_classes_backward(bank, encoder, {"xs": grad_g["cs"]})
 
 
 class TestSynthDescriptions:

@@ -327,10 +327,10 @@ class TestBatchLossAndGrads:
 
         def frozen_loss():
             d = np.zeros((len(batch), len(classes)))
-            for k, c in enumerate(classes):
-                enc = encode_classes(bank, [c], encoder)
+            enc = encode_classes(bank, encoder)
+            for k in range(len(classes)):
                 for tag, gamma in fw.paths:
-                    G = enc[tag].g[0]
+                    G = enc[tag][k]
                     for s in range(len(batch)):
                         W = fw.couplings[tag][s][k]
                         F = batch[s].features

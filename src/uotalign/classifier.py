@@ -169,12 +169,12 @@ class Forward:
 
     d[s, k] is the weighted distance of sample s to bank class k,
     d_path[tag][s, k] one path's unweighted transported cost, encoding[tag]
-    the path's (K, P, d) prompt rows (encode_classes) and couplings[tag][s]
-    its (K, P, M_s) stack of couplings with sample s, one column per
-    token. That stack is a row view of one stack per (token count, path):
-    the (S, K, P, M_s) couplings of that solve call's S samples, so
-    keeping one row keeps the whole stack alive. Only paths with a
-    positive weight appear in `paths` and as keys of the dicts.
+    the path's (K, P, d) prompt rows (encode_classes) and couplings[tag]
+    its (K, P, N) couplings over the samples' N token rows in sample
+    order: sample s owns columns offsets[s]:offsets[s + 1], offsets
+    being the cumulative sum of the token counts, as the upstream of
+    cost_matrix_backward is laid out. Only paths with a positive weight
+    appear in `paths` and as keys of the dicts.
     unconverged and clamped count the solves that hit the iteration cap
     and those whose marginal sums were clamped; their couplings are used
     all the same.
@@ -184,7 +184,7 @@ class Forward:
     d_path: dict[str, np.ndarray]
     paths: tuple[tuple[str, float], ...]
     encoding: dict[str, np.ndarray]
-    couplings: dict[str, list[np.ndarray]]
+    couplings: dict[str, np.ndarray]
     unconverged: int
     clamped: int
 
@@ -200,8 +200,11 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     cost stack, in the order of samples, then classes. A problem's
     columns are the sample's tokens and its column marginal their
     weights. There is one solve_uot_batch call per (token count, path),
-    and its results equal one-at-a-time solves bitwise.
+    and its results equal one-at-a-time solves bitwise; their couplings
+    go into their samples' columns of couplings[tag] (see Forward).
     """
+    if not samples:
+        raise ValueError("empty batch")
     paths = tuple((tag, gamma) for tag, gamma in (("cs", cfg.gamma_cs),
                                                    ("ds", cfg.gamma_ds))
                   if gamma > 0)
@@ -211,8 +214,9 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     by_count = {}
     for s, fs in enumerate(samples):
         by_count.setdefault(fs.num_tokens, []).append(s)
-    # per solve call: path, its samples, their (S, K, P, M) costs, the couplings
-    solved = []
+    offsets = np.cumsum([0] + [fs.num_tokens for fs in samples])
+    d_path = {tag: np.empty((len(samples), K)) for tag in encoding}
+    couplings = {}
     unconverged = clamped = 0
     for members in by_count.values():
         for tag, G in encoding.items():
@@ -222,27 +226,22 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                 C.reshape(-1, *C.shape[2:]), prompt_marginal(C.shape[2]),
                 np.stack([samples[s].weights for s in members]),
                 lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
-            Ws = []
-            for i, plan in enumerate(solve_uot_batch(problems, cfg.solver)):
+            plans = solve_uot_batch(problems, cfg.solver)
+            for i, plan in enumerate(plans):
                 if plan.error is not None:
                     raise NumericalBlowupError(
                         f"solver failed for sample {samples[members[i // K]].sample_id!r}, "
                         f"class {bank.classes[i % K]!r}, {tag} path: {plan.error}")
-                Ws.append(plan.coupling)
                 unconverged += not plan.converged
                 clamped += plan.clamped
-            solved.append((tag, members, C, Ws))
-
-    couplings = {tag: [None] * len(samples) for tag in encoding}
-    d_path = {tag: np.empty((len(samples), K)) for tag in encoding}
-    for tag, members, C, Ws in solved:
-        # stacked only now: a stack made right after its solve stays alive
-        # through the later solves; that raised the tracemalloc peak of a
-        # fewshot_train repetition from 5.25 to 5.69 MiB
-        W = np.stack(Ws).reshape(C.shape)
-        for i, s in enumerate(members):
-            couplings[tag][s] = W[i]
-        d_path[tag][members] = np.sum(W * C, axis=(2, 3))
+            W = np.stack([plan.coupling for plan in plans]).reshape(C.shape)
+            d_path[tag][members] = np.sum(W * C, axis=(2, 3))
+            if tag not in couplings:
+                couplings[tag] = np.empty((*G.shape[:2], offsets[-1]))
+            for i, s in enumerate(members):
+                couplings[tag][..., offsets[s]:offsets[s + 1]] = W[i]
+            # drop this call's arrays, or they live through the next call's solve
+            del C, problems, plans, plan, W
     d = sum(gamma * d_path[tag] for tag, gamma in paths)
     return Forward(d=d, d_path=d_path, paths=paths, encoding=encoding,
                    couplings=couplings, unconverged=unconverged, clamped=clamped)

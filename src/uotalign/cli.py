@@ -396,15 +396,15 @@ def cmd_heatmap(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for tag, stacks in fw.couplings.items():
-        write_csv(out / f"heatmap_{tag}.csv", stacks[0][0])
+    for tag, W in fw.couplings.items():
+        write_csv(out / f"heatmap_{tag}.csv", W[0])
     write_json(out / "summary.json", {
         "sample_id": args.sample_id,
         "class_id": args.class_id,
         "d_cs": 0.0, "d_ds": 0.0,  # a disabled path's distance
         **{f"d_{tag}": float(D[0, 0]) for tag, D in fw.d_path.items()},
         "d_total": float(fw.d[0, 0]),
-        "heatmaps": {tag: list(W[0][0].shape) for tag, W in fw.couplings.items()},
+        "heatmaps": {tag: list(W[0].shape) for tag, W in fw.couplings.items()},
     })
     return EXIT_OK
 

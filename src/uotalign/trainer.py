@@ -203,8 +203,6 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     all classes' prompts. Pure at the call site: nothing in bank is
     modified.
     """
-    if not batch:
-        raise ValueError("empty batch")
     Y = _one_hot(batch, bank.classes)
     fw = forward(batch, bank, encoder, ccfg)
     probs = likelihood(fw.d, ccfg.tau)
@@ -213,18 +211,14 @@ def batch_loss_and_grads(batch: list[FeatureSet], bank: PromptBank,
     # dL/dd with the softmax and the 1/B mean folded in
     coeff = (probs - Y) * (-1.0 / ccfg.tau) / len(batch)
 
-    # the batch's feature rows, sample s at rows offsets[s]:offsets[s + 1]
+    # the batch's feature rows, in the column order of fw.couplings; each
+    # sample's coefficients spread over its token columns
     feats = np.concatenate([fs.features for fs in batch])
-    offsets = np.cumsum([0] + [fs.num_tokens for fs in batch])
-    grad_g = {}
-    for path, gamma in fw.paths:
-        G = fw.encoding[path]
-        # cost_matrix_backward is linear in the upstream: each sample
-        # fills its columns for all classes, and one call sums the batch
-        upstream = np.empty((*G.shape[:2], len(feats)))
-        for s, W in enumerate(fw.couplings[path]):
-            upstream[..., offsets[s]:offsets[s + 1]] = coeff[s, :, None, None] * gamma * W
-        grad_g[path] = cost_matrix_backward(feats, G, upstream)
+    col_coeff = np.repeat(coeff, [fs.num_tokens for fs in batch], axis=0).T[:, None, :]
+    # cost_matrix_backward is linear in the upstream: one call sums the batch
+    grad_g = {path: cost_matrix_backward(feats, fw.encoding[path],
+                                         col_coeff * gamma * fw.couplings[path])
+              for path, gamma in fw.paths}
     grads = encode_classes_backward(bank, encoder, grad_g)
     # a trainable group that no active path feeds gets zeros
     return loss, {name: grads.get(name, np.zeros_like(a))

@@ -250,8 +250,8 @@ class TestScore:
         fw = score(fs, "cat", bank, enc, cfg)
         d_cs, d_ds = fw.d_path["cs"][0, 0], fw.d_path["ds"][0, 0]
         assert fw.d[0, 0] == pytest.approx(0.7 * d_cs + 0.3 * d_ds, abs=1e-12)
-        assert fw.couplings["cs"][0][0].shape == (bank.class_tokens.shape[1], fs.num_tokens)
-        assert fw.couplings["ds"][0][0].shape == (bank.shared_tokens.shape[0], fs.num_tokens)
+        assert fw.couplings["cs"][0].shape == (bank.class_tokens.shape[1], fs.num_tokens)
+        assert fw.couplings["ds"][0].shape == (bank.shared_tokens.shape[0], fs.num_tokens)
         assert d_cs > 0 and d_ds > 0
 
     def test_single_path_exact(self):
@@ -272,7 +272,7 @@ class TestScore:
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
         fw = score(make_sample(rng), "cat", bank, enc, ClassifierConfig())
         P = bank.class_tokens.shape[1]
-        assert np.allclose(fw.couplings["cs"][0][0].sum(axis=1), 1.0 / P, atol=1e-6)
+        assert np.allclose(fw.couplings["cs"][0].sum(axis=1), 1.0 / P, atol=1e-6)
 
     def test_zero_cost_gives_zero_total(self):
         # both paths encode to the same vector as every feature row
@@ -306,7 +306,7 @@ class TestScore:
         g_cs = encode_classes(bank, enc)["cs"][0]
         C = cost_matrix(fs.features, g_cs)
         direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
-        assert np.array_equal(fw.couplings["cs"][0][0], direct.coupling)
+        assert np.array_equal(fw.couplings["cs"][0], direct.coupling)
         assert fw.d_path["cs"][0, 0] == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
 
     def test_unknown_class(self):
@@ -399,8 +399,14 @@ class TestForward:
         # the path that is kept scores exactly as it does next to the other
         np.testing.assert_array_equal(fw.d_path[tag], both.d_path[tag])
 
+    def test_empty_batch_rejected(self):
+        bank = make_bank(["cat"])
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
+        with pytest.raises(ValueError, match="^empty batch$"):
+            forward([], bank, enc, ClassifierConfig())
+
     # mixed token counts put the samples in different solve calls; with
-    # interleaved counts a sample put back at the wrong position fails
+    # interleaved counts a sample put back at the wrong columns fails
     @pytest.mark.parametrize("counts", [(3, 5, 5), (4, 6, 4, 6)])
     def test_coupling_stacks_match_single_scores(self, counts):
         rng = np.random.default_rng(14)
@@ -414,13 +420,15 @@ class TestForward:
         cfg = ClassifierConfig()
         fw = forward(samples, bank, enc, cfg)
         assert set(fw.couplings) == {"cs", "ds"}
+        offsets = np.cumsum([0, *counts])
+        for tag, P in (("cs", 2), ("ds", 3)):
+            assert fw.couplings[tag].shape == (len(classes), P, sum(counts))
         for s, fs in enumerate(samples):
             for k, c in enumerate(classes):
                 one = score(fs, c, bank, enc, cfg)
-                for tag, P in (("cs", 2), ("ds", 3)):
-                    W = one.couplings[tag][0][0]
-                    stack = fw.couplings[tag][s]
-                    assert stack.shape == (len(classes), P, fs.num_tokens)
+                for tag in ("cs", "ds"):
+                    W = one.couplings[tag][0]
+                    stack = fw.couplings[tag][..., offsets[s]:offsets[s + 1]]
                     assert stack[k].tobytes() == W.tobytes()
                     C = cost_matrix(fs.features, fw.encoding[tag][k])
                     assert fw.d_path[tag][s, k] == float(np.sum(stack[k] * C))

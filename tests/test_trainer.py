@@ -301,8 +301,12 @@ class TestBatchLossAndGrads:
             rel = np.linalg.norm(an - fd) / np.linalg.norm(fd)
             assert rel < 1e-5, f"{key}: relative gradient error {rel:.2e}"
 
+    # interleaved token counts split the batch over solve calls, so a
+    # sample's coefficients meet another sample's couplings if misplaced
+    @pytest.mark.parametrize("counts", [(6, 6, 6, 6, 6), (4, 6, 4, 6, 5)],
+                             ids=["uniform", "interleaved"])
     @pytest.mark.parametrize("variant", ["full", "no_self_attention", "no_uot"])
-    def test_matches_frozen_coupling_loss(self, variant):
+    def test_matches_frozen_coupling_loss(self, variant, counts):
         """The grads are those of the loss with every W* held fixed.
 
         Default classifier settings on samples with no class structure,
@@ -316,14 +320,15 @@ class TestBatchLossAndGrads:
         encoder = FrozenEncoder.seeded(8, 8, 5)
         rng = np.random.default_rng(6)
         batch = []
-        for s in range(5):
-            F = rng.standard_normal((6, 8))
+        for s, M in enumerate(counts):
+            F = rng.standard_normal((M, 8))
             F /= np.linalg.norm(F, axis=1, keepdims=True)
-            batch.append(FeatureSet(features=F, weights=np.full(6, 1 / 6),
+            batch.append(FeatureSet(features=F, weights=np.full(M, 1 / M),
                                     sample_id=f"s{s}", label=classes[s % 3]))
         _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
         fw = forward(batch, bank, encoder, ccfg)
         Y = one_hot(batch, classes)
+        offsets = np.cumsum([0, *counts])
 
         def frozen_loss():
             d = np.zeros((len(batch), len(classes)))
@@ -332,7 +337,7 @@ class TestBatchLossAndGrads:
                 for tag, gamma in fw.paths:
                     G = enc[tag][k]
                     for s in range(len(batch)):
-                        W = fw.couplings[tag][s][k]
+                        W = fw.couplings[tag][k, :, offsets[s]:offsets[s + 1]]
                         F = batch[s].features
                         d[s, k] += gamma * float(np.sum(W * cost_matrix(F, G)))
             return ce_loss(likelihood(d, ccfg.tau), Y)

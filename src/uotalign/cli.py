@@ -59,7 +59,6 @@ from .transport import (
     TransportProblem,
     dual_value,
     primal_value,
-    solve_entropic_ot,
     solve_uot,
 )
 
@@ -194,6 +193,10 @@ def cmd_solve(args) -> int:
     problem = TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
                                lam=args.lam, rho1=_parse_rho(args.rho1),
                                rho2=_parse_rho(args.rho2))
+    rows, cols = problem.row_marginal.sum(), problem.col_marginal.sum()
+    if problem.rho1 == problem.rho2 == INF and abs(rows - cols) > 1e-9:
+        # no coupling meets two pinned marginals of unequal mass
+        raise ValueError(f"marginal mass mismatch: {rows:.12g} vs {cols:.12g}")
     solver = SolverConfig(max_iterations=args.max_iterations,
                           dual_tolerance=args.dual_tolerance)
     plan = solve_uot(problem, solver)
@@ -269,10 +272,9 @@ def cmd_compare(args) -> int:
                                               dim=args.dim)
     solver = SolverConfig(max_iterations=args.max_iterations,
                           dual_tolerance=args.dual_tolerance)
-    ot = solve_entropic_ot(cost, n, m, args.lam, solver)
-    uot = solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
-                                     lam=args.lam, rho1=INF,
-                                     rho2=_parse_rho(args.rho2)), solver)
+    ot, uot = (solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
+                                          lam=args.lam, rho1=INF, rho2=rho), solver)
+               for rho in (INF, _parse_rho(args.rho2)))
     mass_ot = outlier_mass(ot.coupling, mask)
     mass_uot = outlier_mass(uot.coupling, mask)
 
@@ -303,16 +305,11 @@ def _resolve_configs(args):
     return cfg, ccfg, bank_kw
 
 
-def _load_descriptions(args):
-    if getattr(args, "descriptions", None) is None:
-        return None
-    return load_description_manifest(args.descriptions)
-
-
 def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     cfg, ccfg, bank_kw = _resolve_configs(args)
-    descriptions = _load_descriptions(args)
+    descriptions = (None if args.descriptions is None
+                    else load_description_manifest(args.descriptions))
     state = train(manifest, cfg, ccfg, descriptions=descriptions, **bank_kw)
 
     out = Path(args.out)
@@ -342,20 +339,15 @@ def cmd_eval(args) -> int:
     metrics = evaluate(samples, state, ccfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "metrics.json", {
-        "split": args.split,
-        "accuracy": metrics["accuracy"],
-        "per_class": metrics["per_class"],
-        "mean_loss": metrics["mean_loss"],
-        "count": metrics["count"],
-    })
+    write_json(out / "metrics.json", {"split": args.split, **metrics})
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     manifest = load_manifest(args.manifest)
     cfg, ccfg, bank_kw = _resolve_configs(args)
-    descriptions = _load_descriptions(args)
+    descriptions = (None if args.descriptions is None
+                    else load_description_manifest(args.descriptions))
     rows = run_ablation(manifest, cfg, ccfg, descriptions=descriptions, **bank_kw)
 
     out = Path(args.out)
@@ -433,16 +425,15 @@ def cmd_gen_descriptions(args) -> int:
         raw_path = out / f"{cls}.json"
         raw_path.write_bytes(proc.stdout)
         try:
-            parsed = parse_descriptions(raw_path)
+            class_name, texts = parse_descriptions(raw_path)
         except ValueError as e:
             failures[cls] = str(e)
             raw_path.rename(out / f"{cls}.rejected.txt")
             continue
         index[cls] = f"{cls}.json"
-        if parsed.class_name != cls:
+        if class_name != cls:
             # keep the file but name the class authoritatively
-            doc = {"class_name": cls, "description": parsed.descriptions}
-            write_json(raw_path, doc)
+            write_json(raw_path, {"class_name": cls, "description": texts})
     if args.template is not None and index:
         write_json(out / "descriptions.json", index)
     if failures:
@@ -477,16 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="entropic (unbalanced) transport solvers and the "
                     "prompt-alignment trainer built on them")
     sub = parser.add_subparsers(dest="command", required=True)
+    ccfg = ClassifierConfig()  # solve and compare default to the library's settings
 
     p = sub.add_parser("solve", help="solve one transport instance from files")
     p.add_argument("--cost", required=True, help="cost matrix (CSV or EMB1)")
     p.add_argument("--rows", default=None, help="row marginal CSV (default uniform)")
     p.add_argument("--cols", default=None, help="column marginal CSV (default uniform)")
-    p.add_argument("--lam", type=float, default=0.01)
-    p.add_argument("--rho1", default="inf")
-    p.add_argument("--rho2", default="0.04")
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--dual-tolerance", type=float, default=1e-9)
+    p.add_argument("--lam", type=float, default=ccfg.lam)
+    p.add_argument("--rho1", default=ccfg.rho1)
+    p.add_argument("--rho2", default=ccfg.rho2)
+    p.add_argument("--max-iterations", type=int, default=ccfg.solver.max_iterations)
+    p.add_argument("--dual-tolerance", type=float, default=ccfg.solver.dual_tolerance)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
@@ -496,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matches", type=int, default=4)
     p.add_argument("--outliers", type=int, default=16)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--lam", type=float, default=0.01)
-    p.add_argument("--rho2", default="0.04")
+    p.add_argument("--lam", type=float, default=ccfg.lam)
+    p.add_argument("--rho2", default=ccfg.rho2)
     p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--dual-tolerance", type=float, default=1e-9)
+    p.add_argument("--dual-tolerance", type=float, default=ccfg.solver.dual_tolerance)
     p.add_argument("--out", required=True)
     _add_common(p, seed=True, seed_default=0)
     p.set_defaults(func=cmd_compare)

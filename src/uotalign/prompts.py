@@ -27,7 +27,6 @@ from .features import read_json_object, require_unique_classes
 from .numerics import as_matrix, as_stack
 
 __all__ = [
-    "DescriptionFile",
     "AttentionParams",
     "FrozenEncoder",
     "PromptBank",
@@ -61,14 +60,8 @@ def render_description_prompt(class_name: str) -> str:
     return DESCRIPTION_SYSTEM_PROMPT + class_name + "\n"
 
 
-@dataclass
-class DescriptionFile:
-    class_name: str
-    descriptions: list[str]
-
-
-def parse_descriptions(path) -> DescriptionFile:
-    """Parse one per-class description JSON file.
+def parse_descriptions(path) -> tuple[str, list[str]]:
+    """Parse one per-class description JSON file into (class_name, texts).
 
     Expected shape: {"class_name": <text>, "description": [<text>, ...]}.
     A missing class_name falls back to the file stem. Counts other than
@@ -90,20 +83,17 @@ def parse_descriptions(path) -> DescriptionFile:
     class_name = doc.get("class_name", path.stem)
     if not isinstance(class_name, str) or not class_name:
         raise ValueError(f"schema violation: bad class_name in {path}")
-    return DescriptionFile(class_name=class_name, descriptions=list(descs))
+    return class_name, list(descs)
 
 
-def load_description_manifest(path) -> dict[str, DescriptionFile]:
-    """Load a {class: relative file path} manifest of description files."""
+def load_description_manifest(path) -> dict[str, list[str]]:
+    """Load a {class: relative file path} manifest of description files
+    as {class: [text, ...]}; the manifest's key names the class."""
     path = Path(path)
     doc = read_json_object(path)
     if not all(isinstance(v, str) for v in doc.values()):
         raise ValueError(f"schema violation: {path} must map class names to paths")
-    out = {}
-    for cls, rel in doc.items():
-        df = parse_descriptions(path.parent / rel)
-        out[cls] = DescriptionFile(class_name=cls, descriptions=df.descriptions)
-    return out
+    return {cls: parse_descriptions(path.parent / rel)[1] for cls, rel in doc.items()}
 
 
 def _word_vector(word: str, d_tok: int, seed: int) -> np.ndarray:
@@ -318,9 +308,10 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
                       ) -> PromptBank:
     """Construct a PromptBank for `classes`.
 
-    With gpt_init, class tokens tokenize the given descriptions (every
-    class the same count, which sets P_cs; a num_class_prompts other than
-    that count is a schema violation) or, when descriptions is None,
+    With gpt_init, class tokens tokenize the given descriptions, a
+    {class: [text, ...]} dict (every class the same count, which sets
+    P_cs; a num_class_prompts other than that count is a schema
+    violation) or, when descriptions is None,
     num_class_prompts synth_description_texts per class; without
     gpt_init they are seeded random unit rows. num_class_prompts None
     means 4 wherever it sets P_cs. Shared tokens always start random.
@@ -350,7 +341,7 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
         for c in classes:
             if c not in descriptions:
                 raise ValueError(f"no descriptions for class {c!r}")
-            counts.add(len(descriptions[c].descriptions))
+            counts.add(len(descriptions[c]))
         if len(counts) != 1:
             raise ValueError("schema violation: classes have differing description counts")
         count = counts.pop()
@@ -359,7 +350,7 @@ def build_prompt_bank(classes, descriptions=None, *, num_shared_prompts: int = 2
                              f"but each class has {count} descriptions")
         class_tokens = np.array([
             [tokenize(t, token_dim, context_length, seed, vectors=vectors)
-             for t in descriptions[c].descriptions]
+             for t in descriptions[c]]
             for c in classes
         ])
     else:
@@ -454,7 +445,7 @@ _SETTINGS = ["in soft light", "against a plain wall", "on open ground",
              "at close range", "from a low angle"]
 
 
-def synth_description_texts(classes, seed: int = 0, count: int = 4) -> dict:
+def synth_description_texts(classes, seed: int = 0, count: int = 4) -> dict[str, list[str]]:
     """Deterministic stand-in descriptions for classes without files."""
     result = {}
     for ci, cls in enumerate(sorted(classes)):
@@ -465,5 +456,5 @@ def synth_description_texts(classes, seed: int = 0, count: int = 4) -> dict:
             feat = _FEATURES[int(r.integers(len(_FEATURES)))]
             setting = _SETTINGS[int(r.integers(len(_SETTINGS)))]
             texts.append(f"a {adj} {feat} of the {cls} {setting}")
-        result[cls] = DescriptionFile(class_name=cls, descriptions=texts)
+        result[cls] = texts
     return result

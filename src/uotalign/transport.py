@@ -74,7 +74,6 @@ __all__ = [
     "TransportPlan",
     "solve_uot",
     "solve_uot_batch",
-    "solve_entropic_ot",
     "primal_value",
     "dual_value",
 ]
@@ -656,20 +655,3 @@ def solve_uot(problem: TransportProblem, config: SolverConfig | None = None) -> 
         raise NumericalBlowupError(plan.error)
     return plan
 
-
-def solve_entropic_ot(cost, row_marginal, col_marginal, lam: float,
-                      config: SolverConfig | None = None) -> TransportPlan:
-    """Balanced entropic transport: both marginals pinned exactly.
-
-    Requires equal total mass on the two marginals; delegates to the
-    unbalanced solver with rho1 = rho2 = INF.
-    """
-    n = as_vector(row_marginal, "row_marginal")
-    m = as_vector(col_marginal, "col_marginal")
-    if abs(float(n.sum()) - float(m.sum())) > 1e-9:
-        raise ValueError(
-            f"marginal mass mismatch: {n.sum():.12g} vs {m.sum():.12g}"
-        )
-    problem = TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
-                               lam=lam, rho1=INF, rho2=INF)
-    return solve_uot(problem, config)

@@ -19,7 +19,7 @@ import pytest
 
 from uotalign.classifier import ClassifierConfig
 from uotalign.features import FeatureSet
-from uotalign.prompts import DescriptionFile, FrozenEncoder, build_prompt_bank, encode_classes
+from uotalign.prompts import FrozenEncoder, build_prompt_bank, encode_classes
 from uotalign.transport import SolverConfig
 
 GRADCHECK_SEED = 14
@@ -38,8 +38,7 @@ def build_gradcheck_instance():
     """
     seed = GRADCHECK_SEED
     classes = ["a", "b"]
-    descs = {c: DescriptionFile(c, [f"{c} alpha tone", f"{c} broad shape"])
-             for c in classes}
+    descs = {c: [f"{c} alpha tone", f"{c} broad shape"] for c in classes}
     bank = build_prompt_bank(classes, descs, num_shared_prompts=2,
                              context_length=3, token_dim=8, seed=seed)
     encoder = FrozenEncoder.seeded(8, 8, seed + 100)

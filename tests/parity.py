@@ -19,6 +19,15 @@ repr, so equal text means equal bits. The records are:
   every class against the first 196-token test sample of the first seed.
 - heatmap: the sha256 of every file `uotalign heatmap` writes for that
   sample and its true class from the checkpoint of the 196-token run.
+- eval: the same for `uotalign eval` of that checkpoint on its test split.
+- train_descriptions: the same for a `uotalign train --descriptions` run
+  on the first seed's grid dataset, its description files written from
+  synth_description_texts at another seed than the bank's fallback.
+- solve: the same for `uotalign solve` on a seeded SOLVE_SHAPE cost with
+  the default (relaxed column) settings and with both marginals pinned.
+- compare: the same for `uotalign compare` with its defaults.
+
+Every CLI record also holds the command's exit code.
 """
 
 from __future__ import annotations
@@ -33,12 +42,14 @@ import numpy as np
 
 from uotalign.classifier import ClassifierConfig, score
 from uotalign.cli import main as cli_main
+from uotalign.cli import write_csv
 from uotalign.features import (
     load_split,
     read_embedding_file,
     synth_dataset,
     write_embedding_file,
 )
+from uotalign.prompts import synth_description_texts
 from uotalign.trainer import (
     TrainConfig,
     apply_variant,
@@ -50,6 +61,7 @@ from uotalign.trainer import (
 SEEDS = (11, 12, 13)
 AUGMENTATIONS = ((0.05, 0.1), (0.0, 0.0))
 VARIANTS = ("full", "no_csc", "no_sc", "no_self_attention")
+SOLVE_SHAPE = (4, 49)
 
 # "train" sizes the grid's runs and "evaluate" the 196-token runs; "full"
 # follows the bench's fewshot_train and heldout_eval shapes
@@ -71,6 +83,46 @@ SIZES = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _cli(args: list[str], out: Path) -> dict:
+    """Run `uotalign <args> --out <out>`: its exit code and the sha256 of
+    every file it wrote."""
+    code = cli_main(args + ["--out", str(out)])
+    files = sorted(out.iterdir()) if out.exists() else []
+    return {"exit": code, **{f.name: _sha256(f.read_bytes()) for f in files}}
+
+
+def _train_with_descriptions(directory: Path, p: dict, seed: int) -> dict:
+    """`uotalign train --descriptions` on the dataset in `directory`."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    index = {}
+    for cls, texts in synth_description_texts(manifest["classes"], seed=seed + 1).items():
+        texts = getattr(texts, "descriptions", texts)  # older trees wrap the list
+        (directory / f"{cls}.desc.json").write_text(
+            json.dumps({"class_name": cls, "description": texts}))
+        index[cls] = f"{cls}.desc.json"
+    (directory / "descriptions.json").write_text(json.dumps(index))
+    (directory / "config.json").write_text(json.dumps({
+        "learning_rate": 2e-2, "batch_size": p["batch_size"], "epochs": p["epochs"],
+        "shots": p["shots"], "seed": seed, "num_shared_prompts": 2,
+        "num_class_prompts": 4, "token_dim": p["token_dim"]}))
+    return _cli(["train", "--manifest", str(directory / "manifest.json"),
+                 "--config", str(directory / "config.json"),
+                 "--descriptions", str(directory / "descriptions.json")],
+                directory / "train_descriptions")
+
+
+def _solve_and_compare(directory: Path, seed: int) -> dict:
+    cost = directory / "cost.csv"
+    write_csv(cost, np.random.default_rng([seed, 47]).uniform(0.0, 1.0, SOLVE_SHAPE))
+    solve = ["solve", "--cost", str(cost)]
+    return {
+        "solve": {"default": _cli(solve, directory / "solve_default"),
+                  "pinned": _cli(solve + ["--rho1", "inf", "--rho2", "inf"],
+                                 directory / "solve_pinned")},
+        "compare": _cli(["compare"], directory / "compare"),
+    }
 
 
 def _dataset(directory: Path, p: dict, seed: int):
@@ -127,13 +179,14 @@ def records(sizes: dict) -> dict:
                     "couplings": {tag: _sha256(np.asarray(W).tobytes())
                                   for tag, W in fw.couplings.items()}}
             save_checkpoint(state, tmp / "state.ckp")
-            heatmap = tmp / "heatmap"
-            code = cli_main(["heatmap", "--checkpoint", str(tmp / "state.ckp"),
-                             "--manifest", str(tmp / f"evaluate_{seed}" / "manifest.json"),
-                             "--sample-id", test[0].sample_id,
-                             "--class-id", test[0].label, "--out", str(heatmap)])
-            out["heatmap"] = {"exit": code, **{
-                f.name: _sha256(f.read_bytes()) for f in sorted(heatmap.iterdir())}}
+            checkpoint = ["--checkpoint", str(tmp / "state.ckp"),
+                          "--manifest", str(tmp / f"evaluate_{seed}" / "manifest.json")]
+            out["heatmap"] = _cli(["heatmap", *checkpoint, "--sample-id", test[0].sample_id,
+                                   "--class-id", test[0].label], tmp / "heatmap")
+            out["eval"] = _cli(["eval", *checkpoint], tmp / "eval")
+            out["train_descriptions"] = _train_with_descriptions(
+                tmp / f"train_{seed}", sizes["train"], seed)
+            out.update(_solve_and_compare(tmp, seed))
     return out
 
 

@@ -36,7 +36,6 @@ from uotalign.transport import (
     SolverConfig,
     TransportProblem,
     primal_value,
-    solve_entropic_ot,
     solve_uot,
 )
 
@@ -99,7 +98,8 @@ def test_balanced_feasibility():
         m = rng.uniform(0.2, 1.0, C)
         n /= n.sum()
         m /= m.sum()
-        plan = solve_entropic_ot(cost, n, m, 0.1, solver)
+        plan = solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
+                                          lam=0.1, rho1=INF, rho2=INF), solver)
         assert plan.converged
         worst = max(worst,
                     float(np.abs(plan.coupling.sum(axis=1) - n).sum()),
@@ -119,9 +119,11 @@ def test_unbalanced_to_balanced_limit():
         m = rng.uniform(0.2, 1.0, 7)
         n /= n.sum()
         m /= m.sum()
-        bal = solve_entropic_ot(cost, n, m, 0.1,
-                                SolverConfig(max_iterations=20000,
-                                             dual_tolerance=1e-12))
+        bal = solve_uot(TransportProblem(cost=cost, row_marginal=n,
+                                         col_marginal=m, lam=0.1,
+                                         rho1=INF, rho2=INF),
+                        SolverConfig(max_iterations=20000,
+                                     dual_tolerance=1e-12))
         uot = solve_uot(TransportProblem(cost=cost, row_marginal=n,
                                          col_marginal=m, lam=0.1,
                                          rho1=1e6, rho2=1e6),
@@ -139,9 +141,9 @@ def test_outlier_suppression():
     t0 = time.perf_counter()
     cost, n, m, mask = build_outlier_instance(4, 4, 16, seed=0)
     solver = SolverConfig(max_iterations=20000, dual_tolerance=1e-9)
-    ot = solve_entropic_ot(cost, n, m, 0.01, solver)
-    uot = solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
-                                     lam=0.01, rho1=INF, rho2=0.04), solver)
+    ot, uot = (solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
+                                          lam=0.01, rho1=INF, rho2=rho), solver)
+               for rho in (INF, 0.04))
     mass_ot = outlier_mass(ot.coupling, mask)
     mass_uot = outlier_mass(uot.coupling, mask)
     elapsed = time.perf_counter() - t0

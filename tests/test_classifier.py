@@ -21,7 +21,6 @@ from uotalign.classifier import (
 from uotalign.features import FeatureSet, augment, load_split, synth_dataset
 from uotalign.prompts import (
     AttentionParams,
-    DescriptionFile,
     FrozenEncoder,
     PromptBank,
     build_prompt_bank,
@@ -32,7 +31,8 @@ from uotalign.transport import (
     NumericalBlowupError,
     SolverConfig,
     TransportPlan,
-    solve_entropic_ot,
+    TransportProblem,
+    solve_uot,
 )
 
 
@@ -43,10 +43,7 @@ def unit_rows(rng, shape):
 
 def make_bank(classes, seed=0, d_tok=12, L=4, shared=2):
     # two descriptions per class, so P_cs = 2; P_ds = shared
-    descs = {
-        c: DescriptionFile(c, [f"the {c} up close", f"a distant {c} outline"])
-        for c in classes
-    }
+    descs = {c: [f"the {c} up close", f"a distant {c} outline"] for c in classes}
     return build_prompt_bank(classes, descs, num_shared_prompts=shared,
                              context_length=L, token_dim=d_tok, seed=seed)
 
@@ -305,7 +302,8 @@ class TestScore:
 
         g_cs = encode_classes(bank, enc)["cs"][0]
         C = cost_matrix(fs.features, g_cs)
-        direct = solve_entropic_ot(C, prompt_marginal(len(g_cs)), fs.weights, lam=0.05)
+        direct = solve_uot(TransportProblem(C, prompt_marginal(len(g_cs)), fs.weights,
+                                            lam=0.05, rho1=INF, rho2=INF))
         assert np.array_equal(fw.couplings["cs"][0], direct.coupling)
         assert fw.d_path["cs"][0, 0] == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
 
@@ -411,8 +409,7 @@ class TestForward:
     def test_coupling_stacks_match_single_scores(self, counts):
         rng = np.random.default_rng(14)
         classes = ["cat", "dog", "owl"]
-        descs = {c: DescriptionFile(c, [f"the {c} up close", f"a distant {c} outline"])
-                 for c in classes}
+        descs = {c: [f"the {c} up close", f"a distant {c} outline"] for c in classes}
         bank = build_prompt_bank(classes, descs, num_shared_prompts=3,
                                  context_length=4, token_dim=12, seed=0)
         enc = FrozenEncoder.seeded(12, 6, 9)

@@ -30,7 +30,7 @@ from uotalign.cli import (
 from uotalign.features import load_manifest, load_split, read_embedding_file, synth_dataset
 from uotalign.prompts import parse_descriptions, synth_description_texts
 from uotalign.trainer import VARIANTS, apply_variant, evaluate, load_checkpoint
-from uotalign.transport import INF, SolverConfig, solve_entropic_ot
+from uotalign.transport import INF, SolverConfig, TransportProblem, solve_uot
 
 TRAIN_CFG = {"epochs": 25, "seed": 1, "token_dim": 16, "context_length": 4,
              "num_class_prompts": 2}
@@ -71,6 +71,17 @@ class TestConfig:
         cfg, ccfg, bank_kw = load_config(None)
         assert cfg.epochs == 50 and ccfg.lam == 0.01
         assert ccfg.solver == SolverConfig() and bank_kw == {}
+
+    def test_solve_and_compare_flags_default_to_the_configs(self):
+        ccfg, solver = ClassifierConfig(), SolverConfig()
+        solve = build_parser().parse_args(["solve", "--cost", "c", "--out", "o"])
+        compare = build_parser().parse_args(["compare", "--out", "o"])
+        assert ((solve.lam, solve.rho1, solve.rho2, solve.max_iterations,
+                 solve.dual_tolerance) == (ccfg.lam, ccfg.rho1, ccfg.rho2,
+                                           solver.max_iterations, solver.dual_tolerance))
+        assert ((compare.lam, compare.rho2, compare.dual_tolerance)
+                == (ccfg.lam, ccfg.rho2, solver.dual_tolerance))
+        assert compare.max_iterations == 20000  # compare keeps its own cap
 
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -168,9 +179,9 @@ class TestSolve:
         code = main(["solve", "--cost", str(path), "--lam", "0.5",
                      "--rho1", "inf", "--rho2", "inf", "--out", str(out)])
         assert code == EXIT_OK
-        plan = solve_entropic_ot(cost, np.full(2, 0.5), np.full(2, 0.5), 0.5,
-                                 SolverConfig(max_iterations=2000,
-                                              dual_tolerance=1e-9))
+        plan = solve_uot(TransportProblem(cost, np.full(2, 0.5), np.full(2, 0.5), lam=0.5,
+                                          rho1=INF, rho2=INF),
+                         SolverConfig(max_iterations=2000, dual_tolerance=1e-9))
         got = read_csv_matrix(out / "coupling.csv")
         np.testing.assert_allclose(got, plan.coupling, rtol=1e-12)
         # EMB1 twin is float32 storage of the same coupling
@@ -192,6 +203,25 @@ class TestSolve:
         W = read_csv_matrix(out / "coupling.csv")
         np.testing.assert_allclose(W.sum(axis=1), [0.3, 0.7], atol=1e-6)
         np.testing.assert_allclose(W.sum(axis=0), [0.6, 0.4], atol=1e-6)
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([[0.5, 0.5]], [[0.2, 0.2, 0.2]], "marginal mass mismatch: 1 vs 0.6"),
+        ([[1.0]], [[0.5]], "marginal mass mismatch: 1 vs 0.5"),
+    ], ids=["2x3", "1x1"])
+    def test_pinned_unequal_mass_exits_1(self, tmp_path, capsys, rows, cols, message):
+        # no coupling meets both pinned marginals: rejected before solving
+        write_csv(tmp_path / "c.csv", np.zeros((len(rows[0]), len(cols[0]))))
+        write_csv(tmp_path / "n.csv", np.array(rows))
+        write_csv(tmp_path / "m.csv", np.array(cols))
+        solve = ["solve", "--cost", str(tmp_path / "c.csv"), "--rows", str(tmp_path / "n.csv"),
+                 "--cols", str(tmp_path / "m.csv")]
+        out = tmp_path / "out"
+        code = main(solve + ["--rho1", "inf", "--rho2", "inf", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+        # the default relaxed column marginal absorbs the difference
+        assert main(solve + ["--out", str(out)]) == EXIT_OK
 
     def test_marginal_length_mismatch_exits_1(self, tmp_path, capsys):
         write_csv(tmp_path / "c.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -317,10 +347,10 @@ class TestTrainEval:
     def test_class_prompt_count_must_match_descriptions(self, workdir, tmp_path, capsys):
         # cfg.json asks for 2 class prompts; the description files hold 4 texts
         index = {}
-        for cls, doc in synth_description_texts(["class_0", "class_1", "class_2"],
+        for cls, texts in synth_description_texts(["class_0", "class_1", "class_2"],
                                                 count=4).items():
             (tmp_path / f"{cls}.json").write_text(json.dumps(
-                {"class_name": cls, "description": doc.descriptions}))
+                {"class_name": cls, "description": texts}))
             index[cls] = f"{cls}.json"
         (tmp_path / "descriptions.json").write_text(json.dumps(index))
         out = tmp_path / "out"
@@ -489,9 +519,7 @@ class TestGenDescriptions:
         code = main(["gen-descriptions", "--classes", "cat,dog",
                      "--template", template, "--out", str(out)])
         assert code == EXIT_OK
-        parsed = parse_descriptions(out / "cat.json")
-        assert parsed.class_name == "cat"
-        assert parsed.descriptions == ["a", "b", "c", "d"]
+        assert parse_descriptions(out / "cat.json") == ("cat", ["a", "b", "c", "d"])
         index = json.loads((out / "descriptions.json").read_text())
         assert index == {"cat": "cat.json", "dog": "dog.json"}
 
@@ -519,8 +547,7 @@ class TestGenDescriptions:
         code = main(["gen-descriptions", "--classes", "cat,dog",
                      "--template", template, "--out", str(out)])
         assert code == EXIT_PARTIAL_FAILURE
-        assert parse_descriptions(out / "cat.json").descriptions == \
-               ["a", "b", "c", "d"]
+        assert parse_descriptions(out / "cat.json") == ("cat", ["a", "b", "c", "d"])
         assert json.loads((out / "descriptions.json").read_text()) == \
                {"cat": "cat.json"}
 

@@ -29,9 +29,7 @@ class TestParseDescriptions:
         p = tmp_path / "cat.json"
         p.write_text(json.dumps({"class_name": "cat",
                                  "description": ["a", "b", "c", "d"]}))
-        df = parse_descriptions(p)
-        assert df.class_name == "cat"
-        assert len(df.descriptions) == 4
+        assert parse_descriptions(p) == ("cat", ["a", "b", "c", "d"])
 
     def test_empty_list(self, tmp_path):
         p = tmp_path / "dog.json"
@@ -49,8 +47,8 @@ class TestParseDescriptions:
         p = tmp_path / "y.json"
         p.write_text(json.dumps({"class_name": "y", "description": ["a", "b"]}))
         with pytest.warns(UserWarning, match="expected 4"):
-            df = parse_descriptions(p)
-        assert len(df.descriptions) == 2
+            _, texts = parse_descriptions(p)
+        assert texts == ["a", "b"]
 
     def test_verbatim_text_preserved(self, tmp_path):
         text = ("A fluffy British Shorthair cat lounges on a cozy armchair, "
@@ -58,13 +56,12 @@ class TestParseDescriptions:
         p = tmp_path / "british shorthair.json"
         p.write_text(json.dumps({"class_name": "british shorthair",
                                  "description": [text, "b", "c", "d"]}))
-        df = parse_descriptions(p)
-        assert df.descriptions[0] == text
+        assert parse_descriptions(p)[1][0] == text
 
     def test_class_name_falls_back_to_stem(self, tmp_path):
         p = tmp_path / "lynx.json"
         p.write_text(json.dumps({"description": ["a", "b", "c", "d"]}))
-        assert parse_descriptions(p).class_name == "lynx"
+        assert parse_descriptions(p)[0] == "lynx"
 
 
 class TestDescriptionManifest:
@@ -290,10 +287,7 @@ class TestStacks:
 
 
 def make_bank(classes=("cat", "dog"), seed=0, **kw):
-    descs = {c: __import__("uotalign.prompts", fromlist=["DescriptionFile"])
-             .DescriptionFile(class_name=c,
-                              descriptions=[f"{c} text one", f"{c} text two",
-                                            f"{c} text three", f"{c} text four"])
+    descs = {c: [f"{c} text one", f"{c} text two", f"{c} text three", f"{c} text four"]
              for c in classes}
     kw.setdefault("context_length", 4)
     kw.setdefault("token_dim", 8)
@@ -412,8 +406,7 @@ class TestPromptBank:
         assert count_trainable(big2) == count_trainable(small2) * 5 // 2
 
     def test_missing_description_rejected(self):
-        descs = {"cat": __import__("uotalign.prompts", fromlist=["DescriptionFile"])
-                 .DescriptionFile("cat", ["a", "b", "c", "d"])}
+        descs = {"cat": ["a", "b", "c", "d"]}
         with pytest.raises(ValueError, match="no descriptions"):
             build_prompt_bank(["cat", "dog"], descs, token_dim=8, context_length=4)
 
@@ -445,9 +438,8 @@ class TestPromptBank:
         # class names recur in their texts and differ in case from them;
         # short texts pad, long ones truncate past context_length
         classes = ["Owl", "cat"]
-        descs = {"Owl": prompts_mod.DescriptionFile("Owl", ["an owl at night", "OWL"]),
-                 "cat": prompts_mod.DescriptionFile(
-                     "cat", ["a Cat on a mat near a small owl", "the cat"])}
+        descs = {"Owl": ["an owl at night", "OWL"],
+                 "cat": ["a Cat on a mat near a small owl", "the cat"]}
         sizes = dict(context_length=4, token_dim=8, seed=3)
         calls = []
         word_vector = prompts_mod._word_vector
@@ -467,7 +459,7 @@ class TestPromptBank:
             words = (text.lower().split() + [prompts_mod._PAD_WORD] * 4)[:4]
             return [prompts_mod._word_vector(w, 8, 3) for w in words]
 
-        want_tokens = np.array([[fresh(t) for t in descs[c].descriptions] for c in classes])
+        want_tokens = np.array([[fresh(t) for t in descs[c]] for c in classes])
         want_words = np.array([prompts_mod._word_vector(c, 8, 3) for c in classes])
         assert bank.class_tokens.tobytes() == want_tokens.tobytes()
         assert bank.class_words.tobytes() == want_words.tobytes()
@@ -540,22 +532,20 @@ class TestSynthDescriptions:
         result = synth_description_texts(classes, seed=4)
         manifest = {}
         for c in classes:
-            doc = {"class_name": c, "description": result[c].descriptions}
+            doc = {"class_name": c, "description": result[c]}
             (tmp_path / f"{c}.json").write_text(json.dumps(doc))
             manifest[c] = f"{c}.json"
         (tmp_path / "descriptions.json").write_text(json.dumps(manifest))
         loaded = load_description_manifest(tmp_path / "descriptions.json")
-        assert set(loaded) == set(classes)
-        for c in classes:
-            assert loaded[c].descriptions == result[c].descriptions
-            assert len(loaded[c].descriptions) == 4
+        assert loaded == result
+        assert all(len(texts) == 4 for texts in loaded.values())
 
     def test_deterministic(self):
         a = synth_description_texts(["x", "y"], seed=9)
         b = synth_description_texts(["y", "x"], seed=9)
-        assert a["x"].descriptions == b["x"].descriptions
+        assert a["x"] == b["x"]
         c = synth_description_texts(["x", "y"], seed=8)
-        assert a["x"].descriptions != c["x"].descriptions
+        assert a["x"] != c["x"]
 
     def test_rendered_prompt_contains_task_line(self):
         text = render_description_prompt("tabby cat")

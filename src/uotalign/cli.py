@@ -9,12 +9,12 @@ inputs and seeds produce identical bytes at a fixed BLAS thread count;
 matrix products may round differently with another count, so set
 OPENBLAS_NUM_THREADS=1 where outputs must match across machines.
 
-Exit codes are a stable contract: 0 success, 1 error, 2 solver hit its
-iteration cap, 3 some classes of gen-descriptions failed. Config files
-are strict JSON in one flat namespace mirroring the TrainConfig,
-ClassifierConfig and nested SolverConfig field names plus the prompt-bank
-sizes; unknown keys are errors, not warnings, so typos cannot silently
-fall back to defaults.
+Exit codes are a stable contract: 0 success, 1 error (a usage error
+included), 2 only a solve that hit its iteration cap, 3 some classes of
+gen-descriptions failed. Config files are strict JSON in one flat
+namespace mirroring the TrainConfig, ClassifierConfig and nested
+SolverConfig field names plus the prompt-bank sizes; unknown keys are
+errors, not warnings, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ _INT_KEYS = _BANK_KEYS | {"batch_size", "epochs", "shots", "seed", "max_iteratio
 _FLOAT_KEYS = {"learning_rate", "tau", "gamma_cs", "gamma_ds", "lam", "dual_tolerance"}
 
 
-def _parse_rho(value):
-    """Accept a number or the string "inf" (any case) for a KL weight."""
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        return INF
-    return float(value)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -111,7 +104,7 @@ def _config_value(key, value):
     if not ok:
         raise ValueError(f"schema violation: {key} must be {want}, got {value!r}")
     if key in ("rho1", "rho2"):
-        return _parse_rho(value)
+        return float(value)
     return tuple(value) if key == "augmentation" else value
 
 
@@ -191,8 +184,7 @@ def cmd_solve(args) -> int:
     n = _load_vector(args.rows, cost.shape[0], "row marginal")
     m = _load_vector(args.cols, cost.shape[1], "column marginal")
     problem = TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
-                               lam=args.lam, rho1=_parse_rho(args.rho1),
-                               rho2=_parse_rho(args.rho2))
+                               lam=args.lam, rho1=args.rho1, rho2=args.rho2)
     rows, cols = problem.row_marginal.sum(), problem.col_marginal.sum()
     if problem.rho1 == problem.rho2 == INF and abs(rows - cols) > 1e-9:
         # no coupling meets two pinned marginals of unequal mass
@@ -274,7 +266,7 @@ def cmd_compare(args) -> int:
                           dual_tolerance=args.dual_tolerance)
     ot, uot = (solve_uot(TransportProblem(cost=cost, row_marginal=n, col_marginal=m,
                                           lam=args.lam, rho1=INF, rho2=rho), solver)
-               for rho in (INF, _parse_rho(args.rho2)))
+               for rho in (INF, args.rho2))
     mass_ot = outlier_mass(ot.coupling, mask)
     mass_uot = outlier_mass(uot.coupling, mask)
 
@@ -353,24 +345,15 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "ablation.json", {"rows": rows, "seed": cfg.seed})
-    lines = []
-    for row in rows:
-        if "error" in row:
-            lines.append(f"{row['variant']},nan,nan,nan,nan")
-        else:
-            lines.append(",".join([row["variant"],
-                                   _fmt(row["train_accuracy"]),
-                                   _fmt(row["test_accuracy"]),
-                                   _fmt(row["test_loss"]),
-                                   _fmt(row["final_train_loss"])]))
+    # a failed variant's row has no metrics: nan in every column
+    metrics = ("train_accuracy", "test_accuracy", "test_loss", "final_train_loss")
+    lines = [",".join([row["variant"], *(_fmt(row.get(key, math.nan)) for key in metrics)])
+             for row in rows]
     (out / "ablation.csv").write_text("\n".join(lines) + "\n")
-    if any("error" in row for row in rows):
-        for row in rows:
-            if "error" in row:
-                print(f"variant {row['variant']} failed: {row['error']}",
-                      file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
+    failed = [row for row in rows if "error" in row]
+    for row in failed:
+        print(f"variant {row['variant']} failed: {row['error']}", file=sys.stderr)
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
@@ -475,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default=None, help="row marginal CSV (default uniform)")
     p.add_argument("--cols", default=None, help="column marginal CSV (default uniform)")
     p.add_argument("--lam", type=float, default=ccfg.lam)
-    p.add_argument("--rho1", default=ccfg.rho1)
-    p.add_argument("--rho2", default=ccfg.rho2)
+    p.add_argument("--rho1", type=float, default=ccfg.rho1)
+    p.add_argument("--rho2", type=float, default=ccfg.rho2)
     p.add_argument("--max-iterations", type=int, default=ccfg.solver.max_iterations)
     p.add_argument("--dual-tolerance", type=float, default=ccfg.solver.dual_tolerance)
     p.add_argument("--out", required=True)
@@ -489,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outliers", type=int, default=16)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--lam", type=float, default=ccfg.lam)
-    p.add_argument("--rho2", default=ccfg.rho2)
+    p.add_argument("--rho2", type=float, default=ccfg.rho2)
     p.add_argument("--max-iterations", type=int, default=20000)
     p.add_argument("--dual-tolerance", type=float, default=ccfg.solver.dual_tolerance)
     p.add_argument("--out", required=True)
@@ -556,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error or --help
+        return EXIT_ERROR if e.code else EXIT_OK
     try:
         return args.func(args)
     except Exception as e:  # noqa: BLE001 - diagnostics, not tracebacks

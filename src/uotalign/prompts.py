@@ -265,8 +265,8 @@ class PromptBank:
     class_tokens: np.ndarray
     class_words: np.ndarray
     attention: AttentionParams
-    use_attention: bool = True
-    trainable: tuple[str, ...] = ("shared_tokens", "attention")
+    use_attention: bool
+    trainable: tuple[str, ...]
 
     def __post_init__(self):
         require_unique_classes(self.classes)

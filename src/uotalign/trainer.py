@@ -67,7 +67,20 @@ __all__ = [
     "load_checkpoint",
 ]
 
-VARIANTS = ("full", "no_csc", "no_sc", "no_gpt_init", "no_uot", "no_self_attention")
+# variant -> (the ClassifierConfig fields, the build_prompt_bank arguments)
+# it changes: no_csc drops the class-specific path, no_sc the shared one;
+# no_gpt_init randomizes class tokens; no_uot pins both marginals;
+# no_self_attention removes the adapter and trains the class tokens directly
+_VARIANTS = {
+    "full": ({}, {}),
+    "no_csc": ({"gamma_cs": 0.0}, {"trainable": ("shared_tokens",)}),
+    "no_sc": ({"gamma_ds": 0.0}, {"trainable": ("attention",)}),
+    "no_gpt_init": ({}, {"gpt_init": False}),
+    "no_uot": ({"rho1": INF, "rho2": INF}, {}),
+    "no_self_attention": ({}, {"use_attention": False,
+                               "trainable": ("shared_tokens", "class_tokens")}),
+}
+VARIANTS = tuple(_VARIANTS)
 
 CKP1_MAGIC = b"CKP1"
 
@@ -75,9 +88,10 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# token rows per forward() call in evaluate, 8 samples of 196 tokens:
-# bounds the arrays of one batched solve, while samples with few tokens
-# share a call; each chunk encodes all classes in one call per path
+# token rows per forward() call in evaluate, 8 samples of 196 tokens: a
+# chunk holds _EVAL_ROWS // (the longest sample's token count) samples,
+# which bounds the arrays of one batched solve while samples with few
+# tokens share a call; each chunk encodes all classes in one call per path
 _EVAL_ROWS = 1568
 
 
@@ -141,31 +155,13 @@ def init_state(bank: PromptBank, encoder: FrozenEncoder) -> TrainState:
 
 
 def apply_variant(variant: str, ccfg: ClassifierConfig):
-    """Translate a variant name into (classifier config, bank kwargs).
-
-    no_csc drops the class-specific path entirely, no_sc the shared
-    one; no_gpt_init keeps the architecture but randomizes class
-    tokens; no_uot pins both marginals; no_self_attention removes the
-    adapter and trains the class tokens directly instead.
-    """
+    """Translate a variant name into (classifier config, bank kwargs):
+    `ccfg` with the variant's fields replaced, and the build_prompt_bank
+    arguments it changes from their defaults."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    bank_kw = {"gpt_init": True, "use_attention": True,
-               "trainable": ("shared_tokens", "attention")}
-    if variant == "no_csc":
-        ccfg = replace(ccfg, gamma_cs=0.0)
-        bank_kw["trainable"] = ("shared_tokens",)
-    elif variant == "no_sc":
-        ccfg = replace(ccfg, gamma_ds=0.0)
-        bank_kw["trainable"] = ("attention",)
-    elif variant == "no_gpt_init":
-        bank_kw["gpt_init"] = False
-    elif variant == "no_uot":
-        ccfg = replace(ccfg, rho1=INF, rho2=INF)
-    elif variant == "no_self_attention":
-        bank_kw["use_attention"] = False
-        bank_kw["trainable"] = ("shared_tokens", "class_tokens")
-    return ccfg, bank_kw
+    fields, bank_kw = _VARIANTS[variant]
+    return replace(ccfg, **fields), dict(bank_kw)
 
 
 def adam_update(params: dict, grads: dict, m: dict, v: dict,
@@ -301,36 +297,23 @@ def evaluate(samples: list[FeatureSet], state: TrainState, ccfg: ClassifierConfi
     """Deterministic accuracy/loss on a sample list, no augmentation.
 
     Every bank class competes. Samples are scored in consecutive chunks
-    of at most _EVAL_ROWS token rows (see _row_chunks); a sample's scores
-    do not depend on its chunk.
+    of max(1, _EVAL_ROWS // T) samples, T the most token rows of any
+    sample; a sample's scores do not depend on its chunk.
     """
     if not samples:
         raise ValueError("empty split")
     classes = list(state.bank.classes)
     Y = _one_hot(samples, classes)
     probs = np.zeros_like(Y)
-    for lo, hi in _row_chunks(samples, _EVAL_ROWS):
-        d = forward(samples[lo:hi], state.bank, state.encoder, ccfg).d
-        probs[lo:hi] = likelihood(d, ccfg.tau)
+    size = max(1, _EVAL_ROWS // max(fs.num_tokens for fs in samples))
+    for lo in range(0, len(samples), size):
+        d = forward(samples[lo:lo + size], state.bank, state.encoder, ccfg).d
+        probs[lo:lo + size] = likelihood(d, ccfg.tau)
     hits = np.argmax(probs, axis=1) == np.argmax(Y, axis=1)
     per_class = {c: (int(h) / int(t) if t else math.nan)
                  for c, h, t in zip(classes, hits @ Y, Y.sum(axis=0))}
     return {"accuracy": int(hits.sum()) / len(samples), "per_class": per_class,
             "mean_loss": ce_loss(probs, Y), "count": len(samples)}
-
-
-def _row_chunks(samples: list[FeatureSet], rows: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of consecutive runs of samples, filled greedily in
-    order: a run takes the next sample while its token rows stay within
-    `rows`, and holds at least one sample, however long."""
-    bounds, lo, used = [], 0, 0
-    for i, fs in enumerate(samples):
-        if i > lo and used + fs.num_tokens > rows:
-            bounds.append((lo, i))
-            lo, used = i, 0
-        used += fs.num_tokens
-    bounds.append((lo, len(samples)))
-    return bounds
 
 
 def run_ablation(manifest: DatasetManifest, cfg: TrainConfig,
@@ -498,9 +481,9 @@ def load_checkpoint(path) -> TrainState:
                          f"the trainable groups")
     if any(mom[k].shape != p.shape for mom in (m, v) for k, p in expected.items()):
         raise ValueError(f"corrupt file: {path} moment shapes do not match the parameters")
-    unknown = set(arrays) - {*bank.arrays(), "encoder.projection", "encoder.bias",
-                             *(f"{mv}.{k}" for mv in "mv" for k in expected)}
+    state = TrainState(bank=bank, encoder=encoder, m=m, v=v, step=header["step"],
+                       epoch=header["epoch"], history=header["history"])
+    unknown = set(arrays) - {name for name, _ in _checkpoint_arrays(state)}
     if unknown:
         raise ValueError(f"corrupt file: {path} has unknown arrays {sorted(unknown)}")
-    return TrainState(bank=bank, encoder=encoder, m=m, v=v, step=header["step"],
-                      epoch=header["epoch"], history=header["history"])
+    return state

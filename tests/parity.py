@@ -9,8 +9,8 @@ The output is sorted-key JSON; floats print as their shortest round-trip
 repr, so equal text means equal bits. The records are:
 
 - train: a `train` run (3 epochs at full size) for each seed,
-  augmentation and variant in the grid below, as its checkpoint's sha256 and the `evaluate` dicts
-  of the val and test splits. Sample s has the token count
+  augmentation and each of the six variants, as its checkpoint's sha256
+  and the `evaluate` dicts of the val and test splits. Sample s has the token count
   tokens[s % len(tokens)], so batches mix counts and `forward` spreads
   them over several solve calls.
 - evaluate: per seed, the test-split `evaluate` dict of a 1-epoch run at
@@ -23,6 +23,8 @@ repr, so equal text means equal bits. The records are:
 - train_descriptions: the same for a `uotalign train --descriptions` run
   on the first seed's grid dataset, its description files written from
   synth_description_texts at another seed than the bank's fallback.
+- ablate: the same for `uotalign ablate` on that dataset with that
+  config, which trains and scores every variant.
 - solve: the same for `uotalign solve` on a seeded SOLVE_SHAPE cost with
   the default (relaxed column) settings and with both marginals pinned.
 - compare: the same for `uotalign compare` with its defaults.
@@ -51,6 +53,7 @@ from uotalign.features import (
 )
 from uotalign.prompts import synth_description_texts
 from uotalign.trainer import (
+    VARIANTS,
     TrainConfig,
     apply_variant,
     evaluate,
@@ -60,7 +63,6 @@ from uotalign.trainer import (
 
 SEEDS = (11, 12, 13)
 AUGMENTATIONS = ((0.05, 0.1), (0.0, 0.0))
-VARIANTS = ("full", "no_csc", "no_sc", "no_self_attention")
 SOLVE_SHAPE = (4, 49)
 
 # "train" sizes the grid's runs and "evaluate" the 196-token runs; "full"
@@ -93,8 +95,9 @@ def _cli(args: list[str], out: Path) -> dict:
     return {"exit": code, **{f.name: _sha256(f.read_bytes()) for f in files}}
 
 
-def _train_with_descriptions(directory: Path, p: dict, seed: int) -> dict:
-    """`uotalign train --descriptions` on the dataset in `directory`."""
+def _train_with_descriptions_and_ablate(directory: Path, p: dict, seed: int) -> dict:
+    """`uotalign train --descriptions` and `uotalign ablate` on the dataset
+    in `directory`, with one config."""
     manifest = json.loads((directory / "manifest.json").read_text())
     index = {}
     for cls, texts in synth_description_texts(manifest["classes"], seed=seed + 1).items():
@@ -107,10 +110,14 @@ def _train_with_descriptions(directory: Path, p: dict, seed: int) -> dict:
         "learning_rate": 2e-2, "batch_size": p["batch_size"], "epochs": p["epochs"],
         "shots": p["shots"], "seed": seed, "num_shared_prompts": 2,
         "num_class_prompts": 4, "token_dim": p["token_dim"]}))
-    return _cli(["train", "--manifest", str(directory / "manifest.json"),
-                 "--config", str(directory / "config.json"),
-                 "--descriptions", str(directory / "descriptions.json")],
-                directory / "train_descriptions")
+    common = ["--manifest", str(directory / "manifest.json"),
+              "--config", str(directory / "config.json")]
+    return {
+        "train_descriptions": _cli(["train", *common, "--descriptions",
+                                    str(directory / "descriptions.json")],
+                                   directory / "train_descriptions"),
+        "ablate": _cli(["ablate", *common], directory / "ablate"),
+    }
 
 
 def _solve_and_compare(directory: Path, seed: int) -> dict:
@@ -184,8 +191,8 @@ def records(sizes: dict) -> dict:
             out["heatmap"] = _cli(["heatmap", *checkpoint, "--sample-id", test[0].sample_id,
                                    "--class-id", test[0].label], tmp / "heatmap")
             out["eval"] = _cli(["eval", *checkpoint], tmp / "eval")
-            out["train_descriptions"] = _train_with_descriptions(
-                tmp / f"train_{seed}", sizes["train"], seed)
+            out.update(_train_with_descriptions_and_ablate(
+                tmp / f"train_{seed}", sizes["train"], seed))
             out.update(_solve_and_compare(tmp, seed))
     return out
 

@@ -287,6 +287,7 @@ class TestScore:
             class_words=c_vec[None, :],
             attention=AttentionParams.seeded(d_tok, d_tok, 0),
             use_attention=False,
+            trainable=("shared_tokens", "attention"),
         )
         fs = FeatureSet(features=np.tile(t, (4, 1)), weights=np.full(4, 0.25))
         fw = score(fs, "a", bank, enc, ClassifierConfig())
@@ -530,6 +531,7 @@ class TestSeparableScoring:
             class_words=class_words,
             attention=AttentionParams.seeded(d_tok, d_tok, 0),
             use_attention=False,
+            trainable=("shared_tokens", "attention"),
         )
         cfg = ClassifierConfig(gamma_cs=1.0, gamma_ds=0.0)
 

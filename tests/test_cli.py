@@ -467,6 +467,31 @@ class TestAblate:
         assert all(line.split(",")[2:4] == ["nan", "nan"] for line in lines)
 
 
+    def test_failed_variant_writes_a_nan_row_and_exits_1(self, workdir, tmp_path,
+                                                         capsys, monkeypatch):
+        import uotalign.trainer as trainer_mod
+        real = trainer_mod.apply_variant
+
+        def failing(variant, ccfg):
+            if variant == "no_sc":
+                raise RuntimeError("no_sc broke")
+            return real(variant, ccfg)
+
+        monkeypatch.setattr(trainer_mod, "apply_variant", failing)
+        out = tmp_path / "abl"
+        code = main(["ablate", "--manifest", str(workdir / "data/manifest.json"),
+                     "--config", str(workdir / "quick.json"), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "variant no_sc failed: no_sc broke\n"
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        assert [line.split(",")[0] for line in lines] == list(VARIANTS)
+        assert lines[VARIANTS.index("no_sc")] == "no_sc,nan,nan,nan,nan"
+        assert sum("nan" in line for line in lines) == 1
+        rows = json.loads((out / "ablation.json").read_text())["rows"]
+        assert rows[VARIANTS.index("no_sc")] == {"variant": "no_sc", "error": "no_sc broke"}
+        assert sum("error" in row for row in rows) == 1
+
+
 class TestHeatmap:
     def test_writes_one_csv_per_path(self, workdir, tmp_path):
         out = tmp_path / "hm"
@@ -588,8 +613,28 @@ class TestEntryPoint:
 
     def test_solve_rejects_seed(self, tmp_path, capsys):
         write_csv(tmp_path / "c.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(SystemExit):
-            main(["solve", "--cost", str(tmp_path / "c.csv"),
-                  "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert main(["solve", "--cost", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path / "out"), "--seed", "1"]) == EXIT_ERROR
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (_SOLVE + ["--lam", "abc"], "argument --lam: invalid float value: 'abc'"),
+        (_SOLVE + ["--rho1", "abc"], "argument --rho1: invalid float value: 'abc'"),
+        (["compare", "--out", "o", "--rho2", "abc"],
+         "argument --rho2: invalid float value: 'abc'"),
+        (["train"], "the following arguments are required: --manifest, --out"),
+    ], ids=["lam", "rho1", "compare_rho2", "missing_flags"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv, message):
+        # 2 is kept for a capped solve
+        assert main(argv) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["solve", "--help"]) == EXIT_OK
+        assert "--rho1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity", " INF "])
+    def test_rho_flags_read_infinity(self, text):
+        args = build_parser().parse_args(self._SOLVE + ["--rho1", text, "--rho2", text])
+        assert args.rho1 == args.rho2 == float(text)

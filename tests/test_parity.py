@@ -2,7 +2,8 @@
 
 import json
 
-from parity import AUGMENTATIONS, SEEDS, SIZES, VARIANTS, records
+from parity import AUGMENTATIONS, SEEDS, SIZES, records
+from uotalign.trainer import VARIANTS
 
 
 def test_tiny_records_repeat():
@@ -16,11 +17,13 @@ def test_tiny_records_repeat():
     assert first["eval"].keys() == {"exit", "metrics.json"}
     assert first["train_descriptions"].keys() == {"exit", "checkpoint.ckpt", "history.csv",
                                                   "metrics.json"}
+    assert first["ablate"].keys() == {"exit", "ablation.csv", "ablation.json"}
     solve_files = {"exit", "coupling.csv", "coupling.emb1", "u.csv", "v.csv", "summary.json"}
     assert first["solve"]["default"].keys() == first["solve"]["pinned"].keys() == solve_files
     assert first["compare"].keys() == {"exit", "ot_coupling.csv", "uot_coupling.csv",
                                        "summary.json"}
-    assert {first[key]["exit"] for key in ("eval", "train_descriptions", "compare")} == {0}
+    assert {first[key]["exit"]
+            for key in ("eval", "train_descriptions", "ablate", "compare")} == {0}
     assert first["solve"]["default"]["exit"] == first["solve"]["pinned"]["exit"] == 0
     # NaN per-class accuracies compare equal as text only
     assert (json.dumps(records(SIZES["tiny"]), sort_keys=True)

@@ -32,6 +32,7 @@ from uotalign.prompts import (
     build_prompt_bank,
     encode_classes,
     synth_description_texts,
+    tokenize,
 )
 from uotalign.transport import (
     INF,
@@ -162,41 +163,45 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
 
+# variant -> (its classifier config, its bank's use_attention and trainable)
+VARIANT_EFFECTS = {
+    "full": (ClassifierConfig(tau=0.05), True, ("shared_tokens", "attention")),
+    "no_csc": (ClassifierConfig(tau=0.05, gamma_cs=0.0), True, ("shared_tokens",)),
+    "no_sc": (ClassifierConfig(tau=0.05, gamma_ds=0.0), True, ("attention",)),
+    "no_gpt_init": (ClassifierConfig(tau=0.05), True, ("shared_tokens", "attention")),
+    "no_uot": (ClassifierConfig(tau=0.05, rho1=INF, rho2=INF), True,
+               ("shared_tokens", "attention")),
+    "no_self_attention": (ClassifierConfig(tau=0.05), False,
+                          ("shared_tokens", "class_tokens")),
+}
+
+
 class TestApplyVariant:
-    def test_full_keeps_config(self):
-        base = ClassifierConfig()
-        ccfg, kw = apply_variant("full", base)
-        assert ccfg == base
-        assert kw == {"gpt_init": True, "use_attention": True,
-                      "trainable": ("shared_tokens", "attention")}
+    @pytest.mark.parametrize("variant", ["full", "no_uot"])
+    def test_bank_keeps_its_defaults(self, variant):
+        assert apply_variant(variant, ClassifierConfig())[1] == {}
 
-    def test_no_csc_drops_class_path(self):
-        ccfg, kw = apply_variant("no_csc", ClassifierConfig())
-        assert ccfg.gamma_cs == 0.0 and ccfg.gamma_ds > 0
-        assert kw["trainable"] == ("shared_tokens",)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_classifier_fields(self, variant):
+        ccfg, _ = apply_variant(variant, ClassifierConfig(tau=0.05))
+        assert ccfg == VARIANT_EFFECTS[variant][0]
 
-    def test_no_sc_drops_shared_path(self):
-        ccfg, kw = apply_variant("no_sc", ClassifierConfig())
-        assert ccfg.gamma_ds == 0.0 and ccfg.gamma_cs > 0
-        assert kw["trainable"] == ("attention",)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bank_attention_and_trainable_groups(self, manifest, variant):
+        bank = fresh_bank(manifest, variant)
+        assert (bank.use_attention, bank.trainable) == VARIANT_EFFECTS[variant][1:]
 
-    def test_no_gpt_init_randomizes_tokens_only(self):
-        base = ClassifierConfig()
-        ccfg, kw = apply_variant("no_gpt_init", base)
-        assert ccfg == base
-        assert kw["gpt_init"] is False and kw["use_attention"] is True
-
-    def test_no_uot_pins_marginals(self):
-        ccfg, kw = apply_variant("no_uot", ClassifierConfig())
-        assert ccfg == ClassifierConfig(rho1=INF, rho2=INF)
-        assert kw == {"gpt_init": True, "use_attention": True,
-                      "trainable": ("shared_tokens", "attention")}
-
-    def test_no_self_attention_trains_tokens_directly(self):
-        ccfg, kw = apply_variant("no_self_attention", ClassifierConfig())
-        assert ccfg == ClassifierConfig()
-        assert kw["use_attention"] is False
-        assert kw["trainable"] == ("shared_tokens", "class_tokens")
+    def test_no_gpt_init_randomizes_class_tokens_only(self, manifest):
+        full, random = fresh_bank(manifest, "full"), fresh_bank(manifest, "no_gpt_init")
+        descs = synth_description_texts(manifest.classes, seed=1, count=2)
+        described = np.array([[tokenize(t, 16, 4, 1) for t in descs[c]]
+                              for c in manifest.classes])
+        assert np.array_equal(full.class_tokens, described)
+        assert not np.isclose(random.class_tokens, described).any()
+        np.testing.assert_allclose(np.linalg.norm(random.class_tokens, axis=3), 1.0)
+        for name, a in full.arrays().items():
+            if name != "class_tokens":
+                assert np.array_equal(random.arrays()[name], a), name
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -615,15 +620,15 @@ class TestEvaluate:
         assert math.isfinite(metrics["mean_loss"])
 
     def test_matches_per_problem_reference(self, manifest, trained, monkeypatch):
-        # more token rows than one evaluation chunk (the budget is cut to
-        # 30 rows, so chunks hold 5 to 7 samples), and samples cut to their
+        # more samples than one evaluation chunk (the budget is cut to 30
+        # rows, so chunks hold 30 // 6 = 5 samples), and samples cut to their
         # first 4, 5 or 6 tokens so that the problems come in several shapes
         monkeypatch.setattr(trainer_mod, "_EVAL_ROWS", 30)
         classes = list(trained.bank.classes)
         pool = [fs for split in ("train", "val", "test") for fs in load_split(manifest, split)]
         samples = [first_tokens(fs, fs.num_tokens - s % 3) for s, fs in enumerate(pool)]
-        assert sum(fs.num_tokens for fs in samples) > trainer_mod._EVAL_ROWS
-        assert len(trainer_mod._row_chunks(samples, trainer_mod._EVAL_ROWS)) > 1
+        longest = max(fs.num_tokens for fs in samples)
+        assert longest == 6 and len(samples) > trainer_mod._EVAL_ROWS // longest
         assert len({fs.num_tokens for fs in samples}) > 1
         ccfg = ClassifierConfig()
         got = evaluate(samples, trained, ccfg)
@@ -661,20 +666,26 @@ class TestEvaluate:
         assert got == want
         assert np.concatenate(seen).tobytes() == want_probs.tobytes()
 
-    def test_forty_short_samples_make_two_chunks(self, manifest, monkeypatch):
-        # 40 samples of 49 tokens: chunks of 32 and 8, and one solve call
-        # per chunk and path, whose prompt counts (3 and 2) differ
+    @pytest.fixture(scope="class")
+    def chunk_state(self, manifest):
+        # the paths' prompt counts (3 and 2) differ
         classes = manifest.classes
         bank = build_prompt_bank(classes, synth_description_texts(classes, seed=1, count=3),
                                  num_shared_prompts=2, num_class_prompts=3,
                                  context_length=4, token_dim=16, seed=1)
-        state = init_state(bank, FrozenEncoder.seeded(16, 16, 1))
+        return init_state(bank, FrozenEncoder.seeded(16, 16, 1))
+
+    @staticmethod
+    def solve_batches(state, counts, monkeypatch):
+        """The problem count of every solve call that evaluate makes on
+        samples of the given token counts."""
+        classes = state.bank.classes
         rng = np.random.default_rng(5)
         samples = []
-        for s in range(40):
-            F = rng.standard_normal((49, 16))
+        for s, n in enumerate(counts):
+            F = rng.standard_normal((n, 16))
             samples.append(FeatureSet(F / np.linalg.norm(F, axis=1, keepdims=True),
-                                      np.full(49, 1 / 49), sample_id=f"s{s}",
+                                      np.full(n, 1 / n), sample_id=f"s{s}",
                                       label=classes[s % len(classes)]))
         batches = []
 
@@ -684,41 +695,33 @@ class TestEvaluate:
 
         monkeypatch.setattr("uotalign.classifier.solve_uot_batch", counted_batch)
         evaluate(samples, state, ClassifierConfig())
-        K = len(classes)
-        assert batches == [32 * K, 32 * K, 8 * K, 8 * K]
+        return batches
+
+    @pytest.mark.parametrize("count, tokens, chunks", [
+        (20, 196, [8, 8, 4]),
+        (40, 49, [32, 8]),
+        (1, 5000, [1]),
+    ])
+    def test_chunks_of_equal_counts(self, chunk_state, monkeypatch, count, tokens,
+                                    chunks):
+        # one solve call per chunk and path
+        K = len(chunk_state.bank.classes)
+        assert (self.solve_batches(chunk_state, [tokens] * count, monkeypatch)
+                == [n * K for n in chunks for _ in ("cs", "ds")])
+
+    def test_longest_sample_sets_the_chunk_size(self, chunk_state, monkeypatch):
+        # 1568 // 200 = 7 samples a chunk: the first holds the 200-token
+        # sample, solved alone, and six 49-token ones; then 7 and 6 more
+        counts = [200] + [49] * 19
+        K = len(chunk_state.bank.classes)
+        assert (self.solve_batches(chunk_state, counts, monkeypatch)
+                == [n * K for n in (1, 6, 7, 6) for _ in ("cs", "ds")])
 
 
 @pytest.fixture(scope="module")
 def ablation_rows(manifest):
     cfg = TrainConfig(epochs=2, seed=1)
     return run_ablation(manifest, cfg, ClassifierConfig(), **BANK_KW)
-
-
-def _samples_of(counts):
-    # one-dimensional unit rows: only the token counts matter here
-    return [FeatureSet(np.ones((n, 1)), np.full(n, 1 / n), sample_id=f"s{i}")
-            for i, n in enumerate(counts)]
-
-
-class TestRowChunks:
-    @pytest.mark.parametrize("count, tokens, bounds", [
-        (20, 196, [(0, 8), (8, 16), (16, 20)]),
-        (40, 49, [(0, 32), (32, 40)]),
-        (8, 196, [(0, 8)]),
-        (1, 5000, [(0, 1)]),
-    ])
-    def test_equal_counts(self, count, tokens, bounds):
-        samples = _samples_of([tokens] * count)
-        assert trainer_mod._row_chunks(samples, trainer_mod._EVAL_ROWS) == bounds
-
-    def test_sample_longer_than_the_budget_gets_its_own_chunk(self):
-        samples = _samples_of([3, 12, 2, 2, 11])
-        assert trainer_mod._row_chunks(samples, 10) == [(0, 1), (1, 2), (2, 4), (4, 5)]
-
-    def test_greedy_cuts_over_mixed_counts(self):
-        # 4 + 5 fits and 2 more does not; 2 + 6 fits; 6 + 1 + 3 fills 10
-        samples = _samples_of([4, 5, 2, 6, 6, 1, 3, 1])
-        assert trainer_mod._row_chunks(samples, 10) == [(0, 2), (2, 4), (4, 7), (7, 8)]
 
 
 class TestRunAblation:

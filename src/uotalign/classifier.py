@@ -1,17 +1,17 @@
 """Alignment scoring and classification on top of the transport solver.
 
-A sample is a set of M local visual embeddings with per-token masses; a
-class is represented by two prompt paths (class-specific and
-domain-shared, see prompts). Each path yields a cost matrix
-C = 1 - cos(prompt rows, visual rows) and a transport problem whose
-source marginal is uniform over the prompts and whose target marginal
-is the token weights. The class score is the weighted sum of the two
-transported costs <W*, C>; classification is a softmax over (1 - d)/tau
-across classes. forward() computes these distances for every
-(sample, class, path) at once; score() is its one-sample, one-class
-view. Token weights are positive (a dropped token is a removed row, see
-features.augment), so every token of a sample is a column of its
-problems.
+A sample is a set of M local visual embeddings; a class is represented
+by two prompt paths (class-specific and domain-shared, see prompts).
+Each path yields a cost matrix C = 1 - cos(prompt rows, visual rows)
+and a transport problem whose source marginal is uniform over the
+prompts and whose target marginal is uniform over the tokens: partial
+matching comes from relaxing the latter (rho2), not from unequal token
+masses. The class score is the weighted sum of the two transported
+costs <W*, C>; classification is a softmax over (1 - d)/tau across
+classes. forward() computes these distances for every (sample, class,
+path) at once; score() is its one-sample, one-class view. A dropped
+token is a removed row (features.augment), so a sample's problems have
+one column per token it keeps.
 
 The reported distance is deliberately the transported-cost component,
 not the full regularized objective: it stays inside [0, 2] * mass, so
@@ -157,7 +157,9 @@ def cost_matrix_backward(features, prompts, upstream) -> np.ndarray:
 
 
 def prompt_marginal(num_prompts: int) -> np.ndarray:
-    """Uniform source marginal over the prompt rows, total mass 1."""
+    """Uniform marginal of total mass 1 over num_prompts rows: the source
+    marginal over a path's prompts, and the target marginal over a
+    sample's tokens when called with its token count."""
     if num_prompts < 1:
         raise ValueError("need at least one prompt")
     return np.full(num_prompts, 1.0 / num_prompts)
@@ -173,7 +175,8 @@ class Forward:
     its (K, P, N) couplings over the samples' N token rows in sample
     order: sample s owns columns offsets[s]:offsets[s + 1], offsets
     being the cumulative sum of the token counts, as the upstream of
-    cost_matrix_backward is laid out. Only paths with a positive weight
+    cost_matrix_backward is laid out. Each of those columns has target
+    mass 1 / (its sample's token count). Only paths with a positive weight
     appear in `paths` and as keys of the dicts.
     unconverged and clamped count the solves that hit the iteration cap
     and those whose marginal sums were clamped; their couplings are used
@@ -198,10 +201,11 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     cost_matrix call per path, over their stacked feature rows, and
     TransportProblem.batch builds that call's problems from the checked
     cost stack, in the order of samples, then classes. A problem's
-    columns are the sample's tokens and its column marginal their
-    weights. There is one solve_uot_batch call per (token count, path),
-    and its results equal one-at-a-time solves bitwise; their couplings
-    go into their samples' columns of couplings[tag] (see Forward).
+    columns are the sample's M tokens, and every problem of the call has
+    the column marginal prompt_marginal(M), mass 1/M per token. There is
+    one solve_uot_batch call per (token count, path), and its results
+    equal one-at-a-time solves bitwise; their couplings go into their
+    samples' columns of couplings[tag] (see Forward).
     """
     if not samples:
         raise ValueError("empty batch")
@@ -224,8 +228,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
             C = cost_matrix(np.stack([samples[s].features for s in members]), G)
             problems = TransportProblem.batch(
                 C.reshape(-1, *C.shape[2:]), prompt_marginal(C.shape[2]),
-                np.stack([samples[s].weights for s in members]),
-                lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
+                prompt_marginal(C.shape[3]), lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
             plans = solve_uot_batch(problems, cfg.solver)
             for i, plan in enumerate(plans):
                 if plan.error is not None:

@@ -8,7 +8,7 @@ re-normalized on load so the unit-norm invariant survives the cast.
 Augmentation is an embedding-space proxy for image augmentation: row
 jitter stands in for photometric noise, and dropping a fixed count of
 rows for cutout, which removes a region of fixed size. A dropped token
-leaves the sample, so every FeatureSet has only positive weights.
+leaves the sample, and each of a sample's M tokens has mass 1/M.
 `jitter_sigma` is the expected L2 magnitude of the perturbation of a
 row (noise components are drawn at sigma/sqrt(d)), which keeps the
 perturbation scale independent of the embedding width.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,22 +48,15 @@ _HEADER_BYTES = 12
 
 @dataclass
 class FeatureSet:
-    """M local visual embeddings with positive per-token masses."""
+    """M unit-norm local visual embeddings, each of mass 1/M."""
 
     features: np.ndarray
-    weights: np.ndarray
+    _: KW_ONLY
     sample_id: str = ""
     label: str | None = None
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.features.shape[0],):
-            raise ValueError("weights length does not match feature rows")
-        if not np.all(self.weights > 0):
-            raise ValueError("token weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
         norms = np.linalg.norm(self.features, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("degenerate embedding: rows must be unit-norm")
@@ -144,7 +137,7 @@ def read_embedding_file(path) -> np.ndarray:
 
 
 def load_feature_set(path, sample_id: str = "", label: str | None = None) -> FeatureSet:
-    """Read an EMB1 file as a FeatureSet with uniform weights.
+    """Read an EMB1 file as a FeatureSet.
 
     Rows are re-normalized in float64 (float32 storage rounds norms off
     the unit sphere by ~1e-8, more than the invariant allows).
@@ -153,10 +146,7 @@ def load_feature_set(path, sample_id: str = "", label: str | None = None) -> Fea
     norms = np.linalg.norm(F, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError(f"degenerate embedding: zero row in {path}")
-    F = F / norms[:, None]
-    M = F.shape[0]
-    return FeatureSet(features=F, weights=np.full(M, 1.0 / M),
-                      sample_id=sample_id, label=label)
+    return FeatureSet(F / norms[:, None], sample_id=sample_id, label=label)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -249,8 +239,8 @@ def synth_dataset(out_dir, num_classes: int = 3, per_class: int = 20,
     """
     if num_classes < 1 or per_class < 1 or tokens < 1 or dim < 1:
         raise ValueError("counts must be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not (0 <= separation < math.inf):
+        raise ValueError("separation must be finite and >= 0")
     out_dir = Path(out_dir)
     (out_dir / "embeddings").mkdir(parents=True, exist_ok=True)
 
@@ -287,8 +277,7 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
     drop_prob is the fraction of rows dropped: exactly
     min(round(drop_prob * M), M - 1) of the M rows, drawn without
     replacement after the jitter, so samples with the same token count
-    keep the same number of rows and at least one row survives. The
-    survivors' weights are renormalised to sum to 1.
+    keep the same number of rows and at least one row survives.
     """
     if not (0 <= drop_prob < 1):
         raise ValueError("drop_prob must be in [0, 1)")
@@ -305,14 +294,9 @@ def augment(fs: FeatureSet, jitter_sigma: float, drop_prob: float,
         F = F / norms[:, None]
     else:
         F = F.copy()
-    w = fs.weights.copy()
     if drop_prob > 0:
         M = fs.num_tokens
         keep = np.ones(M, dtype=bool)
         keep[rng.choice(M, min(round(drop_prob * M), M - 1), replace=False)] = False
-        # renormalise over the full-width vector, then drop: summing the
-        # survivors alone can round differently in the last bit
-        w = np.where(keep, w, 0.0)
-        w = w / float(w.sum())
-        F, w = F[keep], w[keep]
-    return FeatureSet(features=F, weights=w, sample_id=fs.sample_id, label=fs.label)
+        F = F[keep]
+    return FeatureSet(F, sample_id=fs.sample_id, label=fs.label)

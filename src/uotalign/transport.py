@@ -125,20 +125,17 @@ class SolverConfig:
 
 def _validated(cost, row_marginal, col_marginal, lam, rho1, rho2, stacked=False):
     """The rules of a transport problem, for one instance or, with
-    `stacked`, for stacks of costs and column marginals along a leading
-    axis, whose instances share row_marginal, lam, rho1 and rho2; the
-    column marginals must divide the costs into equal runs. Returns the
-    validated (cost, row_marginal, col_marginal) arrays."""
+    `stacked`, for a stack of costs along a leading axis whose instances
+    share both marginals, lam, rho1 and rho2. Returns the validated
+    (cost, row_marginal, col_marginal) arrays."""
     cost = as_array(cost, "cost", 2, stacked)
     row_marginal = as_array(row_marginal, "row_marginal", 1)
-    col_marginal = as_array(col_marginal, "col_marginal", 1, stacked)
+    col_marginal = as_array(col_marginal, "col_marginal", 1)
     n_rows, n_cols = cost.shape[-2:]
     if row_marginal.shape != (n_rows,):
         raise ValueError(f"row_marginal has length {row_marginal.shape[0]}, expected {n_rows}")
-    if col_marginal.shape[-1] != n_cols:
-        raise ValueError(f"col_marginal has length {col_marginal.shape[-1]}, expected {n_cols}")
-    if stacked and len(cost) % len(col_marginal):
-        raise ValueError(f"{len(col_marginal)} col_marginals for {len(cost)} costs")
+    if col_marginal.shape != (n_cols,):
+        raise ValueError(f"col_marginal has length {col_marginal.shape[0]}, expected {n_cols}")
     # min, not (x <= 0).any(): cheaper, and the entries are finite here
     if row_marginal.min() <= 0 or col_marginal.min() <= 0:
         raise ValueError("zero marginal mass: marginals must be strictly positive")
@@ -171,25 +168,21 @@ class TransportProblem:
             self.cost, self.row_marginal, self.col_marginal, self.lam, self.rho1, self.rho2)
 
     @classmethod
-    def batch(cls, costs, row_marginal, col_marginals, lam: float = 0.1,
+    def batch(cls, costs, row_marginal, col_marginal, lam: float = 0.1,
               rho1: float = INF, rho2: float = INF) -> list[TransportProblem]:
         """One problem per slice of a (B, P, M) cost stack, all sharing
-        row_marginal and the regularization. col_marginals is (B / K, M):
-        row i is the column marginal of the K consecutive problems from
-        i * K, as for one sample's K classes. The constructor's rules run
-        once over the stacks, with its messages; the instances hold views
-        of the validated stacks and are not checked again."""
-        costs, row_marginal, col_marginals = _validated(
-            costs, row_marginal, col_marginals, lam, rho1, rho2, stacked=True)
-        K = len(costs) // len(col_marginals)
-        cols = list(col_marginals)
+        both marginals and the regularization. The constructor's rules
+        run once over the stack, with its messages; the instances hold
+        views of the validated arrays and are not checked again."""
+        costs, row_marginal, col_marginal = _validated(
+            costs, row_marginal, col_marginal, lam, rho1, rho2, stacked=True)
         problems = []
-        for b, cost in enumerate(costs):
+        for cost in costs:
             # set in field order, so instances keep CPython's compact
             # attribute storage, as constructed ones do
             problem = object.__new__(cls)
-            problem.cost, problem.row_marginal = cost, row_marginal
-            problem.col_marginal = cols[b // K]
+            problem.cost, problem.row_marginal, problem.col_marginal = (
+                cost, row_marginal, col_marginal)
             problem.lam, problem.rho1, problem.rho2 = lam, rho1, rho2
             problems.append(problem)
         return problems
@@ -544,14 +537,15 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     # K = exp(Ua + Vb - C/lam) absorbs the potentials over lam as of its
     # last rebuild, Kmax is its largest log entry, An = Ua + log n,
     # Bm = Vb + log m, U = lam * (Ua + la) and V = lam * (Vb + lb) for the
-    # log-scalings (la, lb)
+    # log-scalings (la, lb); absorb builds them from the zero potentials
     live = np.arange(B)
     C = np.stack([p.cost for p in problems])
-    log_n = np.log(np.stack([p.row_marginal for p in problems]))
+    n = np.stack([p.row_marginal for p in problems])
     log_m = np.log(np.stack([p.col_marginal for p in problems]))
-    U, Ua, la = (np.zeros((B, n_rows)) for _ in range(3))
-    V, Vb, lb = (np.zeros((B, n_cols)) for _ in range(3))
-    An, Bm = Ua + log_n, Vb + log_m
+    K, Kmax = np.empty((B, n_rows, n_cols)), np.empty(B)
+    U, V = np.zeros((B, n_rows)), np.zeros((B, n_cols))
+    Ua, An, la = (np.empty((B, n_rows)) for _ in range(3))
+    Vb, Bm, lb = (np.empty((B, n_cols)) for _ in range(3))
     # batch-wide bounds on the scalings that gate the per-instance checks
     # (la_lo .. lb_hi); each covers 0, a rebuilt row's, and lags outward
     la_lo = lb_lo = 0.0
@@ -564,7 +558,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
             np.exp(K, out=K)
             np.divide(U, lam, out=Ua)
             np.divide(V, lam, out=Vb)
-            np.add(Ua, log_n, out=An)
+            np.add(Ua, np.log(n), out=An)
             np.add(Vb, log_m, out=Bm)
             la[:], lb[:] = 0.0, 0.0
             return
@@ -572,7 +566,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
         Kmax[rows] = np.max(S, axis=(1, 2))
         K[rows] = np.exp(S, out=S)
         Ua[rows], Vb[rows] = U[rows] / lam, V[rows] / lam
-        An[rows], Bm[rows] = Ua[rows] + log_n[rows], Vb[rows] + log_m[rows]
+        An[rows], Bm[rows] = Ua[rows] + np.log(n[rows]), Vb[rows] + log_m[rows]
         la[rows], lb[rows] = 0.0, 0.0
 
     def refold(l, fell, U, V):
@@ -586,11 +580,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
         return lo, hi
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the kernel of the zero potentials, (0 - C) / lam, built in place
-        K = np.subtract(0.0, C)
-        K /= lam
-        Kmax = np.max(K, axis=(1, 2))
-        np.exp(K, out=K)
+        absorb(np.ones(B, dtype=bool), U, V)
         for k in range(scaling):
             T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
@@ -632,11 +622,10 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
                    k + 1, done[f], bad[f])
             if out is K:
                 break
-            live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = _shrink(
-                finished, (live, C, log_n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
+            live, C, n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb = _shrink(
+                finished, (live, C, n, log_m, K, Kmax, U, Ua, An, la, V, Vb, Bm, lb))
         else:
             if scaling < config.max_iterations:
-                n = np.stack([problems[i].row_marginal for i in live])
                 _newton_tail(U, C, n, log_m, live, lam, p0.rho2, tol, scaling,
                              config.max_iterations, retire)
             else:

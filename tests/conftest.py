@@ -49,8 +49,7 @@ def build_gradcheck_instance():
         targets = np.vstack([enc["cs"][ci], enc["ds"][ci]])
         F = targets + 0.4 * rng.standard_normal((4, 8))
         F /= np.linalg.norm(F, axis=1, keepdims=True)
-        batch.append(FeatureSet(features=F, weights=np.full(4, 0.25),
-                                sample_id=f"s{ci}", label=c))
+        batch.append(FeatureSet(F, sample_id=f"s{ci}", label=c))
     ccfg = ClassifierConfig(tau=GRADCHECK_TAU, lam=GRADCHECK_LAM, rho2=GRADCHECK_RHO2,
                             solver=SolverConfig(max_iterations=60000,
                                                 dual_tolerance=1e-13))

@@ -8,11 +8,12 @@ Run it on two trees at one BLAS thread and compare the outputs:
 The output is sorted-key JSON; floats print as their shortest round-trip
 repr, so equal text means equal bits. The records are:
 
-- train: a `train` run (3 epochs at full size) for each seed,
-  augmentation and each of the six variants, as its checkpoint's sha256
-  and the `evaluate` dicts of the val and test splits. Sample s has the token count
-  tokens[s % len(tokens)], so batches mix counts and `forward` spreads
-  them over several solve calls.
+- train: a `train` run (3 epochs at full size) for each seed and each
+  (augmentation, variant) pair of AUGMENTATIONS, as its checkpoint's
+  sha256 and the `evaluate` dicts of the val and test splits. Sample s
+  has the token count tokens[s % len(tokens)], so batches mix counts and
+  `forward` spreads them over several solve calls. Drop 0.3 leaves 34,
+  31 and 28 of 49, 44 and 40 tokens.
 - evaluate: per seed, the test-split `evaluate` dict of a 1-epoch run at
   196 tokens, as the held-out benchmark scores.
 - score: `score`'s d, d_path and the sha256 of each path's couplings for
@@ -62,7 +63,8 @@ from uotalign.trainer import (
 )
 
 SEEDS = (11, 12, 13)
-AUGMENTATIONS = ((0.05, 0.1), (0.0, 0.0))
+# (jitter, drop) -> the variants trained with it
+AUGMENTATIONS = {(0.05, 0.1): VARIANTS, (0.0, 0.0): VARIANTS, (0.05, 0.3): ("full",)}
 SOLVE_SHAPE = (4, 49)
 
 # "train" sizes the grid's runs and "evaluate" the 196-token runs; "full"
@@ -159,8 +161,8 @@ def records(sizes: dict) -> dict:
         for seed in SEEDS:
             manifest = _dataset(tmp / f"train_{seed}", sizes["train"], seed)
             splits = {split: load_split(manifest, split) for split in ("val", "test")}
-            for augmentation in AUGMENTATIONS:
-                for variant in VARIANTS:
+            for augmentation, variants in AUGMENTATIONS.items():
+                for variant in variants:
                     state, ccfg = _train(manifest, sizes["train"], seed, variant,
                                          augmentation)
                     save_checkpoint(state, tmp / "state.ckp")

@@ -48,9 +48,8 @@ def make_bank(classes, seed=0, d_tok=12, L=4, shared=2):
                              context_length=L, token_dim=d_tok, seed=seed)
 
 
-def make_sample(rng, M=5, d=6, weights=None):
-    w = np.full(M, 1.0 / M) if weights is None else np.asarray(weights, float)
-    return FeatureSet(features=unit_rows(rng, (M, d)), weights=w)
+def make_sample(rng, M=5, d=6):
+    return FeatureSet(unit_rows(rng, (M, d)))
 
 
 def aligned_tokens(encoder, target, class_word, L):
@@ -289,7 +288,7 @@ class TestScore:
             use_attention=False,
             trainable=("shared_tokens", "attention"),
         )
-        fs = FeatureSet(features=np.tile(t, (4, 1)), weights=np.full(4, 0.25))
+        fs = FeatureSet(np.tile(t, (4, 1)))
         fw = score(fs, "a", bank, enc, ClassifierConfig())
         assert abs(fw.d[0, 0]) < 1e-12
 
@@ -303,7 +302,8 @@ class TestScore:
 
         g_cs = encode_classes(bank, enc)["cs"][0]
         C = cost_matrix(fs.features, g_cs)
-        direct = solve_uot(TransportProblem(C, prompt_marginal(len(g_cs)), fs.weights,
+        direct = solve_uot(TransportProblem(C, prompt_marginal(len(g_cs)),
+                                            np.full(fs.num_tokens, 1 / fs.num_tokens),
                                             lam=0.05, rho1=INF, rho2=INF))
         assert np.array_equal(fw.couplings["cs"][0], direct.coupling)
         assert fw.d_path["cs"][0, 0] == pytest.approx(float(np.sum(direct.coupling * C)), abs=0)
@@ -343,8 +343,8 @@ class TestForward:
         classes = ["cat", "dog", "owl"]
         bank = make_bank(classes)
         enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
-        samples = [FeatureSet(features=unit_rows(rng, (M, 6)), weights=np.full(M, 1 / M),
-                              sample_id=f"img{s}") for s, M in enumerate((4, 6, 4, 6))]
+        samples = [FeatureSet(unit_rows(rng, (M, 6)), sample_id=f"img{s}")
+                   for s, M in enumerate((4, 6, 4, 6))]
         target = cost_matrix(samples[3].features, encode_classes(bank, enc)["ds"][1])
         failed = []
         solve = classifier_mod.solve_uot_batch
@@ -477,6 +477,22 @@ class TestForward:
                 # and solved in one call: 3 classes per sample
                 assert sorted(solves) == sorted((S * 3, P, M) for S, M, _ in want
                                                 for P in prompts)
+
+    # every token has mass 1/M, so forward cannot tell a sample that augment
+    # cut to M rows from one read with those M rows
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("M, drop", [(49, 0.3), (196, 0.05)])
+    def test_augmented_sample_scores_like_a_native_one(self, M, drop, seed):
+        bank = make_bank(["cat", "dog", "owl"])
+        enc = FrozenEncoder.seeded(bank.shared_tokens.shape[2], 6, 9)
+        cut = augment(make_sample(np.random.default_rng([22, M, seed]), M=M),
+                      0.05, drop, [22, seed])
+        got, want = (forward([fs], bank, enc, ClassifierConfig())
+                     for fs in (cut, FeatureSet(cut.features.copy())))
+        assert got.d.tobytes() == want.d.tobytes()
+        for tag in ("cs", "ds"):
+            assert got.d_path[tag].tobytes() == want.d_path[tag].tobytes()
+            assert got.couplings[tag].tobytes() == want.couplings[tag].tobytes()
 
     @pytest.mark.parametrize("lam, cap", [(1.5e-3, 2000), (1e-2, 20)])
     def test_counts_unconverged_and_clamped_solves(self, monkeypatch, lam, cap):

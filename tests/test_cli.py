@@ -587,6 +587,13 @@ class TestSynth:
         assert manifest.classes == ["class_0", "class_1"]
         assert len(manifest.samples) == 8
 
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_rejects_non_finite_separation(self, tmp_path, capsys, separation):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--separation", separation]) == EXIT_ERROR
+        assert "error: separation must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -28,11 +28,13 @@ def unit_rows(rng, m, d):
 
 
 class TestFeatureSet:
-    @pytest.mark.parametrize("w", [[0.5, 0.5, 0.0], [0.75, 0.5, -0.25]])
-    def test_rejects_nonpositive_weight(self, w):
+    def test_sample_id_and_label_are_keyword_only(self):
         rng = np.random.default_rng(39)
-        with pytest.raises(ValueError, match="token weights must be positive"):
-            FeatureSet(unit_rows(rng, 3, 4), np.array(w))
+        F = unit_rows(rng, 3, 4)
+        with pytest.raises(TypeError):
+            FeatureSet(F, np.full(3, 1 / 3))
+        fs = FeatureSet(F, sample_id="s", label="a")
+        assert (fs.sample_id, fs.label) == ("s", "a")
 
 
 class TestEmbeddingFile:
@@ -81,7 +83,6 @@ class TestEmbeddingFile:
         write_embedding_file(p, mat)  # float32 rounds norms off 1
         fs = load_feature_set(p, sample_id="s0")
         np.testing.assert_allclose(np.linalg.norm(fs.features, axis=1), 1.0, atol=1e-15)
-        np.testing.assert_allclose(fs.weights, 1.0 / 8, atol=1e-15)
 
 
 class TestManifest:
@@ -241,6 +242,13 @@ class TestSynthDataset:
         assert all(fs.label in m.classes for fs in train)
         assert len(train) == 4  # 2 per class
 
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf")])
+    def test_rejects_non_finite_separation(self, tmp_path, separation):
+        # NaN fails every comparison, so a `< 0` check alone lets it through
+        with pytest.raises(ValueError, match="^separation must be finite and >= 0$"):
+            synth_dataset(tmp_path / "d", separation=separation)
+        assert not (tmp_path / "d").exists()
+
     def test_split_needs_a_root(self):
         m = DatasetManifest(classes=["a"],
                             samples=[SampleRecord("a_0", "a", "a_0.emb1", "train")],
@@ -252,26 +260,15 @@ class TestSynthDataset:
 class TestAugment:
     def test_identity(self):
         rng = np.random.default_rng(42)
-        fs = FeatureSet(unit_rows(rng, 5, 8), np.full(5, 0.2), sample_id="x")
+        fs = FeatureSet(unit_rows(rng, 5, 8), sample_id="x")
         out = augment(fs, jitter_sigma=0.0, drop_prob=0.0, rng_seed=0)
         np.testing.assert_array_equal(out.features, fs.features)
-        np.testing.assert_array_equal(out.weights, fs.weights)
-
-    def test_weights_renormalized(self):
-        rng = np.random.default_rng(43)
-        fs = FeatureSet(unit_rows(rng, 49, 8), np.full(49, 1 / 49), sample_id="x")
-        out = augment(fs, jitter_sigma=0.0, drop_prob=0.5, rng_seed=7)
-        assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 0 < out.num_tokens < 49
-        assert out.weights.shape == (out.num_tokens,)
 
     def test_at_least_one_survivor(self):
         rng = np.random.default_rng(44)
-        fs = FeatureSet(unit_rows(rng, 4, 8), np.array([0.1, 0.5, 0.2, 0.2]),
-                        sample_id="x")
+        fs = FeatureSet(unit_rows(rng, 4, 8), sample_id="x")
         for seed in range(200):
             out = augment(fs, jitter_sigma=0.0, drop_prob=0.95, rng_seed=seed)
-            assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert 1 <= out.num_tokens <= 4
 
     @pytest.mark.parametrize("drop", [0.0, 0.05, 0.1, 0.3, 0.5, 0.95])
@@ -279,7 +276,7 @@ class TestAugment:
         # round half to even: 0.5 * 49 = 24.5 drops 24 rows, 0.5 * 5 drops 2
         for M in range(1, 61):
             rng = np.random.default_rng([50, M])
-            fs = FeatureSet(unit_rows(rng, M, 4), np.full(M, 1 / M), sample_id="x")
+            fs = FeatureSet(unit_rows(rng, M, 4), sample_id="x")
             for seed in range(3):
                 out = augment(fs, jitter_sigma=0.0, drop_prob=drop, rng_seed=[M, seed])
                 assert out.num_tokens == M - min(round(drop * M), M - 1), (M, seed)
@@ -290,33 +287,25 @@ class TestAugment:
 
     def test_jitter_keeps_rows_close(self):
         rng = np.random.default_rng(45)
-        fs = FeatureSet(unit_rows(rng, 10000, 32), np.full(10000, 1e-4),
-                        sample_id="mc")
+        fs = FeatureSet(unit_rows(rng, 10000, 32), sample_id="mc")
         out = augment(fs, jitter_sigma=0.1, drop_prob=0.0, rng_seed=11)
         mean_cos = np.mean(np.sum(fs.features * out.features, axis=1))
         assert mean_cos > 0.9
 
     def test_preserves_shape_and_ids(self):
         rng = np.random.default_rng(46)
-        fs = FeatureSet(unit_rows(rng, 6, 8), np.full(6, 1 / 6),
-                        sample_id="s9", label="cat")
+        fs = FeatureSet(unit_rows(rng, 6, 8), sample_id="s9", label="cat")
         out = augment(fs, jitter_sigma=0.2, drop_prob=0.3, rng_seed=1)
         assert out.dim == fs.dim and 1 <= out.num_tokens < fs.num_tokens
         assert out.sample_id == "s9" and out.label == "cat"
-        assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("M", [8, 49])
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_masked_weights_with_zero_rows_removed(self, M, seed):
-        """Dropping rows gives bitwise the survivors of the zero-weight form.
-
-        The reference keeps every row, zeroes the dropped weights and
-        renormalises the full-width vector; augment must return exactly
-        its nonzero rows and weights.
-        """
+    def test_equals_jittered_rows_with_dropped_rows_removed(self, M, seed):
+        """augment returns bitwise the rows of a reference that jitters
+        every row, then removes the rows its drop draw names."""
         rng = np.random.default_rng([49, M, seed])
-        w0 = rng.random(M) + 0.1
-        fs = FeatureSet(unit_rows(rng, M, 16), w0 / w0.sum(), sample_id="x")
+        fs = FeatureSet(unit_rows(rng, M, 16), sample_id="x")
         jitter, drop = 0.05, 0.3
         out = augment(fs, jitter, drop, [seed, 3])
 
@@ -325,22 +314,18 @@ class TestAugment:
         F = F / np.linalg.norm(F, axis=1)[:, None]
         keep = np.ones(M, dtype=bool)
         keep[ref_rng.choice(M, round(drop * M), replace=False)] = False
-        w = np.where(keep, fs.weights, 0.0)
-        w = w / float(w.sum())
-        assert np.array_equal(out.features, F[w > 0])
-        assert np.array_equal(out.weights, w[w > 0])
+        assert np.array_equal(out.features, F[keep])
 
     def test_deterministic(self):
         rng = np.random.default_rng(47)
-        fs = FeatureSet(unit_rows(rng, 5, 8), np.full(5, 0.2), sample_id="x")
+        fs = FeatureSet(unit_rows(rng, 5, 8), sample_id="x")
         a = augment(fs, jitter_sigma=0.3, drop_prob=0.4, rng_seed=123)
         b = augment(fs, jitter_sigma=0.3, drop_prob=0.4, rng_seed=123)
         np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_invalid_params(self):
         rng = np.random.default_rng(48)
-        fs = FeatureSet(unit_rows(rng, 2, 4), np.array([0.5, 0.5]), sample_id="x")
+        fs = FeatureSet(unit_rows(rng, 2, 4), sample_id="x")
         with pytest.raises(ValueError, match="drop_prob"):
             augment(fs, 0.1, 1.0, 0)
         with pytest.raises(ValueError, match="jitter_sigma"):
@@ -350,6 +335,6 @@ class TestAugment:
     def test_rejects_non_finite_or_negative_jitter(self, jitter):
         # NaN fails both `< 0` and `> 0`, so it would skip the jitter silently
         rng = np.random.default_rng(49)
-        fs = FeatureSet(unit_rows(rng, 4, 8), np.full(4, 0.25), sample_id="x")
+        fs = FeatureSet(unit_rows(rng, 4, 8), sample_id="x")
         with pytest.raises(ValueError, match="^jitter_sigma must be finite and >= 0$"):
             augment(fs, jitter, 0.0, [1])

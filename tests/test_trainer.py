@@ -92,7 +92,7 @@ def reference_probs(samples, bank, encoder, ccfg, classes):
     """
     rows = []
     for fs in samples:
-        F, w = fs.features, fs.weights
+        F = fs.features
         d = []
         for c in classes:
             ci = bank.classes.index(c)
@@ -109,7 +109,8 @@ def reference_probs(samples, bank, encoder, ccfg, classes):
                     continue
                 C = cost_matrix(F, G)
                 plan = solve_uot(TransportProblem(
-                    cost=C, row_marginal=prompt_marginal(len(G)), col_marginal=w,
+                    cost=C, row_marginal=prompt_marginal(len(G)),
+                    col_marginal=prompt_marginal(fs.num_tokens),
                     lam=ccfg.lam, rho1=ccfg.rho1, rho2=ccfg.rho2), ccfg.solver)
                 total += gamma * float(np.sum(plan.coupling * C))
             d.append(total)
@@ -118,9 +119,8 @@ def reference_probs(samples, bank, encoder, ccfg, classes):
 
 
 def first_tokens(fs, n):
-    """The sample cut to its first n tokens, with uniform weights."""
-    return FeatureSet(fs.features[:n], np.full(n, 1 / n), sample_id=fs.sample_id,
-                      label=fs.label)
+    """The sample cut to its first n tokens."""
+    return FeatureSet(fs.features[:n], sample_id=fs.sample_id, label=fs.label)
 
 
 def one_hot(samples, classes):
@@ -328,8 +328,7 @@ class TestBatchLossAndGrads:
         for s, M in enumerate(counts):
             F = rng.standard_normal((M, 8))
             F /= np.linalg.norm(F, axis=1, keepdims=True)
-            batch.append(FeatureSet(features=F, weights=np.full(M, 1 / M),
-                                    sample_id=f"s{s}", label=classes[s % 3]))
+            batch.append(FeatureSet(F, sample_id=f"s{s}", label=classes[s % 3]))
         _, grads, _ = batch_loss_and_grads(batch, bank, ccfg, encoder)
         fw = forward(batch, bank, encoder, ccfg)
         Y = one_hot(batch, classes)
@@ -604,8 +603,7 @@ class TestEvaluate:
     def test_label_outside_candidates_rejected(self, manifest, trained):
         samples = load_split(manifest, "test")
         stray = samples[1]
-        samples[1] = FeatureSet(stray.features, stray.weights, sample_id=stray.sample_id,
-                                label="class_9")
+        samples[1] = FeatureSet(stray.features, sample_id=stray.sample_id, label="class_9")
         import re
         with pytest.raises(ValueError, match=re.escape(
                 f"unknown class: sample {stray.sample_id!r} has label 'class_9'")):
@@ -685,8 +683,7 @@ class TestEvaluate:
         for s, n in enumerate(counts):
             F = rng.standard_normal((n, 16))
             samples.append(FeatureSet(F / np.linalg.norm(F, axis=1, keepdims=True),
-                                      np.full(n, 1 / n), sample_id=f"s{s}",
-                                      label=classes[s % len(classes)]))
+                                      sample_id=f"s{s}", label=classes[s % len(classes)]))
         batches = []
 
         def counted_batch(problems, config=None):

@@ -77,22 +77,18 @@ _GOOD = dict(cost=np.full((2, 3), 0.5), row_marginal=[0.5, 0.5],
 
 
 def _stacks_around(field, value):
-    """TransportProblem.batch arguments whose instance 1 of 3 has `value` as
-    its `field` and the others are good. A bad row marginal or parameter
-    (lam, rho1, rho2) is the shared one; a per-instance value that cannot
-    stack with good ones (another shape) fills the whole stack."""
-    stacks = {name: [np.asarray(_GOOD[name], dtype=np.float64)] * 3
-              for name in ("cost", "col_marginal")}
-    row, params = _GOOD["row_marginal"], {}
-    if field == "row_marginal":
-        row = value
-    elif field in ("lam", "rho1", "rho2"):
-        params[field] = value
+    """TransportProblem.batch arguments for three instances with `value` as
+    their `field`. A bad cost is instance 1's, the others' are good; a cost
+    that cannot stack with good ones (another shape) fills the whole stack.
+    Any other field (a marginal, lam, rho1, rho2) is shared."""
+    good = np.asarray(_GOOD["cost"], dtype=np.float64)
+    costs, shared = [good] * 3, {k: _GOOD[k] for k in ("row_marginal", "col_marginal")}
+    if field == "cost":
+        bad = np.asarray(value, dtype=np.float64)
+        costs = [good, bad, good] if bad.shape == good.shape else [bad] * 3
     else:
-        bad, good = np.asarray(value, dtype=np.float64), stacks[field][0]
-        stacks[field] = [good, bad, good] if bad.shape == good.shape else [bad] * 3
-    return dict(costs=np.stack(stacks["cost"]), row_marginal=row,
-                col_marginals=np.stack(stacks["col_marginal"]), **params)
+        shared[field] = value
+    return dict(costs=np.stack(costs), **shared)
 
 
 class TestTransportProblemRejects:
@@ -132,28 +128,19 @@ class TestTransportProblemRejects:
         assert TransportProblem(**_GOOD).shape == (2, 3)
 
     @pytest.mark.parametrize("lam, rho1, rho2", [(0.1, INF, INF), (0.01, INF, 0.04)])
-    @pytest.mark.parametrize("runs", [6, 2, 1])
-    def test_batch_instances_equal_constructed_ones(self, lam, rho1, rho2, runs):
-        # `runs` column marginals, each shared by 6 / runs consecutive costs
+    def test_batch_instances_equal_constructed_ones(self, lam, rho1, rho2):
         rng = np.random.default_rng(41)
         costs = rng.uniform(0, 2, (6, 2, 3))
-        cols = rng.uniform(0.2, 1.0, (runs, 3))
+        col = rng.uniform(0.2, 1.0, 3)
         row = [0.25, 0.75]
-        got = TransportProblem.batch(costs, row, cols, lam=lam, rho1=rho1, rho2=rho2)
+        got = TransportProblem.batch(costs, row, col, lam=lam, rho1=rho1, rho2=rho2)
         assert len(got) == 6
         for b, p in enumerate(got):
-            want = TransportProblem(costs[b], row, cols[b // (6 // runs)],
-                                    lam=lam, rho1=rho1, rho2=rho2)
+            want = TransportProblem(costs[b], row, col, lam=lam, rho1=rho1, rho2=rho2)
             for name in ("cost", "row_marginal", "col_marginal"):
                 assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
                 assert getattr(p, name).shape == getattr(want, name).shape, name
             assert (p.lam, p.rho1, p.rho2, p.shape) == (lam, rho1, rho2, (2, 3))
-
-    @pytest.mark.parametrize("costs, runs", [(3, 2), (4, 3), (2, 4)])
-    def test_batch_col_marginals_must_divide_costs_into_runs(self, costs, runs):
-        with pytest.raises(ValueError, match=f"^{runs} col_marginals for {costs} costs$"):
-            TransportProblem.batch(np.full((costs, 2, 3), 0.5), _GOOD["row_marginal"],
-                                   np.full((runs, 3), 1 / 3))
 
 
 class TestSolveBasics:

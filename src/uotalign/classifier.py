@@ -198,14 +198,16 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
 
     All classes are encoded at once, along the paths with a positive
     weight only. Samples with a common token count M share one
-    cost_matrix call per path, over their stacked feature rows, and
-    TransportProblem.batch builds that call's problems from the checked
-    cost stack, in the order of samples, then classes. A problem's
-    columns are the sample's M tokens, and every problem of the call has
-    the column marginal prompt_marginal(M), mass 1/M per token. There is
-    one solve_uot_batch call per (token count, path), and its results
-    equal one-at-a-time solves bitwise; their couplings go into their
-    samples' columns of couplings[tag] (see Forward).
+    cost_matrix call, over their stacked feature rows and the paths'
+    prompts joined on the P axis (a joined row may round apart from its
+    path's product alone, see README), and TransportProblem.batch checks
+    a view of each path's rows of it once, in the order of samples, then
+    classes. A problem's columns are the sample's M tokens, and every
+    problem of the call has the column marginal prompt_marginal(M), mass
+    1/M per token. There is one solve_uot_batch call per (token count,
+    path), and its results equal one-at-a-time solves bitwise; their
+    couplings go into their samples' columns of couplings[tag] (see
+    Forward).
     """
     if not samples:
         raise ValueError("empty batch")
@@ -222,10 +224,13 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
     d_path = {tag: np.empty((len(samples), K)) for tag in encoding}
     couplings = {}
     unconverged = clamped = 0
+    prompts = np.concatenate(list(encoding.values()), axis=1)
+    bounds = np.cumsum([0] + [G.shape[1] for G in encoding.values()])
     for members in by_count.values():
-        for tag, G in encoding.items():
-            # the stacked feature rows live only for the call, not the solve
-            C = cost_matrix(np.stack([samples[s].features for s in members]), G)
+        # the stacked feature rows live only for the call, not the solves
+        costs = cost_matrix(np.stack([samples[s].features for s in members]), prompts)
+        for (tag, G), lo, hi in zip(encoding.items(), bounds, bounds[1:]):
+            C = costs[:, :, lo:hi]
             problems = TransportProblem.batch(
                 C.reshape(-1, *C.shape[2:]), prompt_marginal(C.shape[2]),
                 prompt_marginal(C.shape[3]), lam=cfg.lam, rho1=cfg.rho1, rho2=cfg.rho2)
@@ -237,7 +242,7 @@ def forward(samples: list[FeatureSet], bank: PromptBank, encoder: FrozenEncoder,
                         f"class {bank.classes[i % K]!r}, {tag} path: {plan.error}")
                 unconverged += not plan.converged
                 clamped += plan.clamped
-            W = np.stack([plan.coupling for plan in plans]).reshape(C.shape)
+            W = np.concatenate([plan.coupling for plan in plans]).reshape(C.shape)
             d_path[tag][members] = np.sum(W * C, axis=(2, 3))
             if tag not in couplings:
                 couplings[tag] = np.empty((*G.shape[:2], offsets[-1]))

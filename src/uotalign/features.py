@@ -241,6 +241,10 @@ def synth_dataset(out_dir, num_classes: int = 3, per_class: int = 20,
         raise ValueError("counts must be >= 1")
     if not (0 <= separation < math.inf):
         raise ValueError("separation must be finite and >= 0")
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
+    if type(seed) is not int or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     out_dir = Path(out_dir)
     (out_dir / "embeddings").mkdir(parents=True, exist_ok=True)
 

@@ -91,7 +91,7 @@ _EPS = 1e-8
 # token rows per forward() call in evaluate, 8 samples of 196 tokens: a
 # chunk holds _EVAL_ROWS // (the longest sample's token count) samples,
 # which bounds the arrays of one batched solve while samples with few
-# tokens share a call; each chunk encodes all classes in one call per path
+# tokens share a call: one encoding per path, one cost call per count
 _EVAL_ROWS = 1568
 
 

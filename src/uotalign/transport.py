@@ -87,8 +87,8 @@ FEASIBILITY_TOL = 1e-6
 _CLAMP = 1e-300
 _LOG_CLAMP = math.log(_CLAMP)
 
-# log-coupling ceiling: exp beyond this overflows float64; a bound on
-# it below _LOG_BOUND, a margin for the bound's rounding, skips the check
+# log-coupling ceiling: exp beyond this overflows float64; a bound on a
+# log below _LOG_BOUND, a margin for the bound's rounding, skips a check
 _LOG_HUGE, _LOG_BOUND = 709.0, 708.0
 
 # a log-scaling beyond +-_ABSORB is folded into the kernel, and a
@@ -301,19 +301,20 @@ def _log_kernel(U: np.ndarray, V: np.ndarray, C: np.ndarray, lam: float,
     return out
 
 
-def _half_step(kx, lp, lp_lo, base, fac, exact):
+def _half_step(kx, lp, lp_lo, base, fac, exact, finite):
     """New potential from the contraction kx of the scaled kernel.
 
     lp + log kx is the log marginal sum (lp: the side's log-scaling, lp_lo
     a lower bound on it; base: its absorbed potential over lam plus its
     log marginal). Rows with kx outside [1e-280, inf) take it from
-    exact(rows). Returns the potential and the fell-back and clamped
-    row masks, each False when empty.
+    exact(rows); `finite`, a batch-wide bound, skips the search for inf.
+    Returns the potential, written over kx unless a clamp applied, and
+    the fell-back and clamped row masks, each False when empty.
     """
-    lk = np.log(kx)
+    lk = np.log(kx, out=kx)
     lo = lk.min()
     fell = low = False
-    if not (lo >= _LOG_TINY and lk.max() < INF):
+    if not (lo >= _LOG_TINY and (finite or lk.max() < INF)):
         fell = ~np.all((lk >= _LOG_TINY) & (lk < INF), axis=1)
         lk[fell] = exact(fell) - lp[fell]
         lo = lk.min()
@@ -321,7 +322,7 @@ def _half_step(kx, lp, lp_lo, base, fac, exact):
         low = lp + lk < _LOG_CLAMP
         lk = np.where(low, _LOG_CLAMP - lp, lk)
         low = low.any(axis=1)
-    return (base - lk) * fac, fell, low
+    return np.multiply(np.subtract(base, lk, out=lk), fac, out=lk), fell, low
 
 
 def _excess(s: float, lam: float, rho: float) -> float:
@@ -368,20 +369,24 @@ def _relax_interval(lam: float, rho: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _relax(T, old, lo, hi, plain):
+def _relax(T, old, lo, hi, plain, moves=True):
     """The over-relaxed potential T - beta s for s = old - T where s lies in
     [lo, hi], so the dual drops; the plain T elsewhere, on non-finite
-    entries and on the rows of the mask `plain` (False: none). Returns it
-    and each row's largest |s|, the plain step's move. The per-entry check
-    runs only when some move leaves [-min(-lo, hi), min(-lo, hi)]."""
-    s = old - T
-    move = np.max(np.abs(s), axis=1)
-    R = T - _BETA * s
-    if plain is not False or not move.max() <= min(-lo, hi):
+    entries and on the rows of the mask `plain` (False: none). It is
+    written over `old`. Returns it and, with `moves`, each row's largest
+    |s|, the plain step's move; INF otherwise. The per-entry check runs
+    only when some s leaves [-min(-lo, hi), min(-lo, hi)]."""
+    s = np.subtract(old, T, out=old)
+    move = np.max(np.abs(s), axis=1) if moves else INF
+    m, ok = min(-lo, hi), None
+    if plain is not False or not (s.max() <= m and s.min() >= -m):
         ok = (s >= lo) & (s <= hi)
         if plain is not False:
             ok &= ~plain[:, None]
-        R = np.where(ok, R, T)
+    # T + (-beta) s is T - beta s bit for bit: negation is exact
+    R = np.add(T, np.multiply(s, -_BETA, out=s), out=s)
+    if ok is not None:
+        np.copyto(R, T, where=~ok)
     return R, move
 
 
@@ -485,12 +490,14 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     working rows in place. Each decision (fallback, clamp, relaxation,
     absorption, blowup, and in the Newton tail the step, line search and
     fallback) reads only its instance's data, and batch-wide gates skip
-    only work that would change nothing, so each result is identical to
-    an independent single solve. The couplings of the instances
+    only work that would change nothing (the inf search and blowup check
+    within bounds on kernel and scalings, the per-entry relaxation check
+    while every move is in its interval, the v moves until a u move is
+    below tol), so each result equals an independent single solve. It
+    returns one plan per problem, in order. The couplings of instances
     finishing at one iteration form one array, made in the working
-    kernel itself when every live instance finishes a scaling iteration;
-    plans hold row views of these arrays and of the call's potentials
-    (see TransportPlan).
+    kernel when every live instance finishes a scaling iteration; plans
+    view rows of these arrays and of the potentials (see TransportPlan).
     """
     if config is None:
         config = SolverConfig()
@@ -539,16 +546,16 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     # Bm = Vb + log m, U = lam * (Ua + la) and V = lam * (Vb + lb) for the
     # log-scalings (la, lb); absorb builds them from the zero potentials
     live = np.arange(B)
-    C = np.stack([p.cost for p in problems])
-    n = np.stack([p.row_marginal for p in problems])
-    log_m = np.log(np.stack([p.col_marginal for p in problems]))
+    C = np.concatenate([p.cost for p in problems]).reshape(B, n_rows, n_cols)
+    n = np.concatenate([p.row_marginal for p in problems]).reshape(B, n_rows)
+    log_m = np.log(np.concatenate([p.col_marginal for p in problems]).reshape(B, n_cols))
     K, Kmax = np.empty((B, n_rows, n_cols)), np.empty(B)
     U, V = np.zeros((B, n_rows)), np.zeros((B, n_cols))
     Ua, An, la = (np.empty((B, n_rows)) for _ in range(3))
     Vb, Bm, lb = (np.empty((B, n_cols)) for _ in range(3))
     # batch-wide bounds on the scalings that gate the per-instance checks
     # (la_lo .. lb_hi); each covers 0, a rebuilt row's, and lags outward
-    la_lo = lb_lo = 0.0
+    la_lo = lb_lo = lb_hi = 0.0
 
     def absorb(rows, U, V):
         # fold U and V into the kernel of the masked rows; with every live
@@ -584,15 +591,19 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
         for k in range(scaling):
             T, fell, low_u = _half_step(
                 np.matmul(K, np.exp(lb)[:, :, None])[:, :, 0], la, la_lo, An, fac1,
-                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2))
+                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=2),
+                # a contraction entry is at most its length times e^(Kmax + lb_hi)
+                math.log(n_cols) + Kmax.max() + lb_hi < _LOG_BOUND)
             U, du = _relax(T, U, lo1, hi1, low_u)
-            la = U / lam - Ua
+            la = np.subtract(np.divide(U, lam, out=la), Ua, out=la)
             la_lo, la_hi = refold(la, fell, U, V)
             Vp, fell, low_v = _half_step(
                 np.matmul(np.exp(la)[:, None, :], K)[:, 0, :], lb, lb_lo, Bm, fac2,
-                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=1))
-            V, dv = _relax(Vp, V, lo2, hi2, low_v)
-            lb = V / lam - Vb
+                lambda r: logsumexp_axis(_log_kernel(U[r], V[r], C[r], lam), axis=1),
+                math.log(n_rows) + Kmax.max() + la_hi < _LOG_BOUND)
+            # dv is INF, converging no row, unless some u move is below tol
+            V, dv = _relax(Vp, V, lo2, hi2, low_v, du.min() < tol)
+            lb = np.subtract(np.divide(V, lam, out=lb), Vb, out=lb)
             lb_lo, lb_hi = refold(lb, fell, U, V)
             if low_u is not False or low_v is not False:
                 clamped[live] |= low_u | low_v

@@ -29,6 +29,13 @@ repr, so equal text means equal bits. The records are:
 - solve: the same for `uotalign solve` on a seeded SOLVE_SHAPE cost with
   the default (relaxed column) settings and with both marginals pinned.
 - compare: the same for `uotalign compare` with its defaults.
+- transport: for each seeded batch of tests/test_transport.py that
+  reaches one of the solver's gated branches, the sha256 of each
+  TransportPlan field over the batch's plans: the five benchmark shapes,
+  relaxed and pinned, and one capped before it converges; the
+  small-lambda batches, which fall back to log space and clamp; the
+  capped, clamped and blown-up groups; and a batch whose instances
+  finish at different iterations.
 
 Every CLI record also holds the command's exit code.
 """
@@ -53,6 +60,7 @@ from uotalign.features import (
     write_embedding_file,
 )
 from uotalign.prompts import synth_description_texts
+from uotalign.transport import INF, SolverConfig, solve_uot_batch
 from uotalign.trainer import (
     VARIANTS,
     TrainConfig,
@@ -62,10 +70,21 @@ from uotalign.trainer import (
     train,
 )
 
+from test_transport import (
+    BENCHMARK_SHAPES,
+    CAPPED_CONFIG,
+    FINISHING_APART_CONFIG,
+    benchmark_problems,
+    capped_clamped_and_blown_up,
+    finishing_apart,
+    small_lambda_problems,
+)
+
 SEEDS = (11, 12, 13)
 # (jitter, drop) -> the variants trained with it
 AUGMENTATIONS = {(0.05, 0.1): VARIANTS, (0.0, 0.0): VARIANTS, (0.05, 0.3): ("full",)}
 SOLVE_SHAPE = (4, 49)
+PLAN_FIELDS = ("coupling", "u", "v", "iterations", "converged", "clamped", "error")
 
 # "train" sizes the grid's runs and "evaluate" the 196-token runs; "full"
 # follows the bench's fewshot_train and heldout_eval shapes
@@ -75,12 +94,15 @@ SIZES = {
                       shots=4, batch_size=32, epochs=3, token_dim=32),
         "evaluate": dict(classes=10, per_class=20, tokens=(196,), dim=64,
                          shots=2, batch_size=20, epochs=1, token_dim=32),
+        # the benchmark shapes' batch size; the other batches are fixed
+        "transport": dict(count=128),
     },
     "tiny": {
         "train": dict(classes=2, per_class=4, tokens=(4, 6, 5), dim=8,
                       shots=2, batch_size=2, epochs=1, token_dim=8),
         "evaluate": dict(classes=2, per_class=4, tokens=(12,), dim=8,
                          shots=2, batch_size=4, epochs=1, token_dim=8),
+        "transport": dict(count=4),
     },
 }
 
@@ -134,6 +156,37 @@ def _solve_and_compare(directory: Path, seed: int) -> dict:
     }
 
 
+def _plan_digests(plans) -> dict:
+    """The sha256 of each plan field over `plans`, in order."""
+    out = {}
+    for name in PLAN_FIELDS:
+        values = [getattr(plan, name) for plan in plans]
+        data = (b"".join(v.tobytes() for v in values) if name in ("coupling", "u", "v")
+                else json.dumps(values).encode())
+        out[name] = _sha256(data)
+    return out
+
+
+def _transport(p: dict) -> dict:
+    out = {}
+    # the benchmark pins its two smaller shapes only
+    for pinned, shapes in ((False, BENCHMARK_SHAPES), (True, BENCHMARK_SHAPES[:2])):
+        for rows, cols in shapes:
+            out[f"{rows}x{cols} {'pinned' if pinned else 'relaxed'}"] = _plan_digests(
+                solve_uot_batch(benchmark_problems((rows, cols), pinned, p["count"])))
+    # relaxed rows, capped before convergence: the scaling loop's own cap
+    out["4x16 relaxed capped"] = _plan_digests(solve_uot_batch(
+        benchmark_problems((4, 16), False, p["count"]), SolverConfig(max_iterations=10)))
+    for rho in (INF, 0.05):
+        out[f"small lambda rho={rho}"] = _plan_digests(
+            solve_uot_batch(small_lambda_problems(rho)))
+    for name, problems in capped_clamped_and_blown_up().items():
+        out[f"capped {name}"] = _plan_digests(solve_uot_batch(problems, CAPPED_CONFIG))
+    out["finishing apart"] = _plan_digests(
+        solve_uot_batch(finishing_apart(), FINISHING_APART_CONFIG))
+    return out
+
+
 def _dataset(directory: Path, p: dict, seed: int):
     """synth_dataset, with sample s cut to tokens[s % len(tokens)] rows."""
     manifest = synth_dataset(directory, num_classes=p["classes"],
@@ -155,7 +208,7 @@ def _train(manifest, p: dict, seed: int, variant: str, augmentation):
 
 
 def records(sizes: dict) -> dict:
-    out = {"train": {}, "evaluate": {}}
+    out = {"train": {}, "evaluate": {}, "transport": _transport(sizes["transport"])}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for seed in SEEDS:

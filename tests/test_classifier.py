@@ -434,7 +434,7 @@ class TestForward:
     # P_ds = 2 equals P_cs, so both paths' problems have one shape and
     # still make a solve call each
     @pytest.mark.parametrize("shared", [2, 3])
-    def test_one_cost_call_per_token_count_and_path(self, monkeypatch, shared):
+    def test_one_cost_call_per_token_count_one_solve_per_path(self, monkeypatch, shared):
         import uotalign.classifier as classifier_mod
         import uotalign.transport as transport_mod
 
@@ -449,7 +449,7 @@ class TestForward:
         solve = classifier_mod.solve_uot_batch
 
         def counted(features, prompts):
-            calls.append(np.shape(features))
+            calls.append((np.shape(features), np.shape(prompts)))
             return cost(features, prompts)
 
         def counted_checks(*args, **kwargs):
@@ -471,9 +471,10 @@ class TestForward:
                 checks.clear()
                 solves.clear()
                 forward(samples, bank, enc, cfg)
-                assert sorted(calls) == sorted(want * len(prompts))
-                # the problems of a cost call are checked once, as a stack
-                assert checks == [True] * len(calls)
+                # one product per token count, over both paths' prompts
+                assert sorted(calls) == sorted((f, (3, sum(prompts), 6)) for f in want)
+                # each path's problems are checked once, as a stack
+                assert checks == [True] * len(calls) * len(prompts)
                 # and solved in one call: 3 classes per sample
                 assert sorted(solves) == sorted((S * 3, P, M) for S, M, _ in want
                                                 for P in prompts)

@@ -594,6 +594,17 @@ class TestSynth:
         assert "error: separation must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--shots", "shots must be >= 0"),
+        ("--seed", "seed must be a non-negative integer"),
+    ], ids=["shots", "seed"])
+    def test_rejects_negative_shots_and_seed_before_writing(self, tmp_path, capsys,
+                                                             flag, message):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), flag, "-1"]) == EXIT_ERROR
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

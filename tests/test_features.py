@@ -225,6 +225,17 @@ class TestSynthDataset:
         across = (a @ b.T).mean()
         assert abs(within - across) < 0.1
 
+    # checked before anything is written: a manifest with them would not load
+    @pytest.mark.parametrize("kw, message", [
+        (dict(shots=-1), "shots must be >= 0"),
+        (dict(seed=-1), "seed must be a non-negative integer"),
+        (dict(seed=1.5), "seed must be a non-negative integer"),
+    ], ids=["negative_shots", "negative_seed", "fractional_seed"])
+    def test_rejects_bad_shots_and_seed_before_writing(self, tmp_path, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_dataset(tmp_path / "d", num_classes=2, per_class=4, tokens=3, dim=8, **kw)
+        assert not (tmp_path / "d").exists()
+
     def test_split_partition(self, tmp_path):
         m = synth_dataset(tmp_path / "sp", num_classes=2, per_class=20, tokens=3,
                           dim=8, separation=1.0, seed=1)

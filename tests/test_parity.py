@@ -2,7 +2,7 @@
 
 import json
 
-from parity import AUGMENTATIONS, SEEDS, SIZES, records
+from parity import AUGMENTATIONS, PLAN_FIELDS, SEEDS, SIZES, records
 
 
 def test_tiny_records_repeat():
@@ -24,6 +24,12 @@ def test_tiny_records_repeat():
     assert {first[key]["exit"]
             for key in ("eval", "train_descriptions", "ablate", "compare")} == {0}
     assert first["solve"]["default"]["exit"] == first["solve"]["pinned"]["exit"] == 0
+    assert set(first["transport"]) == {
+        "4x16 relaxed", "4x49 relaxed", "4x196 relaxed", "4x16 pinned", "4x49 pinned",
+        "4x16 relaxed capped", "small lambda rho=inf", "small lambda rho=0.05",
+        "capped pinned", "capped unnormalised pinned", "capped weak", "capped relaxed",
+        "finishing apart"}
+    assert all(record.keys() == set(PLAN_FIELDS) for record in first["transport"].values())
     # NaN per-class accuracies compare equal as text only
     assert (json.dumps(records(SIZES["tiny"]), sort_keys=True)
             == json.dumps(first, sort_keys=True))

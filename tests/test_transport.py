@@ -53,6 +53,79 @@ def benchmark_problems(shape, pinned, count=128):
             for _ in range(count)]
 
 
+def at_optimum(lam, rho, shape, rho1=None):
+    """exp(-C/lam) already has the marginals n and m, so zero potentials
+    are optimal and the solve stops after one iteration; rho1 defaults
+    to rho."""
+    n, m = np.full(shape[0], 1 / shape[0]), np.full(shape[1], 1 / shape[1])
+    return TransportProblem(-lam * np.log(np.outer(n, m)), n, m,
+                            lam=lam, rho1=rho if rho1 is None else rho1, rho2=rho)
+
+
+# the six random instances of finishing_apart converge in the Newton tail
+# after 34 to 38 iterations, so a cap of 37 stops the slowest and lets the
+# others finish apart
+FINISHING_APART_CONFIG = SolverConfig(max_iterations=37, dual_tolerance=1e-10)
+
+
+def finishing_apart():
+    """Instances that leave a batch at different iterations and for
+    different reasons under FINISHING_APART_CONFIG: one at its optimum,
+    six pinned random ones, one whose log-coupling leaves float range at
+    the first iteration, and the sixth random one with shifted costs,
+    whose first marginal sums fall below the clamp (unshifted, it
+    converges after 34 iterations, within the cap)."""
+    rng = np.random.default_rng(22)
+    problems = [at_optimum(0.02, INF, (3, 5))]
+    problems += [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
+                 for _ in range(6)]
+    huge = 8.5e307
+    problems.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [huge, 1, 1],
+                                     [huge, 1, 1, 1, 1], lam=0.02))
+    base = problems[6]
+    problems.append(TransportProblem(base.cost + 14.3, base.row_marginal,
+                                     base.col_marginal, lam=0.02))
+    return problems
+
+
+def small_lambda_problems(rho):
+    """32 instances at lam = 1e-3 whose exp(-C / lam) underflows on every
+    entry at the start, so the first half-step runs in log space and
+    clamps every instance."""
+    rng = np.random.default_rng(32)
+    return [TransportProblem(rng.uniform(0.7, 2.0, (4, 16)), np.full(4, 0.25),
+                             np.full(16, 1 / 16), lam=1e-3, rho1=rho, rho2=rho)
+            for _ in range(32)]
+
+
+CAPPED_CONFIG = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
+
+
+def capped_clamped_and_blown_up():
+    """The constructions of TestBatch, each among ordinary instances, by
+    group name; under CAPPED_CONFIG some are capped, some clamped and two
+    blow up."""
+    rng = np.random.default_rng(33)
+    pinned = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
+              for _ in range(6)]
+    # pinned (rho1 = rho2 = INF) with marginals that do not sum to 1
+    unnormalised = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF)
+                    for _ in range(3)]
+    unnormalised += [TransportProblem(p.cost + 14.3, p.row_marginal, p.col_marginal,
+                                      lam=0.02)
+                     for p in unnormalised]
+    unnormalised.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [8.5e307, 1, 1],
+                                         [8.5e307, 1, 1, 1, 1], lam=0.02))
+    lam, rho = 5e-4, 3e-3
+    weak = [TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
+                             lam=lam, rho1=rho, rho2=rho)]
+    weak += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho) for _ in range(4)]
+    # an ordinary relaxed instance, drawn last so that no other one moves
+    relaxed = [random_problem(rng, (3, 5), lam=0.02, rho1=0.5, rho2=0.5)]
+    return {"pinned": pinned, "unnormalised pinned": unnormalised, "weak": weak,
+            "relaxed": relaxed}
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("kw, match", [
         ({"max_iterations": 0}, "max_iterations"),
@@ -384,35 +457,11 @@ class TestBatch:
                 (ref.iterations, ref.converged, ref.clamped, ref.error)
         return plans
 
-    @staticmethod
-    def _at_optimum(lam, rho, shape, rho1=None):
-        # exp(-C/lam) already has the marginals n and m, so zero
-        # potentials are optimal and the solve stops after one iteration;
-        # rho1 defaults to rho
-        n, m = np.full(shape[0], 1 / shape[0]), np.full(shape[1], 1 / shape[1])
-        return TransportProblem(-lam * np.log(np.outer(n, m)), n, m,
-                                lam=lam, rho1=rho if rho1 is None else rho1, rho2=rho)
-
     def test_every_way_of_finishing_matches_single(self):
         # instances leave the batch at different iterations and for
         # different reasons; each must come out as if solved alone
-        rng = np.random.default_rng(22)
-        # the six random instances converge in the Newton tail after 34 to
-        # 38 iterations, so a cap of 37 stops the slowest and lets the
-        # others finish apart
-        cfg = SolverConfig(max_iterations=37, dual_tolerance=1e-10)
-        problems = [self._at_optimum(0.02, INF, (3, 5))]
-        problems += [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
-                     for _ in range(6)]
-        # a log-coupling past float range at the first iteration
-        huge = 8.5e307
-        problems.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [huge, 1, 1],
-                                         [huge, 1, 1, 1, 1], lam=0.02))
-        # shifted costs: the first marginal sums fall below the clamp; the
-        # base instance converges after 34 iterations, within the cap
-        base = problems[6]
-        problems.append(TransportProblem(base.cost + 14.3, base.row_marginal,
-                                         base.col_marginal, lam=0.02))
+        cfg = FINISHING_APART_CONFIG
+        problems = finishing_apart()
         plans = self._assert_each_as_if_alone(problems, cfg)
         for problem, plan in zip(problems, plans):
             if plan.error is None:
@@ -433,7 +482,7 @@ class TestBatch:
         # blowup and clamps happen at working rows shifted by one
         lam, rho = 5e-4, 3e-3
         rng = np.random.default_rng(23)
-        problems = [self._at_optimum(lam, rho, (3, 5)),
+        problems = [at_optimum(lam, rho, (3, 5)),
                     TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
                                      lam=lam, rho1=rho, rho2=rho),
                     TransportProblem(2.0 + rng.uniform(0, 0.01, (3, 5)),
@@ -454,7 +503,7 @@ class TestBatch:
         rng = np.random.default_rng(516)
         pool = [random_problem(rng, (4, 16), lam=0.05, rho1=INF, rho2=INF, balanced=True)
                 for _ in range(35)]
-        problems = [self._at_optimum(0.05, INF, (4, 16))] + [pool[i] for i in (17, 0, 2, 3, 34)]
+        problems = [at_optimum(0.05, INF, (4, 16))] + [pool[i] for i in (17, 0, 2, 3, 34)]
         # unequal masses: the pinned rows are never met
         problems.append(random_problem(rng, (4, 16), lam=0.05, rho1=INF, rho2=INF))
         cfg = SolverConfig(max_iterations=60)
@@ -499,7 +548,7 @@ class TestBatch:
         problems = benchmark_problems((4, 44), pinned=False, count=3)
         if not together:
             p = problems[0]
-            problems[0] = self._at_optimum(p.lam, p.rho2, (4, 44), rho1=p.rho1)
+            problems[0] = at_optimum(p.lam, p.rho2, (4, 44), rho1=p.rho1)
         plans = solve_uot_batch(problems)
         finished_at = {plan.iterations for plan in plans}
         assert (len(finished_at) == 1) == together
@@ -621,10 +670,7 @@ class TestLogDomainReference:
         # Newton tail converges every instance to rounding level
         pinned = math.isinf(rho)
         newly_converged = tuple(i for i in range(32) if i not in (13, 23)) if pinned else ()
-        rng = np.random.default_rng(32)
-        problems = [TransportProblem(rng.uniform(0.7, 2.0, (4, 16)), np.full(4, 0.25),
-                                     np.full(16, 1 / 16), lam=1e-3, rho1=rho, rho2=rho)
-                    for _ in range(32)]
+        problems = small_lambda_problems(rho)
         plans, refs, _ = self._assert_matches_reference(
             problems, SolverConfig(), f"small lam, rho {rho}", newly_converged)
         ours, theirs = sum(p.converged for p in plans), sum(r.converged for r in refs)
@@ -638,30 +684,11 @@ class TestLogDomainReference:
                 assert np.abs(W.sum(axis=0) - problem.col_marginal).sum() <= 1e-12
 
     def test_capped_clamped_and_blown_up(self):
-        # the constructions of TestBatch, each among ordinary instances
-        rng = np.random.default_rng(33)
-        cfg = SolverConfig(max_iterations=300, dual_tolerance=1e-10)
-        pinned = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF, balanced=True)
-                  for _ in range(6)]
-        # pinned (rho1 = rho2 = INF) with marginals that do not sum to 1
-        unnormalised = [random_problem(rng, (3, 5), lam=0.02, rho1=INF, rho2=INF)
-                        for _ in range(3)]
-        unnormalised += [TransportProblem(p.cost + 14.3, p.row_marginal, p.col_marginal,
-                                          lam=0.02)
-                         for p in unnormalised]
-        unnormalised.append(TransportProblem(rng.uniform(0, 2, (3, 5)), [8.5e307, 1, 1],
-                                             [8.5e307, 1, 1, 1, 1], lam=0.02))
-        lam, rho = 5e-4, 3e-3
-        weak = [TransportProblem(np.full((3, 5), -5.0), np.ones(3), np.ones(5),
-                                 lam=lam, rho1=rho, rho2=rho)]
-        weak += [random_problem(rng, (3, 5), lam=lam, rho1=rho, rho2=rho) for _ in range(4)]
-        # an ordinary relaxed instance, drawn last so that no other one moves
-        relaxed = [random_problem(rng, (3, 5), lam=0.02, rho1=0.5, rho2=0.5)]
         refs, plans = [], []
-        for name, problems, flips in (("pinned", pinned, (4, 5)),
-                                      ("unnormalised pinned", unnormalised, ()),
-                                      ("weak", weak, ()), ("relaxed", relaxed, ())):
-            ours, theirs, _ = self._assert_matches_reference(problems, cfg, name, flips)
+        flips = {"pinned": (4, 5)}
+        for name, problems in capped_clamped_and_blown_up().items():
+            ours, theirs, _ = self._assert_matches_reference(
+                problems, CAPPED_CONFIG, name, flips.get(name, ()))
             plans += ours
             refs += theirs
         for outcomes in (refs, plans):
@@ -671,12 +698,9 @@ class TestLogDomainReference:
 
 
 class TestMemory:
-    def test_finishing_together_holds_at_most_six_batch_arrays(self):
-        # a training call's shape, 320 problems of 4 x 44, here ones that
-        # all converge at the same iteration; the cost stack, the kernel
-        # and the couplings made in it are the batch-sized arrays, besides
-        # (B, P) and (B, M) ones
-        problems = benchmark_problems((4, 44), pinned=False, count=320)
+    @staticmethod
+    def _peak(problems):
+        # the tracemalloc peak of one call, in arrays of the cost stack's size
         solve_uot_batch(problems[:2])  # first-call caches
         tracemalloc.start()
         try:
@@ -684,8 +708,26 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak / (len(problems) * problems[0].cost.size * 8), plans
+
+    def test_finishing_together_holds_at_most_six_batch_arrays(self):
+        # a training call's shape, 320 problems of 4 x 44, here ones that
+        # all converge at the same iteration; the cost stack, the kernel
+        # and the couplings made in it are the batch-sized arrays, besides
+        # (B, P) and (B, M) ones
+        arrays, plans = self._peak(benchmark_problems((4, 44), pinned=False, count=320))
         assert len({plan.iterations for plan in plans}) == 1
-        assert peak <= 6 * 320 * 4 * 44 * 8, peak / (320 * 4 * 44 * 8)
+        assert arrays <= 6, arrays
+
+    # with two prompts a (B, M) vector is half a batch array, so the scaling
+    # loop's vectors weigh on the peak: each bound is the peak the loop had
+    # before it wrote its half-steps, potentials and log-scalings in place,
+    # and one more (B, M) vector alive at the peak breaks the second
+    @pytest.mark.parametrize("count, shape, bound", [(320, (2, 44), 7.77),
+                                                     (80, (2, 196), 8.50)])
+    def test_two_prompt_calls_peak_within_bound(self, count, shape, bound):
+        arrays, _ = self._peak(benchmark_problems(shape, pinned=False, count=count))
+        assert arrays <= bound, arrays
 
 
 class TestNewtonTail:

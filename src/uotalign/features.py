@@ -237,6 +237,10 @@ def synth_dataset(out_dir, num_classes: int = 3, per_class: int = 20,
     separation 0 means pure noise and large separation means tight
     clusters. Pure function of its arguments, file bytes included.
     """
+    for name, count in (("num_classes", num_classes), ("per_class", per_class),
+                        ("tokens", tokens), ("dim", dim), ("shots", shots)):
+        if type(count) is not int:  # never a bool
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if num_classes < 1 or per_class < 1 or tokens < 1 or dim < 1:
         raise ValueError("counts must be >= 1")
     if not (0 <= separation < math.inf):

@@ -122,6 +122,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if len(self.augmentation) != 2:

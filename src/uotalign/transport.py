@@ -208,11 +208,10 @@ class TransportPlan:
     its last step did not halve it, so the error sits at the floor the
     steps can reach. `clamped` is set when a marginal sum fell below the
     log-space floor at some iteration. A plan from solve_uot_batch holds
-    views of that call's arrays, however its instance ended: u and v are
-    rows of its (B, P) and (B, M) potentials, as the coupling is a row of
-    the array shared by the instances that finished at the same
-    iteration. Keeping any one plan keeps those arrays alive; copy a
-    field to keep it alone.
+    views, however its instance ended: u, v and the coupling are each a
+    row of the arrays that hold the instances that finished at the same
+    iteration. Keeping a plan keeps those arrays alive; copy a field to
+    keep it alone.
     """
 
     coupling: np.ndarray
@@ -484,20 +483,21 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     and marginals may differ. The iteration is vectorised over the
     instances still running. Whether an instance converges or blows up,
     in the scaling loop or the Newton tail, or reaches the iteration cap,
-    it ends through `retire`, which writes its potentials, flags and
-    coupling (exp of its last log kernel; all NaN with an `error` on
-    blowup, instead of aborting the batch), and _shrink then drops its
-    working rows in place. Each decision (fallback, clamp, relaxation,
-    absorption, blowup, and in the Newton tail the step, line search and
-    fallback) reads only its instance's data, and batch-wide gates skip
-    only work that would change nothing (the inf search and blowup check
-    within bounds on kernel and scalings, the per-entry relaxation check
-    while every move is in its interval, the v moves until a u move is
-    below tol), so each result equals an independent single solve. It
-    returns one plan per problem, in order. The couplings of instances
-    finishing at one iteration form one array, made in the working
-    kernel when every live instance finishes a scaling iteration; plans
-    view rows of these arrays and of the potentials (see TransportPlan).
+    it ends through `retire`, which makes its plan from its potentials,
+    flags and coupling (exp of its last log kernel; all NaN with an
+    `error` on blowup, instead of aborting the batch), and _shrink then
+    drops its working rows in place. Each decision (fallback, clamp,
+    relaxation, absorption, blowup, and in the Newton tail the step,
+    line search and fallback) reads only its instance's data, and
+    batch-wide gates skip only work that would change nothing (the inf
+    search and blowup check within bounds on kernel and scalings, the
+    per-entry relaxation check while every move is in its interval, the
+    v moves until a u move is below tol), so each result equals an
+    independent single solve. It returns one plan per problem, in order,
+    each viewing the arrays of the instances that finished at its
+    iteration (see TransportPlan); their couplings are made in the
+    working kernel when every live instance finishes a scaling
+    iteration.
     """
     if config is None:
         config = SolverConfig()
@@ -518,25 +518,18 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
     if math.isinf(p0.rho1):
         scaling = min(scaling, _NEWTON_AFTER)
 
-    # per-instance results, indexed by position in `problems`; retire
-    # writes each instance's once, clamped accumulates while it runs
-    U_out, V_out = np.empty((B, n_rows)), np.empty((B, n_cols))
-    iterations, converged = np.empty(B, dtype=int), np.empty(B, dtype=bool)
+    # retire makes plans[b] when instance b ends; clamped[b] accumulates
+    plans: list[TransportPlan | None] = [None] * B
     clamped = np.zeros(B, dtype=bool)
-    failed: list[str | None] = [None] * B
-    # each instance's coupling, a row of the array made when it finished
-    coupling: list[np.ndarray | None] = [None] * B
 
     def retire(at, U, V, W, k, done, bad):
-        # the results of batch positions `at` after k iterations, from their
+        # the plans of batch positions `at` after k iterations, from their
         # rows of U, V and W (the couplings); NaN and an error where `bad`
-        U_out[at], V_out[at] = U, V
-        iterations[at], converged[at] = k, done
         W[bad] = np.nan
-        for b, w in zip(at.tolist(), W):
-            coupling[b] = w
-        for b in at[bad].tolist():
-            failed[b] = f"numerical blowup at iteration {k}"
+        error = f"numerical blowup at iteration {k}"
+        for b, u, v, w, ok, cl, blown in zip(at.tolist(), U, V, W, done.tolist(),
+                                             clamped[at].tolist(), bad.tolist()):
+            plans[b] = TransportPlan(w, u, v, k, ok, cl, error if blown else None)
 
     # working arrays over the live instances only; live[i] is the batch
     # position of working row i. U and V are the over-relaxed iterates; Vp,
@@ -559,22 +552,16 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
 
     def absorb(rows, U, V):
         # fold U and V into the kernel of the masked rows; with every live
-        # row masked, K and the rest are rebuilt in place, without copies
-        if rows.all():
-            Kmax[:] = np.max(_log_kernel(U, V, C, lam, K), axis=(1, 2))
-            np.exp(K, out=K)
-            np.divide(U, lam, out=Ua)
-            np.divide(V, lam, out=Vb)
-            np.add(Ua, np.log(n), out=An)
-            np.add(Vb, log_m, out=Bm)
-            la[:], lb[:] = 0.0, 0.0
-            return
-        S = _log_kernel(U[rows], V[rows], C[rows], lam)
-        Kmax[rows] = np.max(S, axis=(1, 2))
-        K[rows] = np.exp(S, out=S)
-        Ua[rows], Vb[rows] = U[rows] / lam, V[rows] / lam
-        An[rows], Bm[rows] = Ua[rows] + np.log(n[rows]), Vb[rows] + log_m[rows]
-        la[rows], lb[rows] = 0.0, 0.0
+        # row masked, r is the full slice and the log kernel is built in K,
+        # where K[r] = K costs nothing: NumPy skips a self-assignment
+        full = rows.all()
+        r = slice(None) if full else rows
+        S = _log_kernel(U[r], V[r], C[r], lam, K if full else None)
+        Kmax[r] = np.max(S, axis=(1, 2))
+        K[r] = np.exp(S, out=S)
+        Ua[r], Vb[r] = U[r] / lam, V[r] / lam
+        An[r], Bm[r] = Ua[r] + np.log(n[r]), Vb[r] + log_m[r]
+        la[r], lb[r] = 0.0, 0.0
 
     def refold(l, fell, U, V):
         # absorb the finite rows whose scaling left e^+-_ABSORB or whose
@@ -643,9 +630,7 @@ def solve_uot_batch(problems: list[TransportProblem], config: SolverConfig | Non
                 no = np.zeros(live.size, dtype=bool)
                 retire(live, U, V, np.exp(_log_kernel(U, V, C, lam, K), out=K), scaling, no, no)
 
-    return [TransportPlan(*fields) for fields in zip(
-        coupling, U_out, V_out, iterations.tolist(), converged.tolist(), clamped.tolist(),
-        failed)]
+    return plans
 
 
 def solve_uot(problem: TransportProblem, config: SolverConfig | None = None) -> TransportPlan:

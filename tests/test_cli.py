@@ -27,7 +27,13 @@ from uotalign.cli import (
     read_csv_matrix,
     write_csv,
 )
-from uotalign.features import load_manifest, load_split, read_embedding_file, synth_dataset
+from uotalign.features import (
+    load_manifest,
+    load_split,
+    read_embedding_file,
+    synth_dataset,
+    write_embedding_file,
+)
 from uotalign.prompts import parse_descriptions, synth_description_texts
 from uotalign.trainer import VARIANTS, apply_variant, evaluate, load_checkpoint
 from uotalign.transport import INF, SolverConfig, TransportProblem, solve_uot
@@ -189,6 +195,25 @@ class TestSolve:
         np.testing.assert_allclose(emb, plan.coupling, atol=1e-6)
         assert read_csv_matrix(out / "u.csv").shape == (1, 2)
         assert read_csv_matrix(out / "v.csv").shape == (1, 2)
+
+    def test_emb1_cost_solves_as_its_csv_twin(self, tmp_path):
+        # an EMB1 cost is read as float32 values, which its CSV twin holds exactly
+        write_embedding_file(tmp_path / "c.emb1", np.array([[0.0, 0.6, 0.3], [0.8, 0.1, 0.45]]))
+        write_csv(tmp_path / "c.csv", read_embedding_file(tmp_path / "c.emb1"))
+        for suffix in ("emb1", "csv"):
+            assert main(["solve", "--cost", str(tmp_path / f"c.{suffix}"),
+                         "--out", str(tmp_path / suffix)]) == EXIT_OK
+        for name in ("coupling.csv", "coupling.emb1", "u.csv", "v.csv", "summary.json"):
+            assert (tmp_path / "emb1" / name).read_bytes() == \
+                   (tmp_path / "csv" / name).read_bytes(), name
+
+    def test_emb1_cost_must_be_an_embedding_file(self, tmp_path, capsys):
+        path = tmp_path / "c.emb1"
+        path.write_text("0.5,0.25\n0.1,0.9\n")  # CSV text under the EMB1 suffix
+        out = tmp_path / "out"
+        assert main(["solve", "--cost", str(path), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: not an embedding file: {path}\n"
+        assert not out.exists()
 
     def test_custom_marginal_files(self, tmp_path):
         write_csv(tmp_path / "c.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -371,6 +396,15 @@ class TestTrainEval:
         assert code == EXIT_ERROR
         assert "unknown config key: 'epoch'" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_training(self, workdir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--manifest", str(workdir / "data/manifest.json"),
+                     "--config", str(workdir / "quick.json"), "--seed", "-1",
+                     "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert not out.exists()
+
 
 class TestConfigVariant:
     """eval and heatmap score with the config's variant, as train does."""
@@ -466,6 +500,15 @@ class TestAblate:
         lines = (out / "ablation.csv").read_text().strip().split("\n")
         assert all(line.split(",")[2:4] == ["nan", "nan"] for line in lines)
 
+    def test_negative_seed_exits_before_writing(self, workdir, tmp_path, capsys):
+        # it used to write six error rows, one per variant, then exit 1
+        (tmp_path / "neg.json").write_text(json.dumps({"seed": -2, "epochs": 1}))
+        out = tmp_path / "abl"
+        code = main(["ablate", "--manifest", str(workdir / "data/manifest.json"),
+                     "--config", str(tmp_path / "neg.json"), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert not out.exists()
 
     def test_failed_variant_writes_a_nan_row_and_exits_1(self, workdir, tmp_path,
                                                          capsys, monkeypatch):
@@ -547,6 +590,17 @@ class TestGenDescriptions:
         assert parse_descriptions(out / "cat.json") == ("cat", ["a", "b", "c", "d"])
         index = json.loads((out / "descriptions.json").read_text())
         assert index == {"cat": "cat.json", "dog": "dog.json"}
+
+    def test_template_class_name_is_rewritten_to_the_requested_class(self, tmp_path):
+        out = tmp_path / "d"
+        template = ("printf '%s' '{\"class_name\": \"kitty\", "
+                    "\"description\": [\"a\", \"b\", \"c\", \"d\"]}'")
+        code = main(["gen-descriptions", "--classes", "cat",
+                     "--template", template, "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "cat.json").read_text() == (
+            '{\n  "class_name": "cat",\n  "description": [\n    "a",\n    "b",\n'
+            '    "c",\n    "d"\n  ]\n}\n')
 
     def test_malformed_output_exits_3(self, tmp_path, capsys):
         out = tmp_path / "d"

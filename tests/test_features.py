@@ -36,6 +36,12 @@ class TestFeatureSet:
         fs = FeatureSet(F, sample_id="s", label="a")
         assert (fs.sample_id, fs.label) == ("s", "a")
 
+    def test_rejects_a_row_that_is_not_unit_norm(self):
+        F = unit_rows(np.random.default_rng(39), 3, 4)
+        F[1] *= 1 + 1e-8
+        with pytest.raises(ValueError, match="^degenerate embedding: rows must be unit-norm$"):
+            FeatureSet(F)
+
 
 class TestEmbeddingFile:
     def test_round_trip_bitwise(self, tmp_path):
@@ -83,6 +89,13 @@ class TestEmbeddingFile:
         write_embedding_file(p, mat)  # float32 rounds norms off 1
         fs = load_feature_set(p, sample_id="s0")
         np.testing.assert_allclose(np.linalg.norm(fs.features, axis=1), 1.0, atol=1e-15)
+
+    def test_load_feature_set_rejects_a_zero_row(self, tmp_path):
+        p = tmp_path / "z.emb1"
+        write_embedding_file(p, np.array([[0.6, 0.8], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"degenerate embedding: zero row in {p}")):
+            load_feature_set(p)
 
 
 class TestManifest:
@@ -137,6 +150,21 @@ class TestManifest:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError,
                            match="schema violation: duplicate class 'class_0'"):
+            load_manifest(p)
+
+    def test_negative_shots_rejected(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"classes": [], "samples": [], "shots": -1, "seed": 0}')
+        with pytest.raises(ValueError, match="^shots must be >= 0$"):
+            load_manifest(p)
+
+    def test_sample_record_missing_a_key_rejected(self, tmp_path):
+        doc = {"classes": ["a"], "samples": [{"id": "a_0", "class": "a", "path": "a_0.emb1"}],
+               "shots": 1, "seed": 0}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: malformed sample record in {p}")):
             load_manifest(p)
 
     @pytest.mark.parametrize("key,value", [
@@ -234,6 +262,19 @@ class TestSynthDataset:
     def test_rejects_bad_shots_and_seed_before_writing(self, tmp_path, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             synth_dataset(tmp_path / "d", num_classes=2, per_class=4, tokens=3, dim=8, **kw)
+        assert not (tmp_path / "d").exists()
+
+    # a fractional shots used to write a manifest that load_manifest rejects,
+    # and a fractional count to fail in NumPy after making embeddings/
+    @pytest.mark.parametrize("name, value", [
+        ("num_classes", 2.5), ("per_class", 4.0), ("tokens", 3.5), ("dim", True),
+        ("shots", 1.5)])
+    def test_rejects_non_integer_counts_before_writing(self, tmp_path, name, value):
+        kw = dict(num_classes=2, per_class=4, tokens=3, dim=8)
+        kw[name] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            synth_dataset(tmp_path / "d", **kw)
         assert not (tmp_path / "d").exists()
 
     def test_split_partition(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -157,6 +158,16 @@ class TestGeneralizedKL:
     def test_negative_w_raises(self):
         with pytest.raises(ValueError, match="negative mass"):
             generalized_kl([-0.5, 0.5], [1.0, 1.0])
+
+    @pytest.mark.parametrize("w, z, message", [
+        ([0.5, 0.5], [1.0, 1.0, 1.0], "shape mismatch: (2,) vs (3,)"),
+        ([], [], "empty reduction"),
+        ([0.5, math.inf], [1.0, 1.0], "generalized_kl input contains non-finite entries"),
+        ([0.5, 0.5], [1.0, math.nan], "generalized_kl input contains non-finite entries"),
+    ], ids=["shape_mismatch", "empty", "infinite_w", "nan_z"])
+    def test_rejects_malformed_inputs(self, w, z, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generalized_kl(w, z)
 
     def test_nonnegative_property(self):
         rng = np.random.default_rng(3)

@@ -63,6 +63,18 @@ class TestParseDescriptions:
         p.write_text(json.dumps({"description": ["a", "b", "c", "d"]}))
         assert parse_descriptions(p)[0] == "lynx"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"description": "a b c d"}, "{p} description must be a list of text"),
+        ({"description": ["a", " ", "c", "d"]}, "empty description text in {p}"),
+        ({"class_name": 7, "description": ["a", "b", "c", "d"]}, "bad class_name in {p}"),
+    ], ids=["non_list", "blank_text", "non_string_class_name"])
+    def test_rejects_malformed_fields(self, tmp_path, doc, message):
+        p = tmp_path / "z.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                "schema violation: " + message.format(p=p))):
+            parse_descriptions(p)
+
 
 class TestDescriptionManifest:
     def test_invalid_json_names_the_file(self, tmp_path):
@@ -79,6 +91,14 @@ class TestDescriptionManifest:
         with pytest.raises(ValueError, match=re.escape(
                 f"schema violation: {p} top level must be an object")):
             load(p)
+
+
+    def test_values_must_be_paths(self, tmp_path):
+        p = tmp_path / "descriptions.json"
+        p.write_text(json.dumps({"cat": "cat.json", "dog": ["dog.json"]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"schema violation: {p} must map class names to paths")):
+            load_description_manifest(p)
 
 
 class TestTokenize:
@@ -116,6 +136,12 @@ class TestAttention:
         T = rng.standard_normal((1, 6))
         out = attention_forward(T, params)
         np.testing.assert_allclose(out, T @ params.w_value, atol=1e-12)
+
+    def test_rejects_tokens_of_another_width(self):
+        params = AttentionParams.seeded(6, 6, seed=1)
+        with pytest.raises(ValueError, match="^token dimension does not match "
+                                             "attention parameters$"):
+            attention_forward(np.ones((3, 5)), params)
 
     def test_zero_query_key_gives_column_mean(self):
         rng = np.random.default_rng(51)
@@ -404,6 +430,16 @@ class TestPromptBank:
         big2 = make_bank(classes=("a", "b", "c", "d", "e"),
                          trainable=("class_tokens",))
         assert count_trainable(big2) == count_trainable(small2) * 5 // 2
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="^no classes$"):
+            build_prompt_bank([])
+
+    def test_differing_description_counts_rejected(self):
+        descs = {"cat": ["a", "b", "c", "d"], "dog": ["a", "b", "c"]}
+        with pytest.raises(ValueError, match="^schema violation: classes have differing "
+                                             "description counts$"):
+            build_prompt_bank(["cat", "dog"], descs, token_dim=8, context_length=4)
 
     def test_missing_description_rejected(self):
         descs = {"cat": ["a", "b", "c", "d"]}

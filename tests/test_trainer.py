@@ -162,6 +162,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    # a negative seed used to fail later, inside NumPy's seeding
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            TrainConfig(seed=seed)
+
 
 # variant -> (its classifier config, its bank's use_attention and trainable)
 VARIANT_EFFECTS = {

@@ -552,13 +552,11 @@ class TestBatch:
         plans = solve_uot_batch(problems)
         finished_at = {plan.iterations for plan in plans}
         assert (len(finished_at) == 1) == together
-        for name in ("u", "v"):
-            base = getattr(plans[0], name).base
-            assert base is not None
-            assert all(getattr(plan, name).base is base for plan in plans)
-        # one coupling array per iteration at which instances finished
-        assert all(plan.coupling.base is not None for plan in plans)
-        assert len({id(plan.coupling.base) for plan in plans}) == len(finished_at)
+        # one array per field and iteration at which instances finished
+        for name in ("u", "v", "coupling"):
+            fields = [getattr(plan, name) for plan in plans]
+            assert all(x.base is not None for x in fields)
+            assert len({id(x.base) for x in fields}) == len(finished_at)
 
     def test_newton_tail_blowup_matches_single(self, monkeypatch):
         # instances 17, 0, 2, 3 and 34 of the pool above, with the
@@ -720,11 +718,12 @@ class TestMemory:
         assert arrays <= 6, arrays
 
     # with two prompts a (B, M) vector is half a batch array, so the scaling
-    # loop's vectors weigh on the peak: each bound is the peak the loop had
-    # before it wrote its half-steps, potentials and log-scalings in place,
-    # and one more (B, M) vector alive at the peak breaks the second
-    @pytest.mark.parametrize("count, shape, bound", [(320, (2, 44), 7.77),
-                                                     (80, (2, 196), 8.50)])
+    # loop's vectors weigh on the peak: each bound is the peak the loop has
+    # since it makes each plan as its instance ends, with no (B, M) holder
+    # of finished potentials, rounded up to 0.01, and one more (B, M)
+    # vector alive at the peak breaks either
+    @pytest.mark.parametrize("count, shape, bound", [(320, (2, 44), 5.98),
+                                                     (80, (2, 196), 7.99)])
     def test_two_prompt_calls_peak_within_bound(self, count, shape, bound):
         arrays, _ = self._peak(benchmark_problems(shape, pinned=False, count=count))
         assert arrays <= bound, arrays
